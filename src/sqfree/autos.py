@@ -10,6 +10,7 @@ and tau with X = {u}, Y = {u^(-1)} is a -> u^(-1) a u.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .cohom import first_cohomology, stabilizer, verify_one_cocycle
@@ -20,11 +21,13 @@ from .errors import (
     NotAOneCocycle,
     NotInvertible,
     SearchBoundExceeded,
+    WitnessRejected,
 )
 from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce
 from .sgrp import SemigroupAutomorphism, is_normal_automorphism
 from .twring import (
     RingElement,
+    _enumeration_guard,
     enumerate_idempotents,
     enumerate_units,
     from_vector,
@@ -89,7 +92,7 @@ class RingAut:
     def __eq__(self, other):
         return (
             isinstance(other, RingAut)
-            and other.ring == self.ring
+            and (other.ring is self.ring or other.ring == self.ring)
             and other.matrix == self.matrix
         )
 
@@ -100,22 +103,58 @@ class RingAut:
         return f"RingAut({self.images!r})"
 
 
+def _invertible(matrix, p):
+    try:
+        mat_inv(matrix, p)
+    except NotInvertible:
+        return False
+    return True
+
+
+def _product_violations(R, matrix):
+    """Yield the identity and basis-product violations of a matrix, in report order.
+
+    Runs on the structure constants: the image of e_a e_b is the combination
+    of the matrix columns given by the constants of e_a e_b, and must equal
+    the core product of columns a and b.
+    """
+    core, p = R.core, R.D.p
+    image_of_one = mat_vec(matrix, core.one, p)
+    if image_of_one != core.one:
+        yield "identity_moved", (), f"1 -> {from_vector(R, image_of_one)!r}"
+    cols = list(zip(*matrix))
+    basis = None
+    for a in range(core.dim):
+        for b in range(core.dim):
+            lhs = [0] * core.dim
+            for c, t in core.constants.get((a, b), ()):
+                for r, v in enumerate(cols[c]):
+                    lhs[r] += t * v
+            if tuple([v % p for v in lhs]) != core.mul(cols[a], cols[b]):
+                basis = basis or linear_basis(R)
+                yield "multiplicativity", (repr(basis[a]), repr(basis[b]))
+
+
+def _is_automorphism(R, matrix):
+    """check_ring_automorphism(...).ok, stopping at the first violation."""
+    return next(_product_violations(R, matrix), None) is None and _invertible(matrix, R.D.p)
+
+
 def check_ring_automorphism(R, f):
     """Bijective, identity-preserving, multiplicative on the linear basis."""
     report = ValidationReport()
-    try:
-        mat_inv(f.matrix, R.D.p)
-    except NotInvertible:
+    if not _invertible(f.matrix, R.D.p):
         report.add("not_bijective", ())
-    u = identity_element(R)
-    if f.apply(u) != u:
-        report.add("identity_moved", (), f"1 -> {f.apply(u)!r}")
-    basis = linear_basis(R)
-    for x in basis:
-        for y in basis:
-            if f.apply(mul(R, x, y)) != mul(R, f.apply(x), f.apply(y)):
-                report.add("multiplicativity", (repr(x), repr(y)))
+    for violation in _product_violations(R, f.matrix):
+        report.add(*violation)
     return report
+
+
+def _verified(R, f):
+    rep = check_ring_automorphism(R, f)
+    if not rep.ok:
+        raise WitnessRejected(rep.as_json())
+    return f
 
 
 def sigma(R, g):
@@ -123,10 +162,7 @@ def sigma(R, g):
     if not verify_one_cocycle(R.S, R.c, g):
         raise NotAOneCocycle("the pair does not fix the ring's cocycle")
     images = {p: R.element({p: g.eta[p]}) for p in R.S.support}
-    f = RingAut.from_action(R, g.mu, images)
-    rep = check_ring_automorphism(R, f)
-    assert rep.ok, rep.as_json()
-    return f
+    return _verified(R, RingAut.from_action(R, g.mu, images))
 
 
 @dataclass(frozen=True)
@@ -143,83 +179,97 @@ def _ring_sum(R, xs):
 
 
 def unit_inverse(R, u):
-    basis = linear_basis(R)
-    cols = [to_vector(R, mul(R, u, b)) for b in basis]
-    A = tuple(tuple(col[r] for col in cols) for r in range(len(basis)))
-    one = identity_element(R)
-    v = from_vector(R, mat_vec(mat_inv(A, R.D.p), to_vector(R, one), R.D.p))
-    if mul(R, v, u) != one:
+    v = R.core.inverse(to_vector(R, u))
+    if v is None:
         raise NotInvertible(f"{u!r} has no two-sided inverse")
-    return v
+    return from_vector(R, v)
 
 
 def inner_witness_from_unit(R, u):
     return InnerWitness((u,), (unit_inverse(R, u),))
 
 
+def _conjugation(R, w):
+    """The map a -> (sum Y) a (sum X) of tau, before its automorphism check."""
+    core = R.core
+    sx = to_vector(R, _ring_sum(R, w.X))
+    sy = to_vector(R, _ring_sum(R, w.Y))
+    if core.mul(sx, sy) != core.one or core.mul(sy, sx) != core.one:
+        raise NotInvertible("witness sums are not mutually inverse")
+    return RingAut(R, tuple(zip(*(core.mul(core.mul(sy, e), sx) for e in core.basis))))
+
+
 def tau(R, w):
     """a -> (sum Y) a (sum X); conjugation when X, Y are a unit and its inverse."""
-    sx = _ring_sum(R, w.X)
-    sy = _ring_sum(R, w.Y)
-    one = identity_element(R)
-    if mul(R, sx, sy) != one or mul(R, sy, sx) != one:
-        raise NotInvertible("witness sums are not mutually inverse")
-    f = RingAut.from_images(R, lambda b: mul(R, mul(R, sy, b), sx))
-    rep = check_ring_automorphism(R, f)
-    assert rep.ok, rep.as_json()
-    return f
+    return _verified(R, _conjugation(R, w))
+
+
+def _inner(R, units, bounds):
+    """Inn R as {matrix: (unit, inverse)}, from the first unit of units giving it.
+
+    Each distinct conjugation is checked once. Units are kept as coefficient
+    dicts, which hold no reference back to the ring, so the table for the
+    full unit list (units=None) can live in the ring's core.
+    """
+    if units is None:
+        _enumeration_guard(R, bounds)
+        if "inner" in R.core.cache:
+            return R.core.cache["inner"]
+    table = {}
+    for u in enumerate_units(R, bounds) if units is None else units:
+        w = inner_witness_from_unit(R, u)
+        f = _conjugation(R, w)
+        if f.matrix not in table:
+            _verified(R, f)
+            table[f.matrix] = (u.coeffs, w.Y[0].coeffs)
+    if units is None:
+        R.core.cache["inner"] = table
+    return table
 
 
 def is_inner(R, f, units=None, bounds=DEFAULT_BOUNDS):
     """A conjugation witness producing f, or None after trying every unit."""
-    if units is None:
-        units = enumerate_units(R, bounds)
-    for u in units:
-        w = inner_witness_from_unit(R, u)
-        if tau(R, w) == f:
-            return w
-    return None
+    table = _inner(R, units, bounds)
+    if not (f.ring is R or f.ring == R) or f.matrix not in table:
+        return None
+    u, v = table[f.matrix]
+    return InnerWitness((RingElement(R, u),), (RingElement(R, v),))
 
 
 def inner_group(R, units=None, bounds=DEFAULT_BOUNDS):
-    if units is None:
-        units = enumerate_units(R, bounds)
-    seen = {}
-    for u in units:
-        g = tau(R, inner_witness_from_unit(R, u))
-        seen.setdefault(g.matrix, g)
-    return [seen[m] for m in sorted(seen)]
+    return [RingAut(R, m) for m in sorted(_inner(R, units, bounds))]
 
 
-def _corner_elements(R, q1, q2, basis):
-    """All elements of q1 R q2, via a row-reduced spanning set."""
-    rows = row_reduce([to_vector(R, mul(R, mul(R, q1, b), q2)) for b in basis], R.D.p)
+def _corner(core, q1, q2):
+    """Row-reduced basis of the corner q1 R q2; its length is the dimension."""
+    return row_reduce([core.mul(core.mul(q1, e), q2) for e in core.basis], core.p)
+
+
+def _span(core, rows):
+    """Every vector of the span of rows, coefficients in lexicographic order."""
+    p = core.p
     out = []
-    for combo in product(range(R.D.p), repeat=len(rows)):
-        vec = [0] * len(basis)
+    for combo in product(range(p), repeat=len(rows)):
+        vec = [0] * core.dim
         for c, row in zip(combo, rows):
             for a, val in enumerate(row):
-                vec[a] = (vec[a] + c * val) % R.D.p
-        out.append(from_vector(R, tuple(vec)))
-    return out, len(rows)
-
-
-def _corner_dim(R, q1, q2, basis):
-    return len(row_reduce([to_vector(R, mul(R, mul(R, q1, b), q2)) for b in basis], R.D.p))
+                vec[a] += c * val
+        out.append(tuple(v % p for v in vec))
+    return out
 
 
 def _modulus_roots(R, q, corner):
     """Corner elements satisfying the coefficient modulus, with q as the unit."""
-    D = R.D
+    core, p = R.core, R.D.p
     out = []
     for w in corner:
-        acc = R.zero()
+        acc = [0] * core.dim
         wp = q
-        for coeff in D.modulus:
+        for coeff in R.D.modulus:
             if coeff:
-                acc = acc + wp.lscale(D.element(coeff))
-            wp = mul(R, wp, w)
-        if acc.is_zero():
+                acc = [a + coeff * v for a, v in zip(acc, wp)]
+            wp = core.mul(wp, w)
+        if not any(a % p for a in acc):
             out.append(w)
     return out
 
@@ -235,85 +285,87 @@ def aut_r_bruteforce(R, bounds=DEFAULT_BOUNDS):
     """
     if not R.D.is_finite:
         raise InfiniteBackend("Aut R search needs a finite field")
-    S, D = R.S, R.D
-    n, k = S.n, D.k
-    basis = linear_basis(R)
-    idem = [q for q in enumerate_idempotents(R, bounds) if not q.is_zero()]
-    one = identity_element(R)
+    S, D, core = R.S, R.D, R.core
+    n, k, p = S.n, D.k, D.p
+    idem = [to_vector(R, q) for q in enumerate_idempotents(R, bounds) if not q.is_zero()]
+    zero = (0,) * core.dim
+
+    @lru_cache(maxsize=None)
+    def corner(a, b):
+        return _corner(core, idem[a], idem[b])
+
+    @lru_cache(maxsize=None)
+    def orthogonal(a, b):
+        return core.mul(idem[a], idem[b]) == zero and core.mul(idem[b], idem[a]) == zero
 
     ref = {(a, b): (k if S.has(a, b) else 0) for a in range(1, n + 1) for b in range(1, n + 1)}
-    tuples = []
-
-    def extend(chosen):
-        if len(tuples) * max(k, 1) > bounds.max_search:
-            raise SearchBoundExceeded("idempotent tuple count above bound")
+    # depth-first over partial tuples of indices into idem, in index order
+    tuples, stack = [], [()]
+    while stack:
+        estimate = len(tuples) * max(k, 1)
+        if estimate > bounds.max_search:
+            raise SearchBoundExceeded(
+                f"max_search: idempotent tuple estimate {estimate} above limit {bounds.max_search}"
+            )
+        chosen = stack.pop()
         b = len(chosen) + 1
         if b == n + 1:
-            if _ring_sum(R, chosen) == one:
-                tuples.append(tuple(chosen))
-            return
-        for q in idem:
-            if _corner_dim(R, q, q, basis) != ref[(b, b)]:
-                continue
-            ok = True
-            for a, c in enumerate(chosen, start=1):
-                if not (mul(R, q, c).is_zero() and mul(R, c, q).is_zero()):
-                    ok = False
-                    break
-                if _corner_dim(R, c, q, basis) != ref[(a, b)]:
-                    ok = False
-                    break
-                if _corner_dim(R, q, c, basis) != ref[(b, a)]:
-                    ok = False
-                    break
-            if ok:
-                extend(chosen + [q])
-
-    extend([])
+            if tuple(sum(col) % p for col in zip(*(idem[c] for c in chosen))) == core.one:
+                tuples.append(chosen)
+            continue
+        fits = [
+            q
+            for q in range(len(idem))
+            if len(corner(q, q)) == ref[(b, b)]
+            and all(
+                orthogonal(q, c)
+                and len(corner(c, q)) == ref[(a, b)]
+                and len(corner(q, c)) == ref[(b, a)]
+                for a, c in enumerate(chosen, start=1)
+            )
+        ]
+        stack.extend(chosen + (q,) for q in reversed(fits))
 
     found = {}
     arrows = S.arrows()
     for qs in tuples:
-        gen_choices = []
-        for i in range(1, n + 1):
-            corner, _ = _corner_elements(R, qs[i - 1], qs[i - 1], basis)
-            roots = _modulus_roots(R, qs[i - 1], corner) if k > 1 else [qs[i - 1]]
-            gen_choices.append(roots)
-        arrow_choices = []
-        for p in arrows:
-            corner, _ = _corner_elements(R, qs[p[0] - 1], qs[p[1] - 1], basis)
-            arrow_choices.append([y for y in corner if not y.is_zero()])
+        if k > 1:
+            gen_choices = [_modulus_roots(R, idem[a], _span(core, corner(a, a))) for a in qs]
+        else:
+            gen_choices = [[idem[a]] for a in qs]
+        arrow_choices = [
+            [y for y in _span(core, corner(qs[i - 1], qs[j - 1])) if y != zero] for i, j in arrows
+        ]
         total = 1
         for ch in gen_choices + arrow_choices:
             total *= len(ch)
         if total > bounds.max_search:
-            raise SearchBoundExceeded("generator completion count above bound")
+            raise SearchBoundExceeded(
+                f"max_search: generator completion estimate {total} above limit {bounds.max_search}"
+            )
         for ws in product(*gen_choices):
             # powers of the generator image inside its corner, q as power zero
             pows = []
-            for i in range(1, n + 1):
-                acc, row = qs[i - 1], [qs[i - 1]]
+            for a, w in zip(qs, ws):
+                acc, row = idem[a], [idem[a]]
                 for _ in range(k - 1):
-                    acc = mul(R, acc, ws[i - 1])
+                    acc = core.mul(acc, w)
                     row.append(acc)
                 pows.append(row)
             for ys in product(*arrow_choices):
                 yof = dict(zip(arrows, ys))
                 cols = []
-                for p in S.elements():
-                    i = p[0]
-                    for t in range(k):
-                        if p[0] == p[1]:
-                            img = pows[i - 1][t]
-                        else:
-                            img = mul(R, pows[i - 1][t], yof[p])
-                        cols.append(to_vector(R, img))
-                nb = len(cols)
-                f = RingAut(R, tuple(tuple(cols[c][r] for c in range(nb)) for r in range(nb)))
-                if f.matrix in found:
+                for pair in S.elements():
+                    row = pows[pair[0] - 1]
+                    if pair[0] == pair[1]:
+                        cols.extend(row)
+                    else:
+                        cols.extend(core.mul(x, yof[pair]) for x in row)
+                matrix = tuple(zip(*cols))
+                if matrix in found:
                     continue
-                if check_ring_automorphism(R, f).ok:
-                    found[f.matrix] = f
+                if _is_automorphism(R, matrix):
+                    found[matrix] = RingAut(R, matrix)
     return [found[m] for m in sorted(found)]
 
 
@@ -343,18 +395,35 @@ def aut_r_linear_filter(R, bounds=DEFAULT_BOUNDS):
     return out
 
 
-def _coset_key(f, inn_mats):
-    p = f.ring.D.p
-    return min(mat_mul(f.matrix, m, p) for m in inn_mats)
+def _out_cosets(R, auts, inn_mats):
+    """Partition Aut R into Inn R cosets, each keyed by its least matrix.
+
+    Returns the coset key of an automorphism, a dict read for every matrix
+    of the cosets met, and the first automorphism of each coset in the
+    order of auts.
+    """
+    p = R.D.p
+    key_of, reps = {}, {}
+    for f in auts:
+        if f.matrix in key_of:
+            continue
+        coset = [mat_mul(f.matrix, m, p) for m in inn_mats]
+        key = min(coset)
+        key_of.update(dict.fromkeys(coset, key))
+        reps[key] = f
+
+    def coset_key(f):
+        if f.matrix in key_of:
+            return key_of[f.matrix]
+        return min(mat_mul(f.matrix, m, p) for m in inn_mats)
+
+    return coset_key, reps
 
 
 def out_r(R, bounds=DEFAULT_BOUNDS):
     """Order of Aut R / Inn R plus one representative automorphism per coset."""
     auts = aut_r_bruteforce(R, bounds)
-    inn_mats = [g.matrix for g in inner_group(R, bounds=bounds)]
-    reps = {}
-    for f in auts:
-        reps.setdefault(_coset_key(f, inn_mats), f)
+    _, reps = _out_cosets(R, auts, list(_inner(R, None, bounds)))
     return len(reps), [reps[key] for key in sorted(reps)]
 
 
@@ -365,16 +434,15 @@ def lambda_map(R, h1, units=None, bounds=DEFAULT_BOUNDS):
     induced map on classes is well defined and injective.
     """
     report = ValidationReport()
-    if units is None:
-        units = enumerate_units(R, bounds)
+    inner = _inner(R, units, bounds)
     b1 = set(h1.b1)
     for g in h1.z1:
-        w = is_inner(R, sigma(R, g), units, bounds)
-        if (w is not None) != (g in b1):
+        is_inner_g = sigma(R, g).matrix in inner
+        if is_inner_g != (g in b1):
             report.add(
                 "lambda_monomorphism",
                 (g.canonical_key(),),
-                "inner" if w is not None else "not inner",
+                "inner" if is_inner_g else "not inner",
             )
     return report
 
@@ -386,16 +454,20 @@ def phi_map(R, f, units=None, bounds=DEFAULT_BOUNDS):
     back in the diagonal set, order-preserving per splitting class; the
     resulting index permutation is independent of the correcting unit.
     """
-    S = R.S
+    S, core = R.S, R.core
     if units is None:
-        units = enumerate_units(R, bounds)
-    diag = {R.basis(i, i): i for i in range(1, S.n + 1)}
-    for u in units:
-        v = unit_inverse(R, u)
+        # units giving the same conjugation give the same permutation, so
+        # Inn R in first-unit order decides as the full unit list does
+        conjugations = iter(_inner(R, None, bounds))
+    else:
+        conjugations = (_conjugation(R, inner_witness_from_unit(R, u)).matrix for u in units)
+    idempotents = [core.offset[(i, i)] for i in range(1, S.n + 1)]
+    diag = {core.basis[a]: i for i, a in enumerate(idempotents, start=1)}
+    images = [tuple(row[a] for row in f.matrix) for a in idempotents]
+    for M in conjugations:
         perm = []
-        for i in range(1, S.n + 1):
-            img = mul(R, mul(R, v, f.apply(R.basis(i, i))), u)
-            j = diag.get(img)
+        for img in images:
+            j = diag.get(mat_vec(M, img, R.D.p))
             if j is None:
                 break
             perm.append(j)
@@ -415,10 +487,7 @@ def section_automorphism(R, phi):
     """The basis permutation d s_ij -> d s_{phi(i)phi(j)} as a ring map."""
     images = {p: R.basis(*phi.pair(p)) for p in R.S.support}
     mu = {i: R.D.identity_automorphism() for i in range(1, R.S.n + 1)}
-    f = RingAut.from_action(R, mu, images)
-    rep = check_ring_automorphism(R, f)
-    assert rep.ok, rep.as_json()
-    return f
+    return _verified(R, RingAut.from_action(R, mu, images))
 
 
 @dataclass
@@ -467,19 +536,15 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     stab_full = stabilizer(S, R.c, bounds)
     W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
 
-    units = enumerate_units(R, bounds)
     auts = aut_r_bruteforce(R, bounds)
-    inn_mats = [g.matrix for g in inner_group(R, units, bounds)]
-    cosets = {}
-    for f in auts:
-        cosets.setdefault(_coset_key(f, inn_mats), f)
+    coset_key, cosets = _out_cosets(R, auts, list(_inner(R, None, bounds)))
     out_order = len(cosets)
     out_reps = [cosets[key] for key in sorted(cosets)]
 
-    lam = lambda_map(R, h1, units, bounds)
-    lam_keys = {_coset_key(sigma(R, g), inn_mats) for g in h1.reps}
+    lam = lambda_map(R, h1, bounds=bounds)
+    lam_keys = {coset_key(sigma(R, g)) for g in h1.reps}
 
-    induced = {key: phi_map(R, rep, units, bounds) for key, rep in zip(sorted(cosets), out_reps)}
+    induced = {key: phi_map(R, rep, bounds=bounds) for key, rep in zip(sorted(cosets), out_reps)}
     ker_keys = {key for key, phi in induced.items() if phi.is_identity()}
     kernel_ok = lam_keys == ker_keys and len(lam_keys) == h1.order
     image_ok = set(induced.values()) == set(W)
@@ -489,15 +554,15 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     split_ok = None
     if _is_trivial_cocycle(R):
         sec = {phi: section_automorphism(R, phi) for phi in W}
-        keys = {phi: _coset_key(sec[phi], inn_mats) for phi in W}
+        keys = {phi: coset_key(sec[phi]) for phi in W}
         split_ok = len(set(keys.values())) == len(W)
         for a in W:
             for b in W:
-                lhs = _coset_key(sec[a].compose(sec[b]), inn_mats)
+                lhs = coset_key(sec[a].compose(sec[b]))
                 if lhs != keys[a * b]:
                     split_ok = False
         for phi in W:
-            if phi_map(R, sec[phi], units, bounds) != phi:
+            if phi_map(R, sec[phi], bounds=bounds) != phi:
                 split_ok = False
     return SESReport(
         h1_order=h1.order,

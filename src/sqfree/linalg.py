@@ -3,6 +3,8 @@
 Matrices are tuples of row tuples of ints reduced mod p; vectors are tuples.
 """
 
+from operator import mul
+
 from .errors import NotInvertible
 
 
@@ -11,15 +13,12 @@ def identity_matrix(n):
 
 
 def mat_vec(A, v, p):
-    return tuple(sum(row[c] * v[c] for c in range(len(v))) % p for row in A)
+    return tuple(sum(map(mul, row, v)) % p for row in A)
 
 
 def mat_mul(A, B, p):
-    n, m = len(A), len(B[0])
-    inner = len(B)
-    return tuple(
-        tuple(sum(A[r][t] * B[t][c] for t in range(inner)) % p for c in range(m)) for r in range(n)
-    )
+    cols = list(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in A)
 
 
 def row_reduce(vecs, p):

@@ -10,6 +10,7 @@ from itertools import product
 
 from .cohom import (
     GaugeElement,
+    _elem_key,
     act,
     normalize,
     relabel,
@@ -33,7 +34,7 @@ from .sgrp import SemigroupAutomorphism
 class TwistedRing:
     """Left D-space on the support pairs with (alpha, xi)-twisted product."""
 
-    __slots__ = ("S", "D", "c", "normalizer")
+    __slots__ = ("S", "D", "c", "normalizer", "_core")
 
     def __init__(self, S, D, c, check=True):
         if check:
@@ -48,6 +49,14 @@ class TwistedRing:
         self.D = D
         self.c = c
         self.normalizer = witness
+        self._core = None
+
+    @property
+    def core(self):
+        """The prime-field structure constants (RingCore), built on first use."""
+        if self._core is None:
+            self._core = RingCore(self)
+        return self._core
 
     def __eq__(self, other):
         return isinstance(other, TwistedRing) and (other.S, other.D, other.c) == (
@@ -76,12 +85,8 @@ class TwistedRing:
         return RingElement(self, {})
 
 
-def _elem_key(v):
-    return v.code if hasattr(v, "code") else v.parts
-
-
 def _same_ring(a, b):
-    if a.ring != b.ring:
+    if not (a.ring is b.ring or a.ring == b.ring):
         raise MixedRings("elements of different rings")
 
 
@@ -124,7 +129,7 @@ class RingElement:
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
-            and other.ring == self.ring
+            and (other.ring is self.ring or other.ring == self.ring)
             and other.coeffs == self.coeffs
         )
 
@@ -141,7 +146,7 @@ class RingElement:
 def mul(R, a, b):
     """Bilinear extension of (d s_ij)(d' s_jl) = d alpha_ij(d') xi(ijl) s_il."""
     _same_ring(a, b)
-    if a.ring != R:
+    if not (a.ring is R or a.ring == R):
         raise MixedRings("elements do not belong to the given ring")
     out = {}
     for p, dv in a.coeffs.items():
@@ -397,27 +402,92 @@ def enumerate_elements(R, bounds=DEFAULT_BOUNDS):
     ]
 
 
+def _scan(R, keep):
+    """The elements whose coordinate vector passes keep, in enumerate_elements order."""
+    pairs, elems = R.S.elements(), R.D.elements()
+    coords = [d.coords for d in elems]
+    return [
+        RingElement(R, {p: elems[c] for p, c in zip(pairs, combo)})
+        for combo in product(range(R.D.q), repeat=len(pairs))
+        if keep(tuple(v for c in combo for v in coords[c]))
+    ]
+
+
 def enumerate_idempotents(R, bounds=DEFAULT_BOUNDS):
-    return [x for x in enumerate_elements(R, bounds) if mul(R, x, x) == x]
+    _enumeration_guard(R, bounds)
+    core = R.core
+    return _scan(R, lambda x: core.mul(x, x) == x)
 
 
 def enumerate_units(R, bounds=DEFAULT_BOUNDS):
     """Elements with a two-sided inverse, by left-regular matrix rank."""
     _enumeration_guard(R, bounds)
-    u = identity_element(R)
-    basis = linear_basis(R)
-    p = R.D.p
-    uvec = to_vector(R, u)
-    out = []
-    for x in enumerate_elements(R, bounds):
-        cols = [to_vector(R, mul(R, x, e)) for e in basis]
-        A = tuple(tuple(col[r] for col in cols) for r in range(len(basis)))
+    core = R.core
+    return _scan(R, lambda x: core.inverse(x) is not None)
+
+
+class RingCore:
+    """Structure constants of a finite twisted ring over its prime field.
+
+    Vectors are the to_vector coordinates over linear_basis(R). constants
+    maps each (a, b) with e_a e_b != 0 to the nonzero (c, t) entries of that
+    product, read once from the reference product mul; rows[a] flattens
+    them to (b, c, t) triples. Products, inverses and automorphism checks
+    then run on integer tuples.
+    """
+
+    __slots__ = ("p", "dim", "offset", "constants", "rows", "one", "basis", "cache")
+
+    def __init__(self, R):
+        if not R.D.is_finite:
+            raise InfiniteBackend("structure constants need a finite field")
+        basis = linear_basis(R)
+        self.p = R.D.p
+        self.dim = len(basis)
+        self.offset = {pair: a * R.D.k for a, pair in enumerate(R.S.elements())}
+        self.constants = {}
+        for a, x in enumerate(basis):
+            for b, y in enumerate(basis):
+                entries = tuple((c, t) for c, t in enumerate(to_vector(R, mul(R, x, y))) if t)
+                if entries:
+                    self.constants[(a, b)] = entries
+        rows = [[] for _ in basis]
+        for (a, b), entries in self.constants.items():
+            rows[a].extend((b, c, t) for c, t in entries)
+        self.rows = tuple(map(tuple, rows))
+        self.one = to_vector(R, identity_element(R))
+        self.basis = tuple(tuple(int(r == c) for c in range(self.dim)) for r in range(self.dim))
+        # per-ring tables that other modules derive from the core, e.g. Inn R
+        self.cache = {}
+
+    def mul(self, x, y):
+        out = [0] * self.dim
+        for a, xa in enumerate(x):
+            if xa:
+                for b, c, t in self.rows[a]:
+                    yb = y[b]
+                    if yb:
+                        out[c] += xa * yb * t
+        p = self.p
+        return tuple([v % p for v in out])
+
+    def left_matrix(self, x):
+        """Matrix of y -> x y."""
+        A = [[0] * self.dim for _ in range(self.dim)]
+        for a, xa in enumerate(x):
+            if xa:
+                for b, c, t in self.rows[a]:
+                    A[c][b] += xa * t
+        p = self.p
+        return tuple(tuple(v % p for v in row) for row in A)
+
+    def inverse(self, x):
+        """The two-sided inverse of x, or None when x is not a unit."""
         try:
-            yvec = mat_vec(mat_inv(A, p), uvec, p)
+            y = mat_vec(mat_inv(self.left_matrix(x), self.p), self.one, self.p)
         except NotInvertible:
-            continue
-        y = from_vector(R, yvec)
+            return None
         # one-sided inverses are two-sided here, but re-check both products
-        if mul(R, x, y) == u and mul(R, y, x) == u:
-            out.append(x)
-    return out
+        if self.mul(x, y) != self.one or self.mul(y, x) != self.one:
+            return None
+        return y

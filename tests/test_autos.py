@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +159,61 @@ def test_aut_r_counts_and_linear_cross_validation():
 def test_aut_r_bound_guard():
     with pytest.raises(SearchBoundExceeded):
         aut_r_linear_filter(trivial_ring(mu(2), gf(2)), Bounds(max_search=100))
+
+
+def test_aut_r_bound_messages_name_bound_estimate_and_limit():
+    with pytest.raises(SearchBoundExceeded, match=r"^max_search: idempotent tuple estimate 1 above limit 0$"):
+        aut_r_bruteforce(trivial_ring(t2(), gf(2)), Bounds(max_search=0))
+    # one idempotent tuple, then two generator roots over GF(4)
+    with pytest.raises(SearchBoundExceeded, match=r"^max_search: generator completion estimate 2 above limit 1$"):
+        aut_r_bruteforce(trivial_ring(single(), gf(4)), Bounds(max_search=1))
+
+
+CORRUPTED_WITNESS_SCRIPT = """
+import sys
+from sqfree.autos import InnerWitness, section_automorphism, sigma, tau
+from sqfree.cohom import GaugeElement, TwoCocycle
+from sqfree.errors import WitnessRejected
+from sqfree.fixtures import double_t2, gf, single, t2
+from sqfree.sgrp import SemigroupAutomorphism
+from sqfree.twring import TwistedRing
+
+assert sys.flags.optimize, "run me under python -O"
+F = gf(3)
+
+
+def corrupted(S, t, value):
+    return TwistedRing(S, F, TwoCocycle.trivial(S, F).replace_xi(t, value), check=False)
+
+
+R = corrupted(single(), (1, 1, 1), F.zero)
+g = GaugeElement({1: F.identity_automorphism()}, {(1, 1): F.element(2)})
+R2 = corrupted(t2(), (1, 2, 2), F.element(2))
+u = R2.basis(1, 1) + R2.basis(1, 2) + R2.basis(2, 2)
+R3 = corrupted(double_t2(), (1, 1, 2), F.element(2))
+calls = {
+    "sigma": lambda: sigma(R, g),
+    "tau": lambda: tau(R2, InnerWitness((u,), (u,))),
+    "section_automorphism": lambda: section_automorphism(R3, SemigroupAutomorphism((3, 4, 1, 2))),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except WitnessRejected:
+        print(name, "rejected")
+    else:
+        print(name, "returned a map")
+"""
+
+
+def test_corrupted_witnesses_rejected_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_WITNESS_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split("\n")
+    assert out[:3] == ["sigma rejected", "tau rejected", "section_automorphism rejected"]
 
 
 def test_inner_group_sizes():
