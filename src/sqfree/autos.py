@@ -26,10 +26,9 @@ from .errors import (
 from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce
 from .sgrp import SemigroupAutomorphism, is_normal_automorphism
 from .twring import (
-    RingElement,
     _enumeration_guard,
+    _scan,
     enumerate_idempotents,
-    enumerate_units,
     from_vector,
     identity_element,
     linear_basis,
@@ -171,57 +170,60 @@ class InnerWitness:
     Y: tuple
 
 
-def _ring_sum(R, xs):
-    out = R.zero()
-    for x in xs:
-        out = out + x
-    return out
+def _unit_pair(R, u):
+    """The vectors of a unit and of its inverse."""
+    x = to_vector(R, u)
+    v = R.core.inverse(x)
+    if v is None:
+        raise NotInvertible(f"{u!r} has no two-sided inverse")
+    return x, v
 
 
 def unit_inverse(R, u):
-    v = R.core.inverse(to_vector(R, u))
-    if v is None:
-        raise NotInvertible(f"{u!r} has no two-sided inverse")
-    return from_vector(R, v)
+    return from_vector(R, _unit_pair(R, u)[1])
 
 
 def inner_witness_from_unit(R, u):
     return InnerWitness((u,), (unit_inverse(R, u),))
 
 
-def _conjugation(R, w):
-    """The map a -> (sum Y) a (sum X) of tau, before its automorphism check."""
-    core = R.core
-    sx = to_vector(R, _ring_sum(R, w.X))
-    sy = to_vector(R, _ring_sum(R, w.Y))
-    if core.mul(sx, sy) != core.one or core.mul(sy, sx) != core.one:
-        raise NotInvertible("witness sums are not mutually inverse")
-    return RingAut(R, tuple(zip(*(core.mul(core.mul(sy, e), sx) for e in core.basis))))
+def _conjugation_matrix(core, u, v):
+    """Matrix of a -> v a u."""
+    return tuple(zip(*(core.mul(core.mul(v, e), u) for e in core.basis)))
 
 
 def tau(R, w):
     """a -> (sum Y) a (sum X); conjugation when X, Y are a unit and its inverse."""
-    return _verified(R, _conjugation(R, w))
+    core = R.core
+    sx = to_vector(R, sum(w.X, R.zero()))
+    sy = to_vector(R, sum(w.Y, R.zero()))
+    if core.mul(sx, sy) != core.one or core.mul(sy, sx) != core.one:
+        raise NotInvertible("witness sums are not mutually inverse")
+    return _verified(R, RingAut(R, _conjugation_matrix(core, sx, sy)))
 
 
 def _inner(R, units, bounds):
-    """Inn R as {matrix: (unit, inverse)}, from the first unit of units giving it.
+    """Inn R as {matrix: (unit vector, inverse vector)}, from the first unit giving it.
 
-    Each distinct conjugation is checked once. Units are kept as coefficient
-    dicts, which hold no reference back to the ring, so the table for the
-    full unit list (units=None) can live in the ring's core.
+    Each distinct conjugation is checked once. The full unit list
+    (units=None) comes from the enumerate_units scan, with the inverse it
+    found for each unit; its table holds no reference back to the ring, so
+    it can live in the ring's core. An explicit unit list is scanned in its
+    own order.
     """
     if units is None:
         _enumeration_guard(R, bounds)
         if "inner" in R.core.cache:
             return R.core.cache["inner"]
+        pairs = [(x, v) for _, x, v in _scan(R, R.core.inverse)]
+    else:
+        pairs = [_unit_pair(R, u) for u in units]
     table = {}
-    for u in enumerate_units(R, bounds) if units is None else units:
-        w = inner_witness_from_unit(R, u)
-        f = _conjugation(R, w)
-        if f.matrix not in table:
-            _verified(R, f)
-            table[f.matrix] = (u.coeffs, w.Y[0].coeffs)
+    for x, v in pairs:
+        M = _conjugation_matrix(R.core, x, v)
+        if M not in table:
+            _verified(R, RingAut(R, M))
+            table[M] = (x, v)
     if units is None:
         R.core.cache["inner"] = table
     return table
@@ -232,8 +234,8 @@ def is_inner(R, f, units=None, bounds=DEFAULT_BOUNDS):
     table = _inner(R, units, bounds)
     if not (f.ring is R or f.ring == R) or f.matrix not in table:
         return None
-    u, v = table[f.matrix]
-    return InnerWitness((RingElement(R, u),), (RingElement(R, v),))
+    x, v = table[f.matrix]
+    return InnerWitness((from_vector(R, x),), (from_vector(R, v),))
 
 
 def inner_group(R, units=None, bounds=DEFAULT_BOUNDS):
@@ -373,8 +375,9 @@ def aut_r_linear_filter(R, bounds=DEFAULT_BOUNDS):
     """Raw oracle: filter every prime-field-linear map for the ring axioms."""
     basis = linear_basis(R)
     N, p = len(basis), R.D.p
-    if p ** (N * N) > bounds.max_search:
-        raise SearchBoundExceeded(f"{p ** (N * N)} linear maps above bound")
+    total = p ** (N * N)
+    if total > bounds.max_search:
+        raise SearchBoundExceeded(f"max_search: linear map estimate {total} above limit {bounds.max_search}")
     one = identity_element(R)
     out = []
     for flat in product(range(p), repeat=N * N):
@@ -460,7 +463,7 @@ def phi_map(R, f, units=None, bounds=DEFAULT_BOUNDS):
         # Inn R in first-unit order decides as the full unit list does
         conjugations = iter(_inner(R, None, bounds))
     else:
-        conjugations = (_conjugation(R, inner_witness_from_unit(R, u)).matrix for u in units)
+        conjugations = (_conjugation_matrix(core, *_unit_pair(R, u)) for u in units)
     idempotents = [core.offset[(i, i)] for i in range(1, S.n + 1)]
     diag = {core.basis[a]: i for i, a in enumerate(idempotents, start=1)}
     images = [tuple(row[a] for row in f.matrix) for a in idempotents]

@@ -33,16 +33,7 @@ from .cohom import (
     verify_two_cocycle,
 )
 from .common import DEFAULT_BOUNDS
-from .errors import (
-    BlockNotMatrixUnits,
-    InfiniteBackend,
-    InvalidCocycle,
-    InvalidInput,
-    MixedBackends,
-    NonCommutativeCoefficients,
-    SearchBoundExceeded,
-    SqfreeError,
-)
+from .errors import InfiniteBackend, InvalidInput, SearchBoundExceeded, SqfreeError
 from .sgrp import automorphisms as semigroup_automorphisms
 from .twring import (
     TwistedRing,
@@ -350,14 +341,6 @@ def main(argv=None):
         code, report = 2, {"error": str(exc), "where": exc.where}
     except SearchBoundExceeded as exc:
         code, report = 3, {"error": str(exc), "kind": "SearchBoundExceeded"}
-    except (
-        InvalidCocycle,
-        BlockNotMatrixUnits,
-        NonCommutativeCoefficients,
-        InfiniteBackend,
-        MixedBackends,
-    ) as exc:
-        code, report = 2, {"error": str(exc), "kind": type(exc).__name__}
     except SqfreeError as exc:
         code, report = 2, {"error": str(exc), "kind": type(exc).__name__}
     sys.stdout.write(jsonio.dumps(report))

@@ -26,7 +26,9 @@ from .errors import (
     InvalidInput,
     MixedBackends,
     NonCommutativeCoefficients,
+    NotAOneCocycle,
     SearchBoundExceeded,
+    WitnessRejected,
 )
 from .sgrp import automorphisms as semigroup_automorphisms
 from .sgrp import sim_classes
@@ -122,8 +124,9 @@ def is_abelian_coboundary(S, m, phi, bounds=DEFAULT_BOUNDS):
         raise InfiniteBackend("coboundary search needs a finite field")
     keys = chain_keys(S, m - 1)
     units = D.units()
-    if len(units) ** len(keys) > bounds.max_search:
-        raise SearchBoundExceeded(f"(q-1)^{len(keys)} above {bounds.max_search}")
+    total = len(units) ** len(keys)
+    if total > bounds.max_search:
+        raise SearchBoundExceeded(f"max_search: preimage estimate {total} above limit {bounds.max_search}")
     for values in product(units, repeat=len(keys)):
         candidate = Cochain(m - 1, dict(zip(keys, values)))
         if boundary(S, m - 1, candidate) == phi:
@@ -368,7 +371,7 @@ def relabel(S, phi, c):
 
 
 def _mu_candidates(S, c1, c2, D):
-    """All idempotent-automorphism maps compatible with the alpha equations.
+    """Yield the idempotent-automorphism maps compatible with the alpha equations.
 
     Over a field the support-pair equation reads mu_i - mu_j = a1 - a2 in
     Frobenius exponents, a difference constraint per pair; solutions are a
@@ -400,15 +403,13 @@ def _mu_candidates(S, c1, c2, D):
     for i, j in S.support:
         want = (c1.alpha[(i, j)].m - c2.alpha[(i, j)].m) % k
         if (base[i] - base[j]) % k != want:
-            return []
-    out = []
+            return
     for shifts in product(range(k), repeat=len(components)):
         mu = {}
         for component, shift in zip(components, shifts):
             for i in component:
                 mu[i] = D.frobenius((base[i] + shift) % k)
-        out.append(mu)
-    return out
+        yield mu
 
 
 def _eta_search(S, D, alpha1, targets, all_solutions, budget):
@@ -458,7 +459,7 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
     def search(assign):
         nodes[0] += 1
         if nodes[0] > budget:
-            raise SearchBoundExceeded(f"witness search exceeded {budget} nodes")
+            raise SearchBoundExceeded(f"max_search: witness node estimate {nodes[0]} above limit {budget}")
         assign = dict(assign)
         if not propagate(assign):
             return False
@@ -495,7 +496,8 @@ def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
         sols = _eta_search(S, D, c1.alpha, targets, all_solutions=False, budget=bounds.max_search)
         if sols:
             g = GaugeElement(mu, sols[0])
-            assert act(S, g, c1, check=False) == c2
+            if act(S, g, c1, check=False) != c2:
+                raise WitnessRejected("gauge witness does not carry the first cocycle to the second")
             return g
     return None
 
@@ -570,8 +572,9 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
     if not D.is_finite:
         raise InfiniteBackend("orbit enumeration needs a finite field")
     units = D.units()
-    if len(units) ** S.n > bounds.max_search:
-        raise SearchBoundExceeded(f"(q-1)^{S.n} above {bounds.max_search}")
+    total = len(units) ** S.n
+    if total > bounds.max_search:
+        raise SearchBoundExceeded(f"max_search: orbit estimate {total} above limit {bounds.max_search}")
     identity = GaugeElement.identity(S, D)
     seen = {}
     for values in product(units, repeat=S.n):
@@ -595,11 +598,13 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     b1 = one_coboundaries(S, base, bounds)
     z1_keys = {g.canonical_key() for g in z1}
     b1_keys = {g.canonical_key() for g in b1}
-    assert b1_keys <= z1_keys
+    if not b1_keys <= z1_keys:
+        raise NotAOneCocycle("a coboundary does not fix the base cocycle")
     for z in z1:
         for b in b1:
             conj = gauge_mul(S, gauge_mul(S, z, b), gauge_inv(S, z))
-            assert conj.canonical_key() in b1_keys
+            if conj.canonical_key() not in b1_keys:
+                raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
     seen = set()
     reps = []
     for z in z1:
@@ -607,5 +612,6 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
         if coset not in seen:
             seen.add(coset)
             reps.append(z)
-    assert len(reps) * len(b1) == len(z1)
+    if len(reps) * len(b1) != len(z1):
+        raise WitnessRejected(f"{len(reps)} cosets of {len(b1)} do not cover {len(z1)} fixing pairs")
     return H1Result(order=len(reps), reps=reps, z1=z1, b1=b1)

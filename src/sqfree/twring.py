@@ -10,7 +10,9 @@ from itertools import product
 
 from .cohom import (
     GaugeElement,
+    TwoCocycle,
     _elem_key,
+    _mu_candidates,
     act,
     normalize,
     relabel,
@@ -170,41 +172,34 @@ def random_ring_element(R, rng):
     return RingElement(R, {p: R.D.random_element(rng) for p in R.S.support})
 
 
-def check_associativity(R, mode="exhaustive_basis", rng=None, trials=200):
-    """(xy)z = x(yz), either on scalar-decorated basis triples or sampled.
+def check_associativity(R):
+    """(xy)z = x(yz) on scalar-decorated composable basis chains.
 
-    The basis sweep runs scalars over the backend generators, which is enough
+    The semigroup must pass validate, which makes both bracketings of any
+    other basis triple vanish together, so the chains S.tuples(3) are the
+    whole sweep. Scalars run over the backend generators, which is enough
     to separate the coefficient twists; a corrupted cocycle is reported with
-    the support triple where reassociation first disagrees.
+    the chain where reassociation first disagrees.
     """
+    srep = R.S.validate()
+    if not srep.ok:
+        raise InvalidInput(f"invalid semigroup {srep.as_json()}", where="semigroup")
     report = ValidationReport()
-    if mode == "exhaustive_basis":
-        gens = R.D.generators()
-        pairs = R.S.elements()
-        for p, q, r in product(pairs, repeat=3):
-            for d1, d2, d3 in product(gens, repeat=3):
-                x = RingElement(R, {p: d1})
-                y = RingElement(R, {q: d2})
-                z = RingElement(R, {r: d3})
-                lhs = mul(R, mul(R, x, y), z)
-                rhs = mul(R, x, mul(R, y, z))
-                if lhs != rhs:
-                    report.add(
-                        "associativity",
-                        (p, q, r),
-                        f"scalars ({d1!r}, {d2!r}, {d3!r}): {lhs!r} != {rhs!r}",
-                    )
-                    break
-        return report
-    if mode != "sampled":
-        raise InvalidInput(f"unknown mode {mode!r}", where="mode")
-    import random as _random
-
-    rng = rng or _random.Random(0)
-    for t in range(trials):
-        x, y, z = (random_ring_element(R, rng) for _ in range(3))
-        if mul(R, mul(R, x, y), z) != mul(R, x, mul(R, y, z)):
-            report.add("associativity", (f"trial{t}",), f"{x!r}; {y!r}; {z!r}")
+    gens = R.D.generators()
+    for p, q, r in R.S.tuples(3):
+        for d1, d2, d3 in product(gens, repeat=3):
+            x = RingElement(R, {p: d1})
+            y = RingElement(R, {q: d2})
+            z = RingElement(R, {r: d3})
+            lhs = mul(R, mul(R, x, y), z)
+            rhs = mul(R, x, mul(R, y, z))
+            if lhs != rhs:
+                report.add(
+                    "associativity",
+                    (p, q, r),
+                    f"scalars ({d1!r}, {d2!r}, {d3!r}): {lhs!r} != {rhs!r}",
+                )
+                break
     return report
 
 
@@ -331,32 +326,16 @@ def is_d_algebra(R, bounds=DEFAULT_BOUNDS):
     D = R.D
     if not D.is_finite:
         raise InfiniteBackend("the alpha-splitting search needs a finite field")
-    S, k = R.S, D.k
-    exps = {}
-    for root in range(1, S.n + 1):
-        if root in exps:
-            continue
-        exps[root] = 0
-        queue = [root]
-        while queue:
-            i = queue.pop()
-            for p in S.support:
-                if p[0] == i and p[1] not in exps:
-                    exps[p[1]] = (exps[i] - R.c.alpha[p].m) % k
-                    queue.append(p[1])
-                elif p[1] == i and p[0] not in exps:
-                    exps[p[0]] = (exps[i] + R.c.alpha[p].m) % k
-                    queue.append(p[0])
-    for p in S.support:
-        if (exps[p[0]] - exps[p[1]]) % k != R.c.alpha[p].m % k:
-            return None
-    g = GaugeElement(
-        {i: D.frobenius(exps[i]) for i in range(1, S.n + 1)},
-        {p: D.one for p in S.support},
-    )
+    S = R.S
+    mu = next(_mu_candidates(S, R.c, TwoCocycle.trivial(S, D), D), None)
+    if mu is None:
+        return None
+    g = GaugeElement(mu, {p: D.one for p in S.support})
     out = act(S, g, R.c, check=False)
-    assert all(a.is_identity() for a in out.alpha.values())
-    assert all(v.is_central() for v in out.xi.values())
+    if not all(a.is_identity() for a in out.alpha.values()) or not all(
+        v.is_central() for v in out.xi.values()
+    ):
+        raise WitnessRejected("the splitting gauge leaves a twist or a non-central xi")
     return g
 
 
@@ -388,42 +367,38 @@ def _enumeration_guard(R, bounds):
         raise InfiniteBackend("cannot enumerate over the quaternions")
     total = R.D.q ** len(R.S.support)
     if total > bounds.max_units:
-        raise SearchBoundExceeded(f"{total} elements above bound {bounds.max_units}")
+        raise SearchBoundExceeded(f"max_units: element estimate {total} above limit {bounds.max_units}")
+
+
+def _scan(R, test):
+    """(element, vector, test(vector)) for each element passing test, in enumerate_elements order."""
+    pairs, elems = R.S.elements(), R.D.elements()
+    coords = [d.coords for d in elems]
+    out = []
+    for combo in product(range(R.D.q), repeat=len(pairs)):
+        x = tuple(v for c in combo for v in coords[c])
+        kept = test(x)
+        if kept:
+            out.append((RingElement(R, {p: elems[c] for p, c in zip(pairs, combo)}), x, kept))
+    return out
 
 
 def enumerate_elements(R, bounds=DEFAULT_BOUNDS):
     """All ring elements, lexicographic in (support pair, coefficient code)."""
     _enumeration_guard(R, bounds)
-    pairs = R.S.elements()
-    elems = R.D.elements()
-    return [
-        RingElement(R, dict(zip(pairs, combo)))
-        for combo in product(elems, repeat=len(pairs))
-    ]
-
-
-def _scan(R, keep):
-    """The elements whose coordinate vector passes keep, in enumerate_elements order."""
-    pairs, elems = R.S.elements(), R.D.elements()
-    coords = [d.coords for d in elems]
-    return [
-        RingElement(R, {p: elems[c] for p, c in zip(pairs, combo)})
-        for combo in product(range(R.D.q), repeat=len(pairs))
-        if keep(tuple(v for c in combo for v in coords[c]))
-    ]
+    return [x for x, _, _ in _scan(R, lambda x: True)]
 
 
 def enumerate_idempotents(R, bounds=DEFAULT_BOUNDS):
     _enumeration_guard(R, bounds)
     core = R.core
-    return _scan(R, lambda x: core.mul(x, x) == x)
+    return [x for x, _, _ in _scan(R, lambda x: core.mul(x, x) == x)]
 
 
 def enumerate_units(R, bounds=DEFAULT_BOUNDS):
     """Elements with a two-sided inverse, by left-regular matrix rank."""
     _enumeration_guard(R, bounds)
-    core = R.core
-    return _scan(R, lambda x: core.inverse(x) is not None)
+    return [u for u, _, _ in _scan(R, R.core.inverse)]
 
 
 class RingCore:

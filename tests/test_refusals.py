@@ -1,0 +1,138 @@
+"""Named bound refusals, and witness replays that hold under python -O."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from sqfree.autos import aut_r_linear_filter
+from sqfree.cohom import (
+    Cochain,
+    GaugeElement,
+    TwoCocycle,
+    act,
+    cohomologous,
+    is_abelian_coboundary,
+    one_coboundaries,
+)
+from sqfree.common import Bounds
+from sqfree.errors import SearchBoundExceeded
+from sqfree.fixtures import gf, t2
+from sqfree.twring import TwistedRing, enumerate_units
+
+
+def trivial(q):
+    return TwoCocycle.trivial(t2(), gf(q))
+
+
+def rescaled(q):
+    # eta(s11) = 2 moves xi(e1, e1) and xi(e1, s12) off 1
+    S, F = t2(), gf(q)
+    g = GaugeElement.identity(S, F)
+    g.eta[(1, 1)] = F.element(2)
+    return act(S, g, trivial(q))
+
+
+def one_cochain(q):
+    F = gf(q)
+    return Cochain(1, {p: F.one for p in t2().elements()})
+
+
+BOUND_CASES = {
+    # 4^3 elements of the t2 ring over GF(4)
+    "enumeration": (
+        lambda: enumerate_units(TwistedRing(t2(), gf(4), trivial(4)), Bounds(max_units=10)),
+        r"^max_units: element estimate 64 above limit 10$",
+    ),
+    # the first node of the witness search is already one too many
+    "eta_search": (
+        lambda: cohomologous(t2(), trivial(3), rescaled(3), Bounds(max_search=0)),
+        r"^max_search: witness node estimate 1 above limit 0$",
+    ),
+    # one diagonal unit per idempotent: 3^2 over GF(4)
+    "one_coboundaries": (
+        lambda: one_coboundaries(t2(), trivial(4), Bounds(max_search=8)),
+        r"^max_search: orbit estimate 9 above limit 8$",
+    ),
+    # one unit per idempotent for a 0-cochain preimage: 3^2 over GF(4)
+    "is_abelian_coboundary": (
+        lambda: is_abelian_coboundary(t2(), 1, one_cochain(4), Bounds(max_search=8)),
+        r"^max_search: preimage estimate 9 above limit 8$",
+    ),
+    # every 3x3 matrix over GF(2)
+    "aut_r_linear_filter": (
+        lambda: aut_r_linear_filter(TwistedRing(t2(), gf(2), trivial(2)), Bounds(max_search=511)),
+        r"^max_search: linear map estimate 512 above limit 511$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_bound_messages_name_bound_estimate_and_limit(case):
+    call, message = BOUND_CASES[case]
+    with pytest.raises(SearchBoundExceeded, match=message):
+        call()
+
+
+CORRUPTED_REPLAY_SCRIPT = """
+import sys
+from sqfree import cohom, twring
+from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology
+from sqfree.errors import NotAOneCocycle, WitnessRejected
+from sqfree.fixtures import gf, t2
+from sqfree.twring import TwistedRing, is_d_algebra
+
+assert sys.flags.optimize, "run me under python -O"
+S, F = t2(), gf(4)
+base = TwoCocycle.trivial(S, F)
+g = GaugeElement.identity(S, F)
+g.eta[(1, 1)] = F.gen
+frob = GaugeElement({i: F.frobenius(1) for i in (1, 2)}, {p: F.one for p in S.support})
+
+
+def call(name, fn, patch):
+    module, attr, value = patch
+    saved = getattr(module, attr)
+    setattr(module, attr, value)
+    try:
+        fn()
+    except (NotAOneCocycle, WitnessRejected) as exc:
+        print(name, "rejected:", type(exc).__name__)
+    else:
+        print(name, "returned a result")
+    finally:
+        setattr(module, attr, saved)
+
+
+# an eta solution that does not carry base to its rescaled copy
+call("cohomologous", lambda: cohomologous(S, base, act(S, g, base)),
+     (cohom, "_eta_search", lambda S, D, *rest, **kw: [{p: D.one for p in S.support}]))
+# a coboundary outside Z^1, a non-normal subgroup of Z^1 (S_3 here), no coboundaries
+call("first_cohomology outside", lambda: first_cohomology(S, base),
+     (cohom, "one_coboundaries", lambda *a, **kw: [g]))
+call("first_cohomology normal", lambda: first_cohomology(S, base),
+     (cohom, "one_coboundaries", lambda *a, **kw: [GaugeElement.identity(S, F), frob]))
+call("first_cohomology index", lambda: first_cohomology(S, base),
+     (cohom, "one_coboundaries", lambda *a, **kw: []))
+# an exponent solution that leaves the Frobenius on the arrow
+R = TwistedRing(S, F, base.replace_alpha((1, 2), F.frobenius(1)))
+call("is_d_algebra", lambda: is_d_algebra(R),
+     (twring, "_mu_candidates", lambda S, *rest: iter([{1: F.frobenius(0), 2: F.frobenius(0)}])))
+"""
+
+
+def test_corrupted_replays_rejected_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_REPLAY_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "cohomologous rejected: WitnessRejected",
+        "first_cohomology outside rejected: NotAOneCocycle",
+        "first_cohomology normal rejected: WitnessRejected",
+        "first_cohomology index rejected: WitnessRejected",
+        "is_d_algebra rejected: WitnessRejected",
+    ]

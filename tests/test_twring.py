@@ -138,7 +138,6 @@ def test_associativity_on_valid_fixtures():
             assert check_associativity(R).ok
     assert check_associativity(frob_ring()).ok
     assert check_associativity(quat_conj_ring()).ok
-    assert check_associativity(quat_conj_ring(), mode="sampled", rng=random.Random(5), trials=40).ok
 
 
 def test_associativity_detects_corruption():
@@ -150,8 +149,6 @@ def test_associativity_detects_corruption():
     report = check_associativity(R)
     assert not report.ok
     assert any((1, 2) in v.where for v in report.violations)
-    sampled = check_associativity(R, mode="sampled", rng=random.Random(6), trials=60)
-    assert not sampled.ok
 
 
 def test_validity_matches_associativity_on_xi_edits():
