@@ -220,7 +220,7 @@ class FiniteField:
 
     # fields compare by defining data so separately built copies interoperate
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteField)
             and (other.p, other.k, other.modulus) == (self.p, self.k, self.modulus)
         )
@@ -245,41 +245,44 @@ class FiniteField:
         return code
 
     def _build_tables(self):
+        # Zech logarithms (Lidl & Niederreiter, Finite Fields): with g
+        # primitive, g^a * g^b = g^(a+b) and g^a + g^b = g^(a + Z[b-a]),
+        # Z[m] = log(1 + g^m). Only the walk over the powers of g uses
+        # polynomial arithmetic; every table entry is an integer lookup.
         p, q, mod = self.p, self.q, list(self.modulus)
-        polys = [self._decode(c) for c in range(q)]
-        self._add = [[self._encode([(x + y) % p for x, y in zip(a, b)]) for b in polys] for a in polys]
-        self._neg = [self._encode([(-x) % p for x in a]) for a in polys]
-        mul = []
-        for a in polys:
-            row = []
-            ta = _poly_trim(list(a))
-            for b in polys:
-                prod = _poly_mul(ta, _poly_trim(list(b)), p)
-                _, rem = _poly_divmod(prod, mod, p)
-                row.append(self._encode(rem + [0] * self.k))
-            mul.append(row)
-        self._mul = mul
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = row.index(1)
-        self._inv = inv
-        frob = [list(range(q))]
-        for _ in range(1, self.k):
-            prev = frob[-1]
-            nxt = [self._pow_code(prev[c], p) for c in range(q)]
-            # x^(p^m) applied stepwise: (x^(p^(m-1)))^p
-            frob.append(nxt)
-        self._frob = frob
-
-    def _pow_code(self, code, n):
-        acc, base = self._encode([1]), code
-        while n:
-            if n & 1:
-                acc = self._mul[acc][base]
-            base = self._mul[base][base]
-            n >>= 1
-        return acc
+        n = q - 1
+        for cand in range(min(2, n), q):
+            gpoly, x, exp = _poly_trim(self._decode(cand)), [1], [1]
+            while True:
+                x = _poly_divmod(_poly_mul(x, gpoly, p), mod, p)[1]
+                code = self._encode(x)
+                if code == 1:
+                    break
+                exp.append(code)
+            if len(exp) == n:
+                break
+        log = [0] * q
+        for e, code in enumerate(exp):
+            log[code] = e
+        # 1 + g^m bumps digit 0 of the code; 1 + g^m = 0 gets the sentinel 2n,
+        # which lands in the zero tail of ext
+        zech = [2 * n] * n
+        for m, code in enumerate(exp):
+            bumped = code - code % p + (code + 1) % p
+            if bumped:
+                zech[m] = log[bumped]
+        zech += zech
+        ext = exp + exp + [0] * n
+        logs = log[1:]
+        self._mul = [[0] * q] + [[0] + [ext[la + lb] for lb in logs] for la in logs]
+        self._add = [list(range(q))] + [
+            [a] + [ext[la + zech[lb - la + n]] for lb in logs] for a, la in zip(range(1, q), logs)
+        ]
+        self._inv = [0] + [exp[-la] for la in logs]
+        minus_one = log[p - 1]
+        self._neg = [0] + [exp[(la + minus_one) % n] for la in logs]
+        # frob^m sends g^e to g^(e p^m)
+        self._frob = [[0] + [exp[la * p**m % n] for la in logs] for m in range(self.k)]
 
     @property
     def is_commutative(self):

@@ -600,15 +600,17 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     b1_keys = {g.canonical_key() for g in b1}
     if not b1_keys <= z1_keys:
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
-    for z in z1:
-        for b in b1:
-            conj = gauge_mul(S, gauge_mul(S, z, b), gauge_inv(S, z))
-            if conj.canonical_key() not in b1_keys:
-                raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
     seen = set()
     reps = []
     for z in z1:
-        coset = frozenset(gauge_mul(S, z, b).canonical_key() for b in b1)
+        z_inv = gauge_inv(S, z)
+        members = set()
+        for b in b1:
+            zb = gauge_mul(S, z, b)
+            if gauge_mul(S, zb, z_inv).canonical_key() not in b1_keys:
+                raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
+            members.add(zb.canonical_key())
+        coset = frozenset(members)
         if coset not in seen:
             seen.add(coset)
             reps.append(z)

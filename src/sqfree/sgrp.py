@@ -9,6 +9,7 @@ Semigroup elements are represented by their support pair; e_i is (i,i).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .common import DEFAULT_BOUNDS, ValidationReport
@@ -31,6 +32,14 @@ class SquareFreeSemigroup:
                 comp.add((i, i, j))
                 comp.add((i, j, j))
         return cls(n, support, frozenset(comp))
+
+    @cached_property
+    def _out(self):
+        """Index i -> the sorted support pairs (i, j) leaving it."""
+        out = {}
+        for p in sorted(self.support):
+            out.setdefault(p[0], []).append(p)
+        return out
 
     def has(self, i, j):
         return (i, j) in self.support
@@ -61,16 +70,16 @@ class SquareFreeSemigroup:
             return self.idempotent_pairs()
         if m == 1:
             return self.elements()
-        chains = [((p,), p) for p in self.elements()]
+        out, comp = self._out, self.comp
+        chains = [((p,), p[0], p[1]) for p in self.elements()]
         for _ in range(m - 1):
-            grown = []
-            for chain, acc in chains:
-                for q in self.elements():
-                    prod = self.mul(acc, q)
-                    if prod is not None:
-                        grown.append((chain + (q,), prod))
-            chains = grown
-        return [c for c, _ in chains]
+            chains = [
+                (chain + (q,), i, q[1])
+                for chain, i, j in chains
+                for q in out.get(j, ())
+                if (i, j, q[1]) in comp
+            ]
+        return [c for c, _, _ in chains]
 
     def validate(self):
         rep = ValidationReport()
@@ -97,13 +106,10 @@ class SquareFreeSemigroup:
             if (i, j, j) not in self.comp:
                 rep.add("unit_law", (i, j, j), "right unit triple absent")
         # (s_ij s_jk) s_kl and s_ij (s_jk s_kl) must vanish together
+        out = self._out
         for i, j in sorted(self.support):
-            for k in rng:
-                if (j, k) not in self.support:
-                    continue
-                for l in rng:
-                    if (k, l) not in self.support:
-                        continue
+            for _, k in out.get(j, ()):
+                for _, l in out.get(k, ()):
                     left = (i, j, k) in self.comp and (i, k, l) in self.comp
                     right = (j, k, l) in self.comp and (i, j, l) in self.comp
                     if left != right:
@@ -125,13 +131,8 @@ def sim_classes(S):
         return a
 
     for i in range(1, S.n + 1):
-        for j in range(i + 1, S.n + 1):
-            if (
-                (i, j) in S.support
-                and (j, i) in S.support
-                and (i, j, i) in S.comp
-                and (j, i, j) in S.comp
-            ):
+        for _, j in S._out.get(i, ()):
+            if i < j <= S.n and (j, i) in S.support and (i, j, i) in S.comp and (j, i, j) in S.comp:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(1, S.n + 1):

@@ -1,0 +1,120 @@
+"""GF(p^k) tables against a per-pair polynomial construction.
+
+The library builds its tables from the powers of a primitive element and
+Zech logarithms. The reference below builds every entry the direct way,
+with one polynomial multiply and reduction per pair, and the public
+operations must agree with it on every pair.
+"""
+
+import pytest
+
+from sqfree.coeff import FiniteField
+from sqfree.fixtures import gf
+
+# (p, k, monic modulus, low degree first)
+FIELDS = {
+    "GF2": (2, 1, None),
+    "GF3": (3, 1, None),
+    "GF4": (2, 2, (1, 1, 1)),
+    "GF5": (5, 1, None),
+    "GF7": (7, 1, None),
+    "GF8": (2, 3, (1, 1, 0, 1)),
+    "GF9": (3, 2, (1, 0, 1)),
+    "GF16": (2, 4, (1, 1, 0, 0, 1)),
+    # x has order 5 here, so x is not primitive
+    "GF16-x-order-5": (2, 4, (1, 1, 1, 1, 1)),
+    "GF25": (5, 2, (2, 1, 1)),
+    "GF27": (3, 3, (1, 2, 0, 1)),
+    "GF49": (7, 2, (1, 0, 1)),
+    "GF128": (2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),
+    # x^3 = -4 has order 3 in GF(7)^*, so x has order 9
+    "GF343": (7, 3, (4, 0, 0, 1)),
+}
+
+
+def _decode(code, p, k):
+    out = []
+    for _ in range(k):
+        out.append(code % p)
+        code //= p
+    return out
+
+
+def _encode(coeffs, p):
+    code = 0
+    for c in reversed(coeffs):
+        code = code * p + c % p
+    return code
+
+
+def _mul_mod(a, b, mod, p):
+    """a * b reduced modulo the monic polynomial mod, as k coefficients."""
+    k = len(mod) - 1
+    prod = [0] * (2 * k)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for d in range(2 * k - 1, k - 1, -1):
+        c = prod[d]
+        if c:
+            for i, mi in enumerate(mod):
+                prod[d - k + i] = (prod[d - k + i] - c * mi) % p
+    return prod[:k]
+
+
+def reference_tables(p, k, modulus):
+    """Every table entry built per pair, as the field did before Zech logs."""
+    q = p**k
+    mod = list(modulus) if modulus else [0, 1]
+    polys = [_decode(c, p, k) for c in range(q)]
+    add = [[_encode([(x + y) % p for x, y in zip(a, b)], p) for b in polys] for a in polys]
+    neg = [_encode([-x % p for x in a], p) for a in polys]
+    mul = [[_encode(_mul_mod(a, b, mod, p), p) for b in polys] for a in polys]
+    inv = [None] + [mul[a].index(1) for a in range(1, q)]
+
+    def power(code, e):
+        acc = 1
+        for _ in range(e):
+            acc = mul[acc][code]
+        return acc
+
+    frob = [[power(c, p**m) for c in range(q)] for m in range(k)]
+    return add, neg, mul, inv, frob
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_public_operations_match_the_per_pair_build(name):
+    p, k, modulus = FIELDS[name]
+    F = FiniteField(p, k, modulus)
+    add, neg, mul, inv, frob = reference_tables(p, k, modulus)
+    els = F.elements()
+    assert [x.code for x in els] == list(range(F.q))
+    autos = [F.frobenius(m) for m in range(k)]
+    for a in els:
+        assert (-a).code == neg[a.code]
+        if a.code:
+            assert a.inverse().code == inv[a.code]
+        assert [f(a).code for f in autos] == [frob[m][a.code] for m in range(k)]
+        assert [(a + b).code for b in els] == add[a.code]
+        assert [(a - b).code for b in els] == [add[a.code][neg[b]] for b in range(F.q)]
+        assert [(a * b).code for b in els] == mul[a.code]
+
+
+def test_separately_built_copies_compare_equal_and_interoperate():
+    F, G = FiniteField(2, 3, (1, 1, 0, 1)), gf(8)
+    assert F is not G and F == G and hash(F) == hash(G)
+    for a, b in zip(F.elements(), G.elements()):
+        assert a == b
+        assert (a * G.gen + b).code == (b * F.gen + a).code
+        assert F.frobenius(1)(b) == G.frobenius(1)(a)
+    assert F != FiniteField(2, 3, (1, 0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "p, k, modulus, q",
+    [(4099, 1, None, 4099), (2, 13, (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 8192)],
+)
+def test_table_limit_refusal_text(p, k, modulus, q):
+    with pytest.raises(ValueError) as info:
+        FiniteField(p, k, modulus)
+    assert str(info.value) == f"field order {q} above table limit 4096"

@@ -1,6 +1,17 @@
-"""Semigroup combinatorics against small hand-checked patterns."""
+"""Semigroup combinatorics against small hand-checked patterns.
+
+The walks in `tuples`, `validate` and `sim_classes` follow the support
+pairs out of each index; the references at the end of this file scan every
+pair or index instead, and both must agree on random valid semigroups and
+on corrupted copies of them.
+"""
+
+import random
+from itertools import product
 
 import pytest
+
+from sqfree.common import ValidationReport
 
 from sqfree.errors import BlockNotMatrixUnits, SearchBoundExceeded
 from sqfree.fixtures import a3, double_t2, mu, single, t2
@@ -173,3 +184,178 @@ def test_normality():
 def test_automorphism_search_bound():
     with pytest.raises(SearchBoundExceeded):
         automorphisms(mu(9))
+
+
+def ref_tuples(S, m):
+    """Composable m-chains by scanning the whole support at every step."""
+    if m == 0:
+        return [(i, i) for i in range(1, S.n + 1)]
+    elements = sorted(S.support)
+    if m == 1:
+        return elements
+    chains = [((p,), p) for p in elements]
+    for _ in range(m - 1):
+        grown = []
+        for chain, (i, j) in chains:
+            for q in elements:
+                if q[0] == j and (i, j, q[1]) in S.comp:
+                    grown.append((chain + (q,), (i, q[1])))
+        chains = grown
+    return [c for c, _ in chains]
+
+
+def ref_validate(S):
+    """validate with every index scanned in the associativity loop."""
+    rep = ValidationReport()
+    rng = range(1, S.n + 1)
+    for p in sorted(S.support):
+        if not (p[0] in rng and p[1] in rng):
+            rep.add("index_out_of_range", p)
+    for t in sorted(S.comp):
+        if not all(x in rng for x in t):
+            rep.add("index_out_of_range", t)
+    if not rep.ok:
+        return rep
+    for i in rng:
+        if (i, i) not in S.support:
+            rep.add("missing_idempotent", (i, i), "diagonal pair absent from support")
+    for t in sorted(S.comp):
+        i, j, k = t
+        for p in ((i, j), (j, k), (i, k)):
+            if p not in S.support:
+                rep.add("comp_without_support", t, f"pair {p} absent")
+    for i, j in sorted(S.support):
+        if (i, i, j) not in S.comp:
+            rep.add("unit_law", (i, i, j), "left unit triple absent")
+        if (i, j, j) not in S.comp:
+            rep.add("unit_law", (i, j, j), "right unit triple absent")
+    for i, j in sorted(S.support):
+        for k in rng:
+            if (j, k) not in S.support:
+                continue
+            for l in rng:
+                if (k, l) not in S.support:
+                    continue
+                left = (i, j, k) in S.comp and (i, k, l) in S.comp
+                right = (j, k, l) in S.comp and (i, j, l) in S.comp
+                if left != right:
+                    rep.add("associativity", (i, j, k, l), f"left={left} right={right}")
+    return rep
+
+
+def ref_sim_classes(S):
+    """sim_classes over all index pairs i < j."""
+    cls = {i: {i} for i in range(1, S.n + 1)}
+    for i, j in product(range(1, S.n + 1), repeat=2):
+        if i < j and {(i, j), (j, i)} <= S.support and {(i, j, i), (j, i, j)} <= S.comp:
+            merged = cls[i] | cls[j]
+            for a in merged:
+                cls[a] = merged
+    return sorted({tuple(sorted(c)) for c in cls.values()})
+
+
+def four_chains(support):
+    for (i, j), (k, l) in product(sorted(support), repeat=2):
+        if (j, k) in support:
+            yield i, j, k, l
+
+
+def random_semigroup(rng, n):
+    """A random valid square-free semigroup on n idempotents.
+
+    Some indices are grouped into matrix-unit blocks; random arrows, some
+    of their composites, and composable triples follow. Associativity
+    failures are then repaired by dropping the first triple of the true
+    bracketing; that triple is never a unit-law triple, since a failure
+    needs i != j != k != l.
+    """
+    indices = list(range(1, n + 1))
+    rng.shuffle(indices)
+    support = {(i, i) for i in indices}
+    comp = set()
+    while indices:
+        size = rng.choice((1, 1, 2, 3))
+        block, indices = indices[:size], indices[size:]
+        support |= set(product(block, repeat=2))
+        comp |= set(product(block, repeat=3))
+    arrows, keep = rng.random() / 2, 0.5 + rng.random() / 2
+    support |= {p for p in product(range(1, n + 1), repeat=2) if rng.random() < arrows}
+    while rng.random() < 0.5:
+        support |= {(i, l) for (i, j), (k, l) in product(support, repeat=2) if j == k}
+    comp |= {
+        (i, j, k)
+        for i, j, k in product(range(1, n + 1), repeat=3)
+        if {(i, j), (j, k), (i, k)} <= support and rng.random() < keep
+    }
+    comp = set(SquareFreeSemigroup.make(n, support, comp).comp)
+    repaired = True
+    while repaired:
+        repaired = False
+        for i, j, k, l in four_chains(support):
+            left = (i, j, k) in comp and (i, k, l) in comp
+            right = (j, k, l) in comp and (i, j, l) in comp
+            if left != right:
+                comp.discard((i, j, k) if left else (j, k, l))
+                repaired = True
+    return SquareFreeSemigroup(n, frozenset(support), frozenset(comp))
+
+
+def corrupted_copies(S, rng):
+    """Copies of a valid S that each break one validate rule, by name."""
+    n, support, comp = S.n, S.support, S.comp
+    out = {}
+    i, j = max(sorted(support), key=lambda p: p[0] != p[1])
+    out["unit_law"] = SquareFreeSemigroup(n, support, comp - {(i, i, j)})
+    for i, j, k, l in four_chains(support):
+        if i != j != k != l and {(i, j, k), (i, k, l), (j, k, l), (i, j, l)} <= comp:
+            out["associativity"] = SquareFreeSemigroup(n, support, comp - {(i, j, k)})
+            break
+    unsupported = [
+        t for t in product(range(1, n + 1), repeat=3) if not {t[:2], t[1:], t[::2]} <= support
+    ]
+    if unsupported:
+        extra = rng.sample(unsupported, min(3, len(unsupported)))
+        out["comp_without_support"] = SquareFreeSemigroup(n, support, comp | set(extra))
+    out["index_out_of_range"] = SquareFreeSemigroup(
+        n, support | {(1, n + 1), (n + 1, 1), (0, 1)}, comp | {(1, n + 1, 1), (n + 1, 1, n + 1)}
+    )
+    return out
+
+
+SEEDS = range(60)
+
+
+def _cases(seed):
+    rng = random.Random(seed)
+    S = random_semigroup(rng, rng.randint(1, 8))
+    return S, corrupted_copies(S, rng)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_walks_match_full_scans_on_random_semigroups(seed):
+    S, bad = _cases(seed)
+    assert ref_validate(S).ok, ref_validate(S).as_json()
+    for kind, T in [("valid", S)] + sorted(bad.items()):
+        rep = T.validate()
+        assert rep.as_json() == ref_validate(T).as_json(), kind
+        if kind != "valid":
+            assert kind in {v.kind for v in rep.violations}
+        for m in range(5):
+            assert T.tuples(m) == ref_tuples(T, m), (kind, m)
+        assert [tuple(c) for c in sim_classes(T)] == ref_sim_classes(T), kind
+
+
+def test_random_semigroups_reach_every_case():
+    cases = [_cases(seed) for seed in SEEDS]
+    assert any(len(c) > 1 for S, _ in cases for c in sim_classes(S))
+    assert any(S.tuples(4) != [] and any(len(set(ch)) == 4 for ch in S.tuples(4)) for S, _ in cases)
+    kinds = [set(bad) for _, bad in cases]
+    for kind in ("unit_law", "associativity", "comp_without_support", "index_out_of_range"):
+        assert sum(kind in k for k in kinds) >= 10, kind
+
+
+def test_adjacency_leaves_equality_and_hash_alone():
+    S, T = a3(), a3()
+    assert S.tuples(3) == T.tuples(3)
+    assert S == T and hash(S) == hash(T)
+    assert S != SquareFreeSemigroup(S.n, S.support, S.comp - {(1, 2, 3)})
