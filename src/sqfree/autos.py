@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cohom import first_cohomology, stabilizer, verify_one_cocycle
+from .cohom import GaugeElement, first_cohomology, stabilizer, verify_one_cocycle
 from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import (
     InfiniteBackend,
+    InvalidInput,
     NormalizationFailed,
     NotAOneCocycle,
     NotInvertible,
@@ -49,19 +50,6 @@ class RingAut:
     @classmethod
     def identity(cls, R):
         return cls(R, identity_matrix(len(R.S.support) * R.D.k))
-
-    @classmethod
-    def from_action(cls, R, mu, images):
-        """Build from a coefficient automorphism per idempotent and basis images.
-
-        Evaluates d s_ij -> mu_i(d) images[(i,j)] on the power basis.
-        """
-        cols = []
-        for p in R.S.elements():
-            for b in R.D.power_basis():
-                cols.append(to_vector(R, images[p].lscale(mu[p[0]](b))))
-        n = len(cols)
-        return cls(R, tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
 
     @classmethod
     def from_images(cls, R, image_of):
@@ -156,12 +144,27 @@ def _verified(R, f):
     return f
 
 
+def _witness_aut(R, phi, g):
+    """The checked map d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j), built column by column on core vectors."""
+    core, k = R.core, R.D.k
+    cols = []
+    for p in R.S.elements():
+        target = phi.pair(p)
+        if target not in core.offset:
+            raise InvalidInput(f"pair {target} outside the support", where="coefficients")
+        at = core.offset[target]
+        for b in R.D.power_basis():
+            col = [0] * core.dim
+            col[at : at + k] = (g.mu[p[0]](b) * g.eta[p]).coords
+            cols.append(col)
+    return _verified(R, RingAut(R, tuple(zip(*cols))))
+
+
 def sigma(R, g):
     """The fixing-pair automorphism d s_ij -> mu_i(d) eta(ij) s_ij."""
     if not verify_one_cocycle(R.S, R.c, g):
         raise NotAOneCocycle("the pair does not fix the ring's cocycle")
-    images = {p: R.element({p: g.eta[p]}) for p in R.S.support}
-    return _verified(R, RingAut.from_action(R, g.mu, images))
+    return _witness_aut(R, SemigroupAutomorphism.identity(R.S.n), g)
 
 
 @dataclass(frozen=True)
@@ -170,17 +173,11 @@ class InnerWitness:
     Y: tuple
 
 
-def _unit_pair(R, u):
-    """The vectors of a unit and of its inverse."""
-    x = to_vector(R, u)
-    v = R.core.inverse(x)
+def unit_inverse(R, u):
+    v = R.core.inverse(to_vector(R, u))
     if v is None:
         raise NotInvertible(f"{u!r} has no two-sided inverse")
-    return x, v
-
-
-def unit_inverse(R, u):
-    return from_vector(R, _unit_pair(R, u)[1])
+    return from_vector(R, v)
 
 
 def inner_witness_from_unit(R, u):
@@ -202,44 +199,37 @@ def tau(R, w):
     return _verified(R, RingAut(R, _conjugation_matrix(core, sx, sy)))
 
 
-def _inner(R, units, bounds):
+def _inner(R, bounds):
     """Inn R as {matrix: (unit vector, inverse vector)}, from the first unit giving it.
 
-    Each distinct conjugation is checked once. The full unit list
-    (units=None) comes from the enumerate_units scan, with the inverse it
-    found for each unit; its table holds no reference back to the ring, so
-    it can live in the ring's core. An explicit unit list is scanned in its
-    own order.
+    The units come from the enumerate_units scan, with the inverse it found
+    for each unit, and each distinct conjugation is checked once. The table
+    holds no reference back to the ring, so it lives in the ring's core.
     """
-    if units is None:
-        _enumeration_guard(R, bounds)
-        if "inner" in R.core.cache:
-            return R.core.cache["inner"]
-        pairs = [(x, v) for _, x, v in _scan(R, R.core.inverse)]
-    else:
-        pairs = [_unit_pair(R, u) for u in units]
-    table = {}
-    for x, v in pairs:
-        M = _conjugation_matrix(R.core, x, v)
-        if M not in table:
-            _verified(R, RingAut(R, M))
-            table[M] = (x, v)
-    if units is None:
-        R.core.cache["inner"] = table
-    return table
+    _enumeration_guard(R, bounds)
+    cache = R.core.cache
+    if "inner" not in cache:
+        table = {}
+        for _, x, v in _scan(R, R.core.inverse):
+            M = _conjugation_matrix(R.core, x, v)
+            if M not in table:
+                _verified(R, RingAut(R, M))
+                table[M] = (x, v)
+        cache["inner"] = table
+    return cache["inner"]
 
 
-def is_inner(R, f, units=None, bounds=DEFAULT_BOUNDS):
+def is_inner(R, f, bounds=DEFAULT_BOUNDS):
     """A conjugation witness producing f, or None after trying every unit."""
-    table = _inner(R, units, bounds)
+    table = _inner(R, bounds)
     if not (f.ring is R or f.ring == R) or f.matrix not in table:
         return None
     x, v = table[f.matrix]
     return InnerWitness((from_vector(R, x),), (from_vector(R, v),))
 
 
-def inner_group(R, units=None, bounds=DEFAULT_BOUNDS):
-    return [RingAut(R, m) for m in sorted(_inner(R, units, bounds))]
+def inner_group(R, bounds=DEFAULT_BOUNDS):
+    return [RingAut(R, m) for m in sorted(_inner(R, bounds))]
 
 
 def _corner(core, q1, q2):
@@ -403,7 +393,7 @@ def _out_cosets(R, auts, inn_mats):
 
     Returns the coset key of an automorphism, a dict read for every matrix
     of the cosets met, and the first automorphism of each coset in the
-    order of auts.
+    order of auts; the search is complete, so a map outside them is refused.
     """
     p = R.D.p
     key_of, reps = {}, {}
@@ -416,9 +406,9 @@ def _out_cosets(R, auts, inn_mats):
         reps[key] = f
 
     def coset_key(f):
-        if f.matrix in key_of:
-            return key_of[f.matrix]
-        return min(mat_mul(f.matrix, m, p) for m in inn_mats)
+        if f.matrix not in key_of:
+            raise WitnessRejected("map outside every coset of the Aut R search")
+        return key_of[f.matrix]
 
     return coset_key, reps
 
@@ -426,18 +416,18 @@ def _out_cosets(R, auts, inn_mats):
 def out_r(R, bounds=DEFAULT_BOUNDS):
     """Order of Aut R / Inn R plus one representative automorphism per coset."""
     auts = aut_r_bruteforce(R, bounds)
-    _, reps = _out_cosets(R, auts, list(_inner(R, None, bounds)))
+    _, reps = _out_cosets(R, auts, list(_inner(R, bounds)))
     return len(reps), [reps[key] for key in sorted(reps)]
 
 
-def lambda_map(R, h1, units=None, bounds=DEFAULT_BOUNDS):
+def lambda_map(R, h1, bounds=DEFAULT_BOUNDS):
     """Check sigma is inner exactly on the coboundary part of the fixing pairs.
 
     Runs over the whole enumerated Z^1, so a passing report certifies the
     induced map on classes is well defined and injective.
     """
     report = ValidationReport()
-    inner = _inner(R, units, bounds)
+    inner = _inner(R, bounds)
     b1 = set(h1.b1)
     for g in h1.z1:
         is_inner_g = sigma(R, g).matrix in inner
@@ -450,7 +440,7 @@ def lambda_map(R, h1, units=None, bounds=DEFAULT_BOUNDS):
     return report
 
 
-def phi_map(R, f, units=None, bounds=DEFAULT_BOUNDS):
+def phi_map(R, f, bounds=DEFAULT_BOUNDS):
     """The semigroup automorphism induced after an inner normalization.
 
     Searches for a unit conjugation making every diagonal idempotent land
@@ -458,16 +448,12 @@ def phi_map(R, f, units=None, bounds=DEFAULT_BOUNDS):
     resulting index permutation is independent of the correcting unit.
     """
     S, core = R.S, R.core
-    if units is None:
-        # units giving the same conjugation give the same permutation, so
-        # Inn R in first-unit order decides as the full unit list does
-        conjugations = iter(_inner(R, None, bounds))
-    else:
-        conjugations = (_conjugation_matrix(core, *_unit_pair(R, u)) for u in units)
     idempotents = [core.offset[(i, i)] for i in range(1, S.n + 1)]
     diag = {core.basis[a]: i for i, a in enumerate(idempotents, start=1)}
     images = [tuple(row[a] for row in f.matrix) for a in idempotents]
-    for M in conjugations:
+    # units giving the same conjugation give the same permutation, so Inn R
+    # in first-unit order decides as the full unit scan does
+    for M in _inner(R, bounds):
         perm = []
         for img in images:
             j = diag.get(mat_vec(M, img, R.D.p))
@@ -488,9 +474,7 @@ def phi_map(R, f, units=None, bounds=DEFAULT_BOUNDS):
 
 def section_automorphism(R, phi):
     """The basis permutation d s_ij -> d s_{phi(i)phi(j)} as a ring map."""
-    images = {p: R.basis(*phi.pair(p)) for p in R.S.support}
-    mu = {i: R.D.identity_automorphism() for i in range(1, R.S.n + 1)}
-    return _verified(R, RingAut.from_action(R, mu, images))
+    return _witness_aut(R, phi, GaugeElement.identity(R.S, R.D))
 
 
 @dataclass
@@ -540,7 +524,7 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
 
     auts = aut_r_bruteforce(R, bounds)
-    coset_key, cosets = _out_cosets(R, auts, list(_inner(R, None, bounds)))
+    coset_key, cosets = _out_cosets(R, auts, list(_inner(R, bounds)))
     out_order = len(cosets)
     out_reps = [cosets[key] for key in sorted(cosets)]
 

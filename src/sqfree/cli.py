@@ -15,6 +15,7 @@ needed), 3 when a configured search bound was exceeded.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -122,6 +123,7 @@ class Job:
 
 @command("validate")
 def cmd_validate(args):
+    """check the semigroup axioms and, if present, the cocycle identities"""
     job = Job(args)
     rep = job.S.validate()
     if rep.ok and job.cocycle is not None:
@@ -131,6 +133,7 @@ def cmd_validate(args):
 
 @command("verify-cocycle")
 def cmd_verify_cocycle(args):
+    """report every cocycle identity violation"""
     job = Job(args)
     job.checked_semigroup()
     rep = verify_two_cocycle(job.S, job.cocycle_or_trivial())
@@ -139,6 +142,7 @@ def cmd_verify_cocycle(args):
 
 @command("normalize")
 def cmd_normalize(args):
+    """emit an equivalent cocycle with trivial idempotent scalars, plus witness"""
     job = Job(args)
     job.checked_semigroup()
     c2, g = normalize(job.S, job.valid_cocycle())
@@ -147,6 +151,7 @@ def cmd_normalize(args):
 
 @command("trivialize-blocks")
 def cmd_trivialize_blocks(args):
+    """emit an equivalent cocycle that is trivial on every block, plus witness"""
     job = Job(args)
     job.checked_semigroup()
     c2, g = trivialize_on_blocks(job.S, job.valid_cocycle())
@@ -155,6 +160,7 @@ def cmd_trivialize_blocks(args):
 
 @command("cohomologous")
 def cmd_cohomologous(args):
+    """search for a gauge witness between the bundle cocycle and --other"""
     job = Job(args)
     job.checked_semigroup()
     c1 = job.valid_cocycle()
@@ -185,6 +191,7 @@ def cmd_cohomologous(args):
 
 @command("aut-s")
 def cmd_aut_s(args):
+    """enumerate the semigroup automorphisms"""
     job = Job(args)
     job.checked_semigroup()
     auts = semigroup_automorphisms(job.S, job.bounds)
@@ -197,6 +204,7 @@ def cmd_aut_s(args):
 
 @command("stab")
 def cmd_stab(args):
+    """semigroup automorphisms whose relabeling stays in the gauge orbit"""
     job = Job(args)
     job.checked_semigroup()
     stab = stabilizer(job.S, job.valid_cocycle(), job.bounds)
@@ -209,6 +217,7 @@ def cmd_stab(args):
 
 @command("ring-check")
 def cmd_ring_check(args):
+    """basis associativity sweep plus idempotent/unit counts of the twisted ring"""
     job = Job(args)
     job.checked_semigroup()
     # raw construction: this command is for probing possibly-bad cocycles
@@ -230,6 +239,7 @@ def cmd_ring_check(args):
 
 @command("d-algebra")
 def cmd_d_algebra(args):
+    """search for a gauge witness trivializing all coefficient twists"""
     job = Job(args)
     witness = is_d_algebra(job.ring(), job.bounds)
     report = {"bounds": _bounds_json(job.bounds), "is_d_algebra": witness is not None}
@@ -241,6 +251,7 @@ def cmd_d_algebra(args):
 
 @command("h1")
 def cmd_h1(args):
+    """first cohomology of the bundle cocycle, with representatives"""
     job = Job(args)
     job.checked_semigroup()
     h1 = first_cohomology(job.S, job.valid_cocycle(), job.bounds)
@@ -255,6 +266,7 @@ def cmd_h1(args):
 
 @command("out-r")
 def cmd_out_r(args):
+    """outer automorphism classes of the twisted ring"""
     job = Job(args)
     order, reps = out_r(job.ring(), job.bounds)
     return 0, {
@@ -266,6 +278,7 @@ def cmd_out_r(args):
 
 @command("verify-ses")
 def cmd_verify_ses(args):
+    """exactness of the cohomology-automorphism sequence at desk scale"""
     job = Job(args)
     rep = verify_ses(job.ring(), job.bounds)
     ok = rep.exact and rep.split_ok is not False
@@ -276,6 +289,7 @@ def cmd_verify_ses(args):
 
 @command("boundary")
 def cmd_boundary(args):
+    """multiplicative boundary of the bundle cochain"""
     job = Job(args)
     job.checked_semigroup()
     if "cochain" not in job.raw:
@@ -285,7 +299,9 @@ def cmd_boundary(args):
     return 0, jsonio.encode_cochain(out)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="sqfree",
         description="Square-free twisted ring toolbox: validation, cohomology, automorphisms.",
@@ -306,23 +322,8 @@ def build_parser():
         help="cap on backtracking search spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "validate": "check the semigroup axioms and, if present, the cocycle identities",
-        "verify-cocycle": "report every cocycle identity violation",
-        "normalize": "emit an equivalent cocycle with trivial idempotent scalars, plus witness",
-        "trivialize-blocks": "emit an equivalent cocycle that is trivial on every block, plus witness",
-        "cohomologous": "search for a gauge witness between the bundle cocycle and --other",
-        "aut-s": "enumerate the semigroup automorphisms",
-        "stab": "semigroup automorphisms whose relabeling stays in the gauge orbit",
-        "ring-check": "basis associativity sweep plus idempotent/unit counts of the twisted ring",
-        "d-algebra": "search for a gauge witness trivializing all coefficient twists",
-        "h1": "first cohomology of the bundle cocycle, with representatives",
-        "out-r": "outer automorphism classes of the twisted ring",
-        "verify-ses": "exactness of the cohomology-automorphism sequence at desk scale",
-        "boundary": "multiplicative boundary of the bundle cochain",
-    }
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=helps[name])
+        p = sub.add_parser(name, parents=[common], help=fn.__doc__)
         if name == "cohomologous":
             p.add_argument("--other", required=True, help="path of the second cocycle JSON file")
             p.add_argument(

@@ -521,21 +521,8 @@ def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
 
 
 def verify_one_cocycle(S, base, g):
-    """Does g fix the base cocycle? Checked by the two defining equations."""
-    D = base.backend
-    for p in S.support:
-        i, j = p
-        lhs = g.mu[i] * base.alpha[p] * g.mu[j].inverse()
-        rhs = D.inner_automorphism(g.eta[p]) * base.alpha[p]
-        if lhs != rhs:
-            return False
-    for t in S.comp:
-        i, j, k = t
-        lhs = g.mu[i](base.xi[t])
-        rhs = g.eta[(i, j)] * base.alpha[(i, j)](g.eta[(j, k)]) * base.xi[t] * g.eta[(i, k)].inverse()
-        if lhs != rhs:
-            return False
-    return True
+    """Does g fix the base cocycle? Checked as the fixed-point equation g . base = base."""
+    return act(S, g, base, check=False) == base
 
 
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):

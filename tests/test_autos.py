@@ -26,15 +26,26 @@ from sqfree.autos import (
 from sqfree.cohom import (
     GaugeElement,
     TwoCocycle,
+    act,
     first_cohomology,
     gauge_mul,
     one_cocycles,
+    random_gauge,
+    stabilizer,
 )
-from sqfree.errors import NotAOneCocycle, NotInvertible, SearchBoundExceeded
+from sqfree.errors import InvalidInput, NotAOneCocycle, NotInvertible, SearchBoundExceeded
 from sqfree.common import Bounds
-from sqfree.fixtures import double_t2, gf, mu, single, t2
-from sqfree.sgrp import SemigroupAutomorphism
-from sqfree.twring import TwistedRing, enumerate_units, identity_element, mul, random_ring_element
+from sqfree.fixtures import a3, double_t2, gf, mu, single, t2, two_cycle
+from sqfree.sgrp import SemigroupAutomorphism, is_normal_automorphism
+from sqfree.twring import (
+    TwistedRing,
+    enumerate_units,
+    identity_element,
+    mul,
+    random_ring_element,
+    to_vector,
+)
+from test_sgrp import random_semigroup
 
 
 def trivial_ring(S, F):
@@ -264,11 +275,11 @@ def test_phi_map_constant_on_inner_cosets():
     _, reps = out_r(R)
     rng = random.Random(3)
     for f in reps:
-        base = phi_map(R, f, units)
+        base = phi_map(R, f)
         for _ in range(50):
             u = units[rng.randrange(len(units))]
             perturbed = tau(R, inner_witness_from_unit(R, u)).compose(f)
-            assert phi_map(R, perturbed, units) == base
+            assert phi_map(R, perturbed) == base
 
 
 def test_section_splits_phi():
@@ -296,6 +307,33 @@ def test_verify_ses_fixtures():
         assert rep.split_ok is split
 
 
+RANDOM_SES_SEEDS = range(16)
+
+
+def test_verify_ses_is_exact_on_random_semigroups():
+    """Trivial and gauged cocycles on random semigroups with up to three idempotents.
+
+    Fields GF(2), GF(3) and GF(4), on every ring with at most 729 elements.
+    """
+    seen = set()
+    for seed in RANDOM_SES_SEEDS:
+        rng = random.Random(seed)
+        S = random_semigroup(rng, rng.randint(1, 3))
+        for q in (2, 3, 4):
+            if q ** len(S.support) > 729:
+                continue
+            F = gf(q)
+            trivial = TwoCocycle.trivial(S, F)
+            for c in (trivial, act(S, random_gauge(S, F, rng), trivial, check=False)):
+                rep = verify_ses(TwistedRing(S, F, c))
+                case = (seed, q, c is trivial)
+                assert rep.exact, case
+                assert rep.split_ok is not False, case
+                assert rep.out_order == rep.h1_order * rep.stab_order, case
+                seen.add((rep.h1_order > 1, rep.stab_order > 1))
+    assert {(True, False), (False, True), (True, True)} <= seen
+
+
 def test_verify_ses_frobenius_cocycle():
     rep = verify_ses(frob_ring())
     assert (rep.h1_order, rep.stab_order, rep.out_order) == (2, 1, 2)
@@ -305,3 +343,84 @@ def test_verify_ses_frobenius_cocycle():
     # the full stabilizer can exceed the order-preserving one
     rep2 = verify_ses(trivial_ring(mu(2), gf(2)))
     assert rep2.stab_full_order == 2 and rep2.stab_order == 1
+
+
+def reference_witness(R, mu, images):
+    """The matrix of d s_ij -> mu_i(d) images[(i,j)], built through ring elements.
+
+    This is the element-level construction sigma and the section used before
+    they wrote core vectors directly; it stays here as their reference.
+    """
+    cols = []
+    for p in R.S.elements():
+        for b in R.D.power_basis():
+            cols.append(to_vector(R, images[p].lscale(mu[p[0]](b))))
+    n = len(cols)
+    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
+
+
+WITNESS_FIXTURES = {"t2": t2, "a3": a3, "mu2": lambda: mu(2), "two_cycle": two_cycle, "double_t2": double_t2}
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+@pytest.mark.parametrize("name", sorted(WITNESS_FIXTURES))
+def test_witness_maps_match_the_element_reference(name, q):
+    S, F = WITNESS_FIXTURES[name](), gf(q)
+    trivial = TwistedRing(S, F, TwoCocycle.trivial(S, F))
+    gauged = TwistedRing(S, F, act(S, random_gauge(S, F, random.Random(q)), trivial.c, check=False))
+    for R in (trivial, gauged):
+        z1 = one_cocycles(S, R.c)
+        assert z1
+        for g in z1:
+            images = {p: R.element({p: g.eta[p]}) for p in S.support}
+            assert sigma(R, g).matrix == reference_witness(R, g.mu, images)
+    R = trivial
+    W = [phi for phi in stabilizer(S, R.c) if is_normal_automorphism(S, phi)]
+    assert W
+    ident = {i: F.identity_automorphism() for i in range(1, S.n + 1)}
+    for phi in W:
+        images = {p: R.basis(*phi.pair(p)) for p in S.support}
+        assert section_automorphism(R, phi).matrix == reference_witness(R, ident, images)
+
+
+@pytest.mark.parametrize(
+    "S, perm, pair",
+    [(t2(), (2, 1), (2, 1)), (a3(), (2, 1, 3), (2, 1)), (double_t2(), (1, 2, 4, 3), (4, 3))],
+)
+def test_section_of_a_non_automorphism_names_the_pair(S, perm, pair):
+    R = TwistedRing(S, gf(3), TwoCocycle.trivial(S, gf(3)))
+    with pytest.raises(InvalidInput, match=rf"pair \({pair[0]}, {pair[1]}\) outside the support$") as exc:
+        section_automorphism(R, SemigroupAutomorphism(perm))
+    assert exc.value.where == "coefficients"
+
+
+INNER_ONLY_SEARCH_SCRIPT = """
+import sys
+from sqfree import autos
+from sqfree.cohom import TwoCocycle
+from sqfree.errors import WitnessRejected
+from sqfree.fixtures import gf, two_cycle
+from sqfree.twring import TwistedRing
+
+assert sys.flags.optimize, "run me under python -O"
+S, F = two_cycle(), gf(4)
+R = TwistedRing(S, F, TwoCocycle.trivial(S, F))
+# an incomplete Aut R search: Inn R alone, so sigma of a class outside B^1 has no coset
+autos.aut_r_bruteforce = lambda R, bounds=None: autos.inner_group(R)
+try:
+    autos.verify_ses(R)
+except WitnessRejected as exc:
+    print("rejected:", exc)
+else:
+    print("returned a report")
+"""
+
+
+def test_map_outside_the_aut_r_search_is_refused_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", INNER_ONLY_SEARCH_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert out == ["rejected: map outside every coset of the Aut R search"]

@@ -352,3 +352,11 @@ def test_quaternion_normalize_matches_hand_inverse(tmp_path, capsys):
     assert report["witness"]["eta"]["1,1"] == ["1/2", "-1/2", "0/1", "0/1"]
     code, report, _ = invoke(capsys, ["d-algebra", path])
     assert code == 2 and report["kind"] == "InfiniteBackend"
+
+
+def test_one_parser_per_process_with_each_docstring_as_help():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    text = " ".join(parser.format_help().split())
+    for name, fn in cli.COMMANDS.items():
+        assert f"{name} {' '.join(fn.__doc__.split())}" in text

@@ -380,6 +380,72 @@ def test_one_cocycle_agrees_with_fixed_point():
     assert seen_true
 
 
+def two_equation_fixes(S, base, g):
+    """Does g fix base? Checked by the two defining equations, one by one.
+
+    This is how verify_one_cocycle decided before it became the fixed-point
+    test act(g, base) == base; it stays here as that test's reference.
+    """
+    D = base.backend
+    for p in S.support:
+        i, j = p
+        lhs = g.mu[i] * base.alpha[p] * g.mu[j].inverse()
+        rhs = D.inner_automorphism(g.eta[p]) * base.alpha[p]
+        if lhs != rhs:
+            return False
+    for t in S.comp:
+        i, j, k = t
+        lhs = g.mu[i](base.xi[t])
+        rhs = g.eta[(i, j)] * base.alpha[(i, j)](g.eta[(j, k)]) * base.xi[t] * g.eta[(i, k)].inverse()
+        if lhs != rhs:
+            return False
+    return True
+
+
+def quaternion_case():
+    # the arrow twist of acceptance criterion 10, its hand-found fixer, and
+    # fixers of the trivial cocycle: one conjugation on both corners, a
+    # rational scalar on the arrow
+    S, H = t2(), quaternions()
+    v = H.element((1, 1, 0, 0))
+    twisted = TwoCocycle.trivial(S, H).replace_alpha((1, 2), H.inner_automorphism(v))
+    fixer = GaugeElement({1: H.inner_automorphism(v), 2: H.identity_automorphism()},
+                         {(1, 1): H.one, (2, 2): H.one, (1, 2): v})
+    rng = random.Random(14)
+    scaled = []
+    for _ in range(10):
+        u = H.inner_automorphism(H.random_unit(rng))
+        scaled.append(GaugeElement({1: u, 2: u}, {(1, 1): H.one, (2, 2): H.one, (1, 2): H.element(rng.randint(1, 5))}))
+    return S, [(twisted, [GaugeElement.identity(S, H), fixer]), (TwoCocycle.trivial(S, H), scaled)]
+
+
+ONE_COCYCLE_CASES = {
+    "t2/GF4 Frobenius twist": lambda: (t2(), [(frobenius_twist(t2(), gf(4)), None)]),
+    "mu2/GF9": lambda: (mu(2), [(TwoCocycle.trivial(mu(2), gf(9)), None)]),
+    "t2/quaternions": quaternion_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_COCYCLE_CASES))
+def test_one_cocycle_matches_the_two_equation_reference(case):
+    S, bases = ONE_COCYCLE_CASES[case]()
+    rng = random.Random(13)
+    verdicts = set()
+    for base, fixers in bases:
+        D = base.backend
+        fixers = one_cocycles(S, base) if fixers is None else fixers
+        candidates = list(fixers) + [random_gauge(S, D, rng) for _ in range(30)]
+        for g in fixers:
+            # the same pair with one arrow or corner unit moved
+            p = rng.choice(sorted(S.support))
+            candidates.append(GaugeElement(g.mu, {**g.eta, p: g.eta[p] * D.random_unit(rng)}))
+        for g in candidates:
+            fixed = verify_one_cocycle(S, base, g)
+            assert fixed == two_equation_fixes(S, base, g)
+            verdicts.add(fixed)
+    assert verdicts == {True, False}
+
+
 def test_z1_b1_h1_t2_gf4():
     S, F = t2(), gf(4)
     base = TwoCocycle.trivial(S, F)

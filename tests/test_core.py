@@ -199,9 +199,5 @@ def test_is_inner_returns_the_first_unit_witness(make):
     units = enumerate_units(R)
     candidates = aut_r_bruteforce(R)
     assert {f.matrix for f in inner_group(R)} <= {f.matrix for f in candidates}
-    shuffled = list(units)
-    random.Random(8).shuffle(shuffled)
     for f in candidates:
         assert is_inner(R, f) == first_unit_witness(R, f, units)
-        # an explicit unit list is scanned in its own order
-        assert is_inner(R, f, shuffled) == first_unit_witness(R, f, shuffled)
