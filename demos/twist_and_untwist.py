@@ -4,13 +4,13 @@ Walks the main loop of the library: cocycle -> verification -> twisted ring
 -> associativity -> gauge equivalence back to a plain tensor ring.
 """
 
+from sqfree.autos import iso_from_witness
 from sqfree.cohom import TwoCocycle, act, verify_two_cocycle
 from sqfree.fixtures import gf, t2
 from sqfree.twring import (
     TwistedRing,
     check_associativity,
     is_d_algebra,
-    iso_from_witness,
     mul,
     tensor_ring,
 )

@@ -6,7 +6,7 @@ The package is organized along the pipeline:
 - sgrp: square-free semigroups, blocks, reduction, automorphisms
 - cohom: cochains, two-cocycles, gauge action, normalization, H^1
 - twring: the twisted semigroup ring built from a cocycle
-- autos: ring automorphisms, inner/outer split, the exact sequence check
+- autos: ring automorphisms and witness isomorphisms, inner/outer split, the exact sequence check
 - cli/jsonio: the command-line surface and wire formats
 """
 

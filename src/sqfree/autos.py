@@ -2,8 +2,9 @@
 
 Automorphisms are stored as prime-field matrices on the (support pair, power
 basis) coordinates, which makes equality, composition, inversion and cosets
-mechanical. The fixing-pair map sigma, unit conjugation tau, the brute-force
-Aut R search, Out R, and the Lambda / Phi interplay all live here.
+mechanical. The witness map (sigma, the section, isomorphisms), unit
+conjugation tau, the brute-force Aut R search, Out R, and the Lambda / Phi
+interplay all live here.
 
 Conventions: maps are applied on the left, compose(f, g) applies g first,
 and tau with X = {u}, Y = {u^(-1)} is a -> u^(-1) a u.
@@ -13,11 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cohom import GaugeElement, first_cohomology, stabilizer, verify_one_cocycle
+from .cohom import GaugeElement, act, first_cohomology, relabel, stabilizer, verify_one_cocycle
 from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import (
     InfiniteBackend,
     InvalidInput,
+    MixedRings,
     NormalizationFailed,
     NotAOneCocycle,
     NotInvertible,
@@ -50,12 +52,6 @@ class RingAut:
     @classmethod
     def identity(cls, R):
         return cls(R, identity_matrix(len(R.S.support) * R.D.k))
-
-    @classmethod
-    def from_images(cls, R, image_of):
-        cols = [to_vector(R, image_of(b)) for b in linear_basis(R)]
-        n = len(cols)
-        return cls(R, tuple(tuple(cols[c][r] for c in range(n)) for r in range(n)))
 
     def apply(self, x):
         return from_vector(self.ring, mat_vec(self.matrix, to_vector(self.ring, x), self.ring.D.p))
@@ -98,42 +94,46 @@ def _invertible(matrix, p):
     return True
 
 
-def _product_violations(R, matrix):
-    """Yield the identity and basis-product violations of a matrix, in report order.
+def _product_violations(source, R, matrix):
+    """Yield ("identity_moved", image of 1), then ("multiplicativity", (a, b)), unformatted.
 
-    Runs on the structure constants: the image of e_a e_b is the combination
-    of the matrix columns given by the constants of e_a e_b, and must equal
-    the core product of columns a and b.
+    The matrix is read as a map source -> R: the image of e_a e_b combines
+    its columns by source's structure constants of e_a e_b, and must equal
+    R's core product of columns a and b.
     """
-    core, p = R.core, R.D.p
+    core, constants, p = R.core, source.core.constants, R.D.p
+    # 1 = sum of the e_ii has the same coordinates in source and R
     image_of_one = mat_vec(matrix, core.one, p)
     if image_of_one != core.one:
-        yield "identity_moved", (), f"1 -> {from_vector(R, image_of_one)!r}"
+        yield "identity_moved", image_of_one
     cols = list(zip(*matrix))
-    basis = None
     for a in range(core.dim):
         for b in range(core.dim):
             lhs = [0] * core.dim
-            for c, t in core.constants.get((a, b), ()):
+            for c, t in constants.get((a, b), ()):
                 for r, v in enumerate(cols[c]):
                     lhs[r] += t * v
             if tuple([v % p for v in lhs]) != core.mul(cols[a], cols[b]):
-                basis = basis or linear_basis(R)
-                yield "multiplicativity", (repr(basis[a]), repr(basis[b]))
+                yield "multiplicativity", (a, b)
 
 
 def _is_automorphism(R, matrix):
     """check_ring_automorphism(...).ok, stopping at the first violation."""
-    return next(_product_violations(R, matrix), None) is None and _invertible(matrix, R.D.p)
+    return next(_product_violations(R, R, matrix), None) is None and _invertible(matrix, R.D.p)
 
 
 def check_ring_automorphism(R, f):
-    """Bijective, identity-preserving, multiplicative on the linear basis."""
+    """Bijective, identity-preserving, multiplicative on the linear basis, as a map R -> f.ring."""
     report = ValidationReport()
     if not _invertible(f.matrix, R.D.p):
         report.add("not_bijective", ())
-    for violation in _product_violations(R, f.matrix):
-        report.add(*violation)
+    basis = None
+    for kind, at in _product_violations(R, f.ring, f.matrix):
+        if kind == "identity_moved":
+            report.add(kind, (), f"1 -> {from_vector(f.ring, at)!r}")
+        else:
+            basis = basis or linear_basis(R)
+            report.add(kind, (repr(basis[at[0]]), repr(basis[at[1]])))
     return report
 
 
@@ -144,8 +144,8 @@ def _verified(R, f):
     return f
 
 
-def _witness_aut(R, phi, g):
-    """The checked map d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j), built column by column on core vectors."""
+def _witness_aut(source, R, phi, g):
+    """The checked map d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j) from source to R, on core vectors."""
     core, k = R.core, R.D.k
     cols = []
     for p in R.S.elements():
@@ -157,14 +157,31 @@ def _witness_aut(R, phi, g):
             col = [0] * core.dim
             col[at : at + k] = (g.mu[p[0]](b) * g.eta[p]).coords
             cols.append(col)
-    return _verified(R, RingAut(R, tuple(zip(*cols))))
+    return _verified(source, RingAut(R, tuple(zip(*cols))))
 
 
 def sigma(R, g):
     """The fixing-pair automorphism d s_ij -> mu_i(d) eta(ij) s_ij."""
     if not verify_one_cocycle(R.S, R.c, g):
         raise NotAOneCocycle("the pair does not fix the ring's cocycle")
-    return _witness_aut(R, SemigroupAutomorphism.identity(R.S.n), g)
+    return _witness_aut(R, R, SemigroupAutomorphism.identity(R.S.n), g)
+
+
+def iso_from_witness(R1, R2, w):
+    """Ring isomorphism R2 -> R1 read off a relabel-plus-gauge witness, over a finite field.
+
+    w is a (phi, gauge) pair or a bare gauge (phi = identity) claiming
+    act(g, relabel(phi, R1.c)) == R2.c; the witness map is returned after
+    that claim and check_ring_automorphism from R2 pass. R1 and R2 share S
+    and D, hence coordinates: f is a RingAut on R1, and f.apply(x) for x in
+    R2 is its image in R1.
+    """
+    phi, g = (SemigroupAutomorphism.identity(R1.S.n), w) if isinstance(w, GaugeElement) else w
+    if R1.S != R2.S or R1.D != R2.D:
+        raise MixedRings("rings over different semigroups or backends")
+    if act(R1.S, g, relabel(R1.S, phi, R1.c), check=False) != R2.c:
+        raise WitnessRejected("witness does not carry the first cocycle to the second")
+    return _witness_aut(R2, R1, phi, g)
 
 
 @dataclass(frozen=True)
@@ -178,10 +195,6 @@ def unit_inverse(R, u):
     if v is None:
         raise NotInvertible(f"{u!r} has no two-sided inverse")
     return from_vector(R, v)
-
-
-def inner_witness_from_unit(R, u):
-    return InnerWitness((u,), (unit_inverse(R, u),))
 
 
 def _conjugation_matrix(core, u, v):
@@ -424,13 +437,18 @@ def lambda_map(R, h1, bounds=DEFAULT_BOUNDS):
     """Check sigma is inner exactly on the coboundary part of the fixing pairs.
 
     Runs over the whole enumerated Z^1, so a passing report certifies the
-    induced map on classes is well defined and injective.
+    induced map on classes is well defined and injective. The sigma of each
+    H^1 representative waits in the ring's core cache until verify_ses takes it.
     """
     report = ValidationReport()
     inner = _inner(R, bounds)
-    b1 = set(h1.b1)
+    b1, reps = set(h1.b1), set(h1.reps)
+    kept = R.core.cache["sigma"] = {}
     for g in h1.z1:
-        is_inner_g = sigma(R, g).matrix in inner
+        f = sigma(R, g)
+        if g in reps:
+            kept[g] = f
+        is_inner_g = f.matrix in inner
         if is_inner_g != (g in b1):
             report.add(
                 "lambda_monomorphism",
@@ -474,7 +492,7 @@ def phi_map(R, f, bounds=DEFAULT_BOUNDS):
 
 def section_automorphism(R, phi):
     """The basis permutation d s_ij -> d s_{phi(i)phi(j)} as a ring map."""
-    return _witness_aut(R, phi, GaugeElement.identity(R.S, R.D))
+    return _witness_aut(R, R, phi, GaugeElement.identity(R.S, R.D))
 
 
 @dataclass
@@ -529,7 +547,7 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     out_reps = [cosets[key] for key in sorted(cosets)]
 
     lam = lambda_map(R, h1, bounds=bounds)
-    lam_keys = {coset_key(sigma(R, g)) for g in h1.reps}
+    lam_keys = {coset_key(f) for f in R.core.cache.pop("sigma").values()}
 
     induced = {key: phi_map(R, rep, bounds=bounds) for key, rep in zip(sorted(cosets), out_reps)}
     ker_keys = {key for key, phi in induced.items() if phi.is_identity()}

@@ -58,9 +58,6 @@ class Cochain:
     def __eq__(self, other):
         return isinstance(other, Cochain) and (other.m, other.data) == (self.m, self.data)
 
-    def is_constant_one(self):
-        return all(v == v.field.one for v in self.data.values())
-
     def __repr__(self):
         return f"Cochain(m={self.m}, {self.data!r})"
 
@@ -110,28 +107,6 @@ def boundary(S, m, phi):
         acc = acc * (last if m % 2 == 1 else last.inverse())
         out[chain] = acc
     return Cochain(m + 1, out)
-
-
-def is_abelian_cocycle(S, m, phi):
-    return boundary(S, m, phi).is_constant_one()
-
-
-def is_abelian_coboundary(S, m, phi, bounds=DEFAULT_BOUNDS):
-    """Exhaustive preimage search over all (m-1)-cochains, or None."""
-    sample = next(iter(phi.data.values()))
-    D = sample.field
-    if not D.is_finite:
-        raise InfiniteBackend("coboundary search needs a finite field")
-    keys = chain_keys(S, m - 1)
-    units = D.units()
-    total = len(units) ** len(keys)
-    if total > bounds.max_search:
-        raise SearchBoundExceeded(f"max_search: preimage estimate {total} above limit {bounds.max_search}")
-    for values in product(units, repeat=len(keys)):
-        candidate = Cochain(m - 1, dict(zip(keys, values)))
-        if boundary(S, m - 1, candidate) == phi:
-            return candidate
-    return None
 
 
 class TwoCocycle:

@@ -15,7 +15,6 @@ from .cohom import (
     _mu_candidates,
     act,
     normalize,
-    relabel,
     verify_two_cocycle,
 )
 from .common import DEFAULT_BOUNDS, ValidationReport
@@ -30,7 +29,6 @@ from .errors import (
     WitnessRejected,
 )
 from .linalg import mat_inv, mat_vec
-from .sgrp import SemigroupAutomorphism
 
 
 class TwistedRing:
@@ -168,10 +166,6 @@ def identity_element(R):
     return RingElement(R, {(i, i): R.D.one for i in range(1, R.S.n + 1)})
 
 
-def random_ring_element(R, rng):
-    return RingElement(R, {p: R.D.random_element(rng) for p in R.S.support})
-
-
 def check_associativity(R):
     """(xy)z = x(yz) on scalar-decorated composable basis chains.
 
@@ -201,57 +195,6 @@ def check_associativity(R):
                 )
                 break
     return report
-
-
-class RingMap:
-    """Additive map given by a coefficient twist per idempotent and basis images."""
-
-    __slots__ = ("source", "target", "mu", "images")
-
-    def __init__(self, source, target, mu, images):
-        self.source = source
-        self.target = target
-        self.mu = dict(mu)
-        self.images = dict(images)
-
-    def apply(self, x):
-        if x.ring != self.source:
-            raise MixedRings("argument from a different ring")
-        out = self.target.zero()
-        for p, d in x.coeffs.items():
-            out = out + self.images[p].lscale(self.mu[p[0]](d))
-        return out
-
-    __call__ = apply
-
-
-def iso_from_witness(R1, R2, w):
-    """Ring isomorphism R2 -> R1 read off a relabel-plus-gauge witness.
-
-    w is a (phi, gauge) pair or a bare gauge (phi = identity) claiming
-    act(g, relabel(phi, R1.c)) == R2.c. The candidate map
-    d s_ij -> mu_i(d) eta(ij) s_{phi(i)phi(j)} is only returned after the
-    claim check and an exhaustive basis-pair product check both pass.
-    """
-    if isinstance(w, GaugeElement):
-        phi, g = SemigroupAutomorphism.identity(R1.S.n), w
-    else:
-        phi, g = w
-    if R1.S != R2.S or R1.D != R2.D:
-        raise MixedRings("rings over different semigroups or backends")
-    S, D = R1.S, R1.D
-    if act(S, g, relabel(S, phi, R1.c), check=False) != R2.c:
-        raise WitnessRejected("witness does not carry the first cocycle to the second")
-    images = {p: R1.element({phi.pair(p): g.eta[p]}) for p in S.support}
-    f = RingMap(R2, R1, {i: g.mu[i] for i in range(1, S.n + 1)}, images)
-    gens = D.generators()
-    for p, q in product(S.elements(), repeat=2):
-        for d1, d2 in product(gens, repeat=2):
-            x = RingElement(R2, {p: d1})
-            y = RingElement(R2, {q: d2})
-            if f.apply(mul(R2, x, y)) != mul(R1, f.apply(x), f.apply(y)):
-                raise WitnessRejected(f"product check failed at {p} x {q}")
-    return f
 
 
 def _central_sample(D):

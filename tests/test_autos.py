@@ -12,7 +12,6 @@ from sqfree.autos import (
     aut_r_linear_filter,
     check_ring_automorphism,
     inner_group,
-    inner_witness_from_unit,
     is_inner,
     lambda_map,
     out_r,
@@ -42,10 +41,10 @@ from sqfree.twring import (
     enumerate_units,
     identity_element,
     mul,
-    random_ring_element,
     to_vector,
 )
 from test_sgrp import random_semigroup
+from test_twring import random_ring_element
 
 
 def trivial_ring(S, F):
@@ -111,7 +110,7 @@ def test_tau_examples():
     assert tau(R, InnerWitness((one,), (one,))).is_identity()
     e1, e2, s12 = R.basis(1, 1), R.basis(2, 2), R.basis(1, 2)
     u = e1 + e2 + s12
-    f = tau(R, inner_witness_from_unit(R, u))
+    f = tau(R, InnerWitness((u,), (unit_inverse(R, u),)))
     assert f.apply(e1) == e1 + s12
     assert f.apply(e2) == e2 + s12
     # diagonal witness made of the idempotents themselves
@@ -126,9 +125,10 @@ def test_tau_composition_is_inner():
     rng = random.Random(2)
     for _ in range(10):
         u, v = units[rng.randrange(len(units))], units[rng.randrange(len(units))]
-        fu = tau(R, inner_witness_from_unit(R, u))
-        fv = tau(R, inner_witness_from_unit(R, v))
-        assert fu.compose(fv) == tau(R, inner_witness_from_unit(R, mul(R, v, u)))
+        fu = tau(R, InnerWitness((u,), (unit_inverse(R, u),)))
+        fv = tau(R, InnerWitness((v,), (unit_inverse(R, v),)))
+        vu = mul(R, v, u)
+        assert fu.compose(fv) == tau(R, InnerWitness((vu,), (unit_inverse(R, vu),)))
 
 
 def test_unit_inverse_rejects_non_units():
@@ -143,7 +143,7 @@ def test_is_inner():
     w = is_inner(R, RingAut.identity(R))
     assert w is not None and tau(R, w).is_identity()
     u = R.basis(1, 1) + R.basis(2, 2) + R.basis(1, 2)
-    f = tau(R, inner_witness_from_unit(R, u))
+    f = tau(R, InnerWitness((u,), (unit_inverse(R, u),)))
     w = is_inner(R, f)
     assert w is not None and tau(R, w) == f
     # coefficientwise Frobenius moves the corner fields, no unit does that
@@ -278,7 +278,7 @@ def test_phi_map_constant_on_inner_cosets():
         base = phi_map(R, f)
         for _ in range(50):
             u = units[rng.randrange(len(units))]
-            perturbed = tau(R, inner_witness_from_unit(R, u)).compose(f)
+            perturbed = tau(R, InnerWitness((u,), (unit_inverse(R, u),))).compose(f)
             assert phi_map(R, perturbed) == base
 
 

@@ -12,14 +12,15 @@ from itertools import product
 import pytest
 
 from sqfree.autos import (
+    InnerWitness,
     RingAut,
     aut_r_bruteforce,
     aut_r_linear_filter,
     check_ring_automorphism,
     inner_group,
-    inner_witness_from_unit,
     is_inner,
     tau,
+    unit_inverse,
 )
 from sqfree.cohom import TwoCocycle, act, random_gauge
 from sqfree.common import ValidationReport
@@ -35,9 +36,9 @@ from sqfree.twring import (
     identity_element,
     linear_basis,
     mul,
-    random_ring_element,
     to_vector,
 )
+from test_twring import random_ring_element
 
 FIXTURES = {
     "single": single,
@@ -177,7 +178,7 @@ def test_check_ring_automorphism_reports_match_dict_reference(make):
 
 def first_unit_witness(R, f, units):
     for u in units:
-        w = inner_witness_from_unit(R, u)
+        w = InnerWitness((u,), (unit_inverse(R, u),))
         if tau(R, w) == f:
             return w
     return None

@@ -1,0 +1,101 @@
+"""Every public library name has a caller outside the tests.
+
+A public top-level function or class of `src/sqfree`, or a public method of
+such a class, passes when one of these holds:
+
+- some AST node in `src/` outside its own definition, in `demos/` or in
+  `perfbench/*.py` names it (a name, an attribute, an import, or a string
+  that is exactly the name, as `getattr` lookups use);
+- `BENCHMARK.json` traces it in a `per_layer` metric;
+- it is a CLI command registered in `cli.COMMANDS`;
+- it is on the allowlist below, with its reason.
+
+Names that only the tests call move into the tests or gain a caller.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+from sqfree import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sqfree"
+
+ALLOWED = {
+    "aut_r_linear_filter": "the only user of autos's import of twring.mul, which the benchmark self-test pins",
+    "decode_gauge": "inverse of encode_gauge in the wire format, anchored by the JSON round-trip test",
+    "decode_ring_element": "inverse of encode_ring_element in the wire format, anchored by the JSON round-trip test",
+    "lscale": "the left scalar action d x of the left D-space that the twring docstring defines",
+    "rscale": "the right scalar action x d that the twring docstring defines",
+    "enumerate_elements": "the element order that _scan and the unit and idempotent scans follow",
+    "blocks": "the block decomposition the Inn R conjugator lift may use",
+    "reduced": "the reduced semigroup the Inn R conjugator lift may use",
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions(tree):
+    """(name, def node) for public top-level functions and classes and their public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield item.name, item
+
+
+def _referenced_names(tree, skip=None):
+    """Every name, attribute, imported name and string constant in tree, outside the node skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a whole-string name, as getattr(sq.fixtures, "a3") looks it up
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _traced_names():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {part for metric in spec["per_layer"] for part in metric["name"].split(".")}
+
+
+def uncalled_public_names():
+    """module.name for each public name that no caller or trace covers, allowlist ignored."""
+    src_trees = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    outside = set()
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= _referenced_names(_parse(path))
+    covered = outside | _traced_names() | {fn.__name__ for fn in cli.COMMANDS.values()}
+    missing = []
+    for path, tree in src_trees.items():
+        for name, node in _definitions(tree):
+            if name in covered:
+                continue
+            if any(name in _referenced_names(t, skip=node) for t in src_trees.values()):
+                continue
+            missing.append(f"{path.stem}.{name}")
+    return missing
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    assert [m for m in uncalled_public_names() if m.partition(".")[2] not in ALLOWED] == []
+
+
+def test_every_allowlisted_name_still_lacks_a_caller():
+    assert sorted(m.partition(".")[2] for m in uncalled_public_names()) == sorted(ALLOWED)

@@ -8,12 +8,10 @@ import pytest
 
 from sqfree.autos import aut_r_linear_filter
 from sqfree.cohom import (
-    Cochain,
     GaugeElement,
     TwoCocycle,
     act,
     cohomologous,
-    is_abelian_coboundary,
     one_coboundaries,
 )
 from sqfree.common import Bounds
@@ -34,11 +32,6 @@ def rescaled(q):
     return act(S, g, trivial(q))
 
 
-def one_cochain(q):
-    F = gf(q)
-    return Cochain(1, {p: F.one for p in t2().elements()})
-
-
 BOUND_CASES = {
     # 4^3 elements of the t2 ring over GF(4)
     "enumeration": (
@@ -54,11 +47,6 @@ BOUND_CASES = {
     "one_coboundaries": (
         lambda: one_coboundaries(t2(), trivial(4), Bounds(max_search=8)),
         r"^max_search: orbit estimate 9 above limit 8$",
-    ),
-    # one unit per idempotent for a 0-cochain preimage: 3^2 over GF(4)
-    "is_abelian_coboundary": (
-        lambda: is_abelian_coboundary(t2(), 1, one_cochain(4), Bounds(max_search=8)),
-        r"^max_search: preimage estimate 9 above limit 8$",
     ),
     # every 3x3 matrix over GF(2)
     "aut_r_linear_filter": (

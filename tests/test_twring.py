@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from sqfree.cohom import GaugeElement, TwoCocycle, act, gauge_mul, relabel, verify_two_cocycle
+from sqfree.autos import iso_from_witness
+from sqfree.cohom import (
+    GaugeElement,
+    TwoCocycle,
+    act,
+    gauge_mul,
+    random_gauge,
+    relabel,
+    verify_two_cocycle,
+)
 from sqfree.common import Bounds
 from sqfree.errors import (
     InfiniteBackend,
@@ -13,9 +22,10 @@ from sqfree.errors import (
     SearchBoundExceeded,
     WitnessRejected,
 )
-from sqfree.fixtures import a3, gf, mu, quaternions, single, t2, two_cycle
+from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
 from sqfree.sgrp import SemigroupAutomorphism, automorphisms
 from sqfree.twring import (
+    RingElement,
     TwistedRing,
     check_associativity,
     enumerate_elements,
@@ -24,13 +34,15 @@ from sqfree.twring import (
     from_vector,
     identity_element,
     is_d_algebra,
-    iso_from_witness,
     linear_basis,
     mul,
-    random_ring_element,
     tensor_ring,
     to_vector,
 )
+
+
+def random_ring_element(R, rng):
+    return RingElement(R, {p: R.D.random_element(rng) for p in R.S.support})
 
 
 def frob_ring(q=4):
@@ -230,6 +242,110 @@ def test_iso_witness_rejected():
     R2 = TwistedRing(S, F, TwoCocycle.trivial(S, F))
     with pytest.raises(WitnessRejected):
         iso_from_witness(R1, R2, GaugeElement.identity(S, F))
+
+
+class ReferenceRingMap:
+    """The element-level witness map R2 -> R1: a coefficient twist per idempotent plus basis images.
+
+    d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j), written on dict elements and
+    RingElement arithmetic alone, as a reference for iso_from_witness.
+    """
+
+    def __init__(self, R1, R2, phi, g):
+        self.source = R2
+        self.target = R1
+        self.mu = {i: g.mu[i] for i in range(1, R2.S.n + 1)}
+        self.images = {p: R1.element({phi.pair(p): g.eta[p]}) for p in R2.S.support}
+
+    def apply(self, x):
+        assert x.ring == self.source
+        out = self.target.zero()
+        for p, d in x.coeffs.items():
+            out = out + self.images[p].lscale(self.mu[p[0]](d))
+        return out
+
+
+ISO_FIXTURES = {
+    "single": single,
+    "t2": t2,
+    "a3": a3,
+    "mu2": lambda: mu(2),
+    "two_cycle": two_cycle,
+    "double_t2": double_t2,
+}
+
+
+def random_witness_pair(S, F, rng):
+    """(R1, R2, phi, g): R1 has a gauged difference-pattern cocycle, R2 its random image.
+
+    (phi, g) carries R1's cocycle to R2's normalized one.
+    """
+    ms = {i: rng.randrange(F.k) for i in range(1, S.n + 1)}
+    base = TwoCocycle(
+        {(i, j): F.frobenius(ms[i] - ms[j]) for (i, j) in S.support},
+        {t: F.one for t in S.comp},
+    )
+    R1 = TwistedRing(S, F, act(S, random_gauge(S, F, rng), base, check=False))
+    phis = automorphisms(S)
+    phi = phis[rng.randrange(len(phis))]
+    g = random_gauge(S, F, rng)
+    R2 = TwistedRing(S, F, act(S, g, relabel(S, phi, R1.c), check=False))
+    return R1, R2, phi, gauge_mul(S, g, R2.normalizer)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 8, 9))
+@pytest.mark.parametrize("name", sorted(ISO_FIXTURES))
+def test_iso_matches_element_level_reference(name, q):
+    S, F = ISO_FIXTURES[name](), gf(q)
+    rng = random.Random(f"iso-{name}-{q}")
+    for _ in range(3):
+        R1, R2, phi, g = random_witness_pair(S, F, rng)
+        ref = ReferenceRingMap(R1, R2, phi, g)
+        witness = g if phi.is_identity() else (phi, g)
+        f = iso_from_witness(R1, R2, witness)
+        for b in linear_basis(R2):
+            assert f.apply(b) == ref.apply(b)
+        x, y = random_ring_element(R2, rng), random_ring_element(R2, rng)
+        assert f.apply(mul(R2, x, y)) == mul(R1, f.apply(x), f.apply(y))
+
+
+@pytest.mark.parametrize("name", sorted(ISO_FIXTURES))
+def test_iso_wrong_witness_rejected(name):
+    S, F = ISO_FIXTURES[name](), gf(4)
+    rng = random.Random(f"wrong-{name}")
+    R1, R2, phi, g = random_witness_pair(S, F, rng)
+    # rescaling eta(ii) moves xi(iii), which both normalized cocycles keep at 1
+    for i in range(1, S.n + 1):
+        bad = GaugeElement(g.mu, dict(g.eta))
+        bad.eta[(i, i)] = bad.eta[(i, i)] * F.gen
+        with pytest.raises(WitnessRejected, match="does not carry"):
+            iso_from_witness(R1, R2, (phi, bad))
+
+
+def test_iso_product_check_reports_violations(monkeypatch):
+    """A witness past a fooled claim check fails check_ring_automorphism, reported as its JSON."""
+    from sqfree import autos
+
+    S, F = t2(), gf(4)
+    R1 = frob_ring()
+    R2 = TwistedRing(S, F, TwoCocycle.trivial(S, F))
+    monkeypatch.setattr(autos, "act", lambda S, g, c, check=True: R2.c)
+    with pytest.raises(WitnessRejected, match="'multiplicativity'"):
+        iso_from_witness(R1, R2, GaugeElement.identity(S, F))
+
+
+def test_iso_refuses_quaternions():
+    R = quat_conj_ring()
+    with pytest.raises(InfiniteBackend):
+        iso_from_witness(R, R, GaugeElement.identity(R.S, R.D))
+
+
+def test_iso_mixed_rings():
+    S = t2()
+    R1 = TwistedRing(S, gf(4), TwoCocycle.trivial(S, gf(4)))
+    R2 = TwistedRing(S, gf(2), TwoCocycle.trivial(S, gf(2)))
+    with pytest.raises(MixedRings):
+        iso_from_witness(R1, R2, GaugeElement.identity(S, gf(4)))
 
 
 def test_tensor_ring_untwisted():
