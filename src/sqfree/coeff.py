@@ -261,6 +261,9 @@ class FiniteField:
                 exp.append(code)
             if len(exp) == n:
                 break
+        # coordinates of g, which generates the unit group; cohom walks B^1
+        # from it. Not an element: the field must not hold a cycle to itself
+        self._primitive = self._decode(exp[1 % n])
         log = [0] * q
         for e, code in enumerate(exp):
             log[code] = e

@@ -390,14 +390,20 @@ def _mu_candidates(S, c1, c2, D):
 def _eta_search(S, D, alpha1, targets, all_solutions, budget):
     """Solve x(ij) * alpha1_ij(x(jk)) * x(ik)^(-1) = target(ijk) over units.
 
-    Constraint propagation with per-triple candidate scans (unknowns may
-    occupy several slots of one triple, so cancellation is handled by
-    scanning rather than by case algebra), then deterministic branching on
-    whatever stays free.
+    Worklist propagation, as in arc consistency: the root visits every
+    triple, a branch only the triples touching a slot it assigns or forces.
+    One unknown in three distinct slots is solved for directly; a triple
+    with a repeated slot scans the units. Forced values are unique, so the
+    closure and its failure do not depend on visiting order. Branching on
+    the first free slot is deterministic; every leaf is re-checked.
     """
     units = D.units()
     support = sorted(S.support)
     triples = sorted(S.comp)
+    touching = {p: [] for p in support}
+    for i, j, k in triples:
+        for s in {(i, j), (j, k), (i, k)}:
+            touching[s].append((i, j, k))
     solutions = []
     nodes = [0]
 
@@ -405,38 +411,50 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
         i, j, k = t
         return assign[(i, j)] * alpha1[(i, j)](assign[(j, k)]) * assign[(i, k)].inverse()
 
-    def propagate(assign):
-        changed = True
-        while changed:
-            changed = False
-            for t in triples:
-                i, j, k = t
-                slots = {(i, j), (j, k), (i, k)}
-                unknown = [s for s in slots if s not in assign]
-                if not unknown:
-                    if value(t, assign) != targets[t]:
-                        return False
-                elif len(unknown) == 1:
-                    v = unknown[0]
-                    fits = []
-                    for u in units:
-                        assign[v] = u
-                        if value(t, assign) == targets[t]:
-                            fits.append(u)
-                        del assign[v]
-                    if not fits:
-                        return False
-                    if len(fits) == 1:
-                        assign[v] = fits[0]
-                        changed = True
+    def fits(t, v, assign):
+        i, j, k = t
+        a, b, c = (i, j), (j, k), (i, k)
+        if len({a, b, c}) == 3:
+            # a * alpha(b) * c^-1 = target, solved for the one unknown
+            target, alpha = targets[t], alpha1[a]
+            if v == a:
+                return [target * assign[c] * alpha(assign[b]).inverse()]
+            if v == b:
+                return [alpha.inverse()(assign[a].inverse() * target * assign[c])]
+            return [target.inverse() * assign[a] * alpha(assign[b])]
+        out = []
+        for u in units:
+            assign[v] = u
+            if value(t, assign) == targets[t]:
+                out.append(u)
+        del assign[v]
+        return out
+
+    def propagate(assign, todo):
+        todo = list(todo)
+        while todo:
+            t = todo.pop()
+            i, j, k = t
+            unknown = {(i, j), (j, k), (i, k)} - assign.keys()
+            if not unknown:
+                if value(t, assign) != targets[t]:
+                    return False
+            elif len(unknown) == 1:
+                (v,) = unknown
+                found = fits(t, v, assign)
+                if not found:
+                    return False
+                if len(found) == 1:
+                    assign[v] = found[0]
+                    todo.extend(touching[v])
         return True
 
-    def search(assign):
+    def search(assign, todo):
         nodes[0] += 1
         if nodes[0] > budget:
             raise SearchBoundExceeded(f"max_search: witness node estimate {nodes[0]} above limit {budget}")
         assign = dict(assign)
-        if not propagate(assign):
+        if not propagate(assign, todo):
             return False
         free = [p for p in support if p not in assign]
         if not free:
@@ -447,11 +465,11 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
         v = free[0]
         for u in units:
             assign[v] = u
-            if search(assign):
+            if search(assign, touching[v]):
                 return True
         return False
 
-    search({})
+    search({}, triples)
     return solutions
 
 
@@ -529,20 +547,30 @@ def coboundary_star(S, base, nu, g):
 
 
 def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
-    """Orbit of the identity pair under the diagonal-unit action."""
+    """Orbit of the identity pair under the diagonal-unit action.
+
+    D^x is cyclic, so (D^x)^n is generated by the n maps nu = g at one
+    index and 1 elsewhere, g primitive: the walk makes n actions per orbit
+    element. The refusal still estimates the (q-1)^n maps nu.
+    """
     D = base.backend
     if not D.is_finite:
         raise InfiniteBackend("orbit enumeration needs a finite field")
-    units = D.units()
-    total = len(units) ** S.n
+    total = len(D.units()) ** S.n
     if total > bounds.max_search:
         raise SearchBoundExceeded(f"max_search: orbit estimate {total} above limit {bounds.max_search}")
+    g, indices = D.element(D._primitive), range(1, S.n + 1)
+    gens = [{i: g if i == k else D.one for i in indices} for k in indices]
     identity = GaugeElement.identity(S, D)
-    seen = {}
-    for values in product(units, repeat=S.n):
-        nu = dict(zip(range(1, S.n + 1), values))
-        g = coboundary_star(S, base, nu, identity)
-        seen[g.canonical_key()] = g
+    seen = {identity.canonical_key(): identity}
+    orbit = [identity]
+    for g in orbit:
+        for nu in gens:
+            h = coboundary_star(S, base, nu, g)
+            key = h.canonical_key()
+            if key not in seen:
+                seen[key] = h
+                orbit.append(h)
     return [seen[key] for key in sorted(seen)]
 
 
@@ -555,27 +583,35 @@ class H1Result:
 
 
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
-    """Fixing pairs modulo the identity orbit; orbit normality is re-checked."""
+    """Fixing pairs modulo the identity orbit, one pass per coset.
+
+    Z^1 is walked in canonical order; a pair no coset covers yet is the next
+    representative, the least key of its class. Its coset must be |B^1| new
+    keys inside Z^1. B^1 is a group by construction (an orbit of a group
+    action); its normality is re-checked on the representatives only, as
+    z = r b' gives z B^1 z^-1 = r B^1 r^-1 and the cosets cover Z^1.
+    """
     z1 = one_cocycles(S, base, bounds)
     b1 = one_coboundaries(S, base, bounds)
-    z1_keys = {g.canonical_key() for g in z1}
+    z1_keys = {g.canonical_key(): g for g in z1}
     b1_keys = {g.canonical_key() for g in b1}
-    if not b1_keys <= z1_keys:
+    if not b1_keys <= z1_keys.keys():
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
-    seen = set()
-    reps = []
-    for z in z1:
+    covered, reps = set(), []
+    for key, z in z1_keys.items():
+        if key in covered:
+            continue
         z_inv = gauge_inv(S, z)
-        members = set()
+        coset = set()
         for b in b1:
             zb = gauge_mul(S, z, b)
             if gauge_mul(S, zb, z_inv).canonical_key() not in b1_keys:
                 raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-            members.add(zb.canonical_key())
-        coset = frozenset(members)
-        if coset not in seen:
-            seen.add(coset)
-            reps.append(z)
+            coset.add(zb.canonical_key())
+        if len(coset) < len(b1) or not coset <= z1_keys.keys() or not coset.isdisjoint(covered):
+            raise WitnessRejected("a coset of the coboundaries is not a block of the fixing pairs")
+        covered |= coset
+        reps.append(z)
     if len(reps) * len(b1) != len(z1):
         raise WitnessRejected(f"{len(reps)} cosets of {len(b1)} do not cover {len(z1)} fixing pairs")
     return H1Result(order=len(reps), reps=reps, z1=z1, b1=b1)

@@ -9,10 +9,15 @@ from itertools import product
 
 import pytest
 
+from sqfree import cohom
+from sqfree.coeff import FiniteField
 from sqfree.cohom import (
     Cochain,
     GaugeElement,
+    H1Result,
     TwoCocycle,
+    _eta_search,
+    _mu_candidates,
     act,
     boundary,
     chain_keys,
@@ -42,6 +47,7 @@ from sqfree.errors import (
 )
 from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
 from sqfree.sgrp import SemigroupAutomorphism, automorphisms
+from test_sgrp import random_semigroup
 
 
 def is_constant_one(cochain):
@@ -651,3 +657,243 @@ def test_one_cocycle_enumeration_excludes_infinite():
     S, H = t2(), quaternions()
     with pytest.raises(InfiniteBackend):
         one_cocycles(S, TwoCocycle.trivial(S, H))
+
+
+# ------------------------------------------------ reference algorithms
+# first_cohomology, one_coboundaries and _eta_search as they were before
+# they became one pass per coset, an orbit walk over n generators and
+# worklist propagation. The library must agree with them output for output.
+
+
+def reference_eta_search(S, D, alpha1, targets, all_solutions):
+    """Every triple re-scanned until nothing changes; (solutions, node count)."""
+    units = D.units()
+    support = sorted(S.support)
+    triples = sorted(S.comp)
+    solutions = []
+    nodes = [0]
+
+    def value(t, assign):
+        i, j, k = t
+        return assign[(i, j)] * alpha1[(i, j)](assign[(j, k)]) * assign[(i, k)].inverse()
+
+    def propagate(assign):
+        changed = True
+        while changed:
+            changed = False
+            for t in triples:
+                i, j, k = t
+                unknown = [s for s in {(i, j), (j, k), (i, k)} if s not in assign]
+                if not unknown:
+                    if value(t, assign) != targets[t]:
+                        return False
+                elif len(unknown) == 1:
+                    v = unknown[0]
+                    fits = []
+                    for u in units:
+                        assign[v] = u
+                        if value(t, assign) == targets[t]:
+                            fits.append(u)
+                        del assign[v]
+                    if not fits:
+                        return False
+                    if len(fits) == 1:
+                        assign[v] = fits[0]
+                        changed = True
+        return True
+
+    def search(assign):
+        nodes[0] += 1
+        assign = dict(assign)
+        if not propagate(assign):
+            return False
+        free = [p for p in support if p not in assign]
+        if not free:
+            if all(value(t, assign) == targets[t] for t in triples):
+                solutions.append(assign)
+                return not all_solutions
+            return False
+        v = free[0]
+        for u in units:
+            assign[v] = u
+            if search(assign):
+                return True
+        return False
+
+    search({})
+    return solutions, nodes[0]
+
+
+def fixing_targets(S, c1, c2):
+    """(mu, eta-search targets) per mu candidate of the pair, as cohomologous forms them."""
+    D = c1.backend
+    for mu in _mu_candidates(S, c1, c2, D):
+        yield mu, {t: mu[t[0]](c2.xi[t]) * c1.xi[t].inverse() for t in S.comp}
+
+
+def reference_cohomologous(S, c1, c2):
+    for mu, targets in fixing_targets(S, c1, c2):
+        sols, _ = reference_eta_search(S, c1.backend, c1.alpha, targets, all_solutions=False)
+        if sols:
+            return GaugeElement(mu, sols[0])
+    return None
+
+
+def reference_one_cocycles(S, base):
+    out = []
+    for mu, targets in fixing_targets(S, base, base):
+        sols, _ = reference_eta_search(S, base.backend, base.alpha, targets, all_solutions=True)
+        out.extend(GaugeElement(mu, eta) for eta in sols)
+    out.sort(key=lambda g: g.canonical_key())
+    return out
+
+
+def reference_one_coboundaries(S, base):
+    """coboundary_star of every nu in (D^x)^n on the identity pair."""
+    D = base.backend
+    identity = GaugeElement.identity(S, D)
+    seen = {}
+    for values in product(D.units(), repeat=S.n):
+        g = coboundary_star(S, base, dict(zip(range(1, S.n + 1), values)), identity)
+        seen[g.canonical_key()] = g
+    return [seen[key] for key in sorted(seen)]
+
+
+def reference_first_cohomology(S, base):
+    """The Z^1 x B^1 sweep: every coset formed from every pair, normality per pair."""
+    z1 = reference_one_cocycles(S, base)
+    b1 = reference_one_coboundaries(S, base)
+    b1_keys = {g.canonical_key() for g in b1}
+    seen = set()
+    reps = []
+    for z in z1:
+        z_inv = gauge_inv(S, z)
+        members = set()
+        for b in b1:
+            zb = gauge_mul(S, z, b)
+            assert gauge_mul(S, zb, z_inv).canonical_key() in b1_keys
+            members.add(zb.canonical_key())
+        coset = frozenset(members)
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(z)
+    assert len(reps) * len(b1) == len(z1)
+    return H1Result(order=len(reps), reps=reps, z1=z1, b1=b1)
+
+
+def keys(gs):
+    return [g.canonical_key() for g in gs]
+
+
+def assert_nodes(S, D, alpha, targets, all_solutions, want):
+    """The library's search visits exactly `want` nodes, read off its max_search refusal."""
+    _eta_search(S, D, alpha, targets, all_solutions, budget=want)
+    with pytest.raises(SearchBoundExceeded, match=rf"estimate {want} above limit {want - 1}$"):
+        _eta_search(S, D, alpha, targets, all_solutions, budget=want - 1)
+
+
+def difference_twist(S, F, rng):
+    """Identity xi and alpha_ij = frob^(m_i - m_j): valid on every semigroup."""
+    ms = {i: rng.randrange(F.k) for i in range(1, S.n + 1)}
+    return TwoCocycle({(i, j): F.frobenius(ms[i] - ms[j]) for (i, j) in S.support}, {t: F.one for t in S.comp})
+
+
+def differential_cocycles(S, F, rng):
+    """The trivial cocycle, a gauged difference twist, and a gauged trivial cocycle."""
+    trivial = TwoCocycle.trivial(S, F)
+    return [
+        trivial,
+        act(S, random_gauge(S, F, rng), difference_twist(S, F, rng), check=False),
+        act(S, random_gauge(S, F, rng), trivial, check=False),
+    ]
+
+
+DIFFERENTIAL_FIXTURES = {
+    "single": single, "t2": t2, "a3": a3, "mu2": lambda: mu(2), "mu3": lambda: mu(3),
+    "two_cycle": two_cycle, "double_t2": double_t2,
+}
+DIFFERENTIAL_FIELDS = (2, 3, 4, 5, 8, 9)
+
+
+def assert_matches_references(S, c, rng):
+    D = c.backend
+    res, ref = first_cohomology(S, c), reference_first_cohomology(S, c)
+    assert res.order == ref.order
+    assert keys(res.reps) == keys(ref.reps)
+    assert keys(res.z1) == keys(ref.z1)
+    assert keys(res.b1) == keys(ref.b1)
+    other = act(S, random_gauge(S, D, rng), c, check=False)
+    for c2 in (c, other):
+        for _, targets in fixing_targets(S, c, c2):
+            for all_solutions in (True, False):
+                want, nodes = reference_eta_search(S, D, c.alpha, targets, all_solutions)
+                assert _eta_search(S, D, c.alpha, targets, all_solutions, budget=10**9) == want
+                assert_nodes(S, D, c.alpha, targets, all_solutions, nodes)
+    assert cohomologous(S, c, other).canonical_key() == reference_cohomologous(S, c, other).canonical_key()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FIXTURES))
+def test_h1_and_eta_search_match_the_references_on_fixtures(name):
+    rng = random.Random(name)
+    for q in DIFFERENTIAL_FIELDS:
+        S, F = DIFFERENTIAL_FIXTURES[name](), gf(q)
+        for c in differential_cocycles(S, F, rng):
+            assert_matches_references(S, c, rng)
+
+
+def test_h1_and_eta_search_match_the_references_on_random_semigroups():
+    # up to 5 idempotents; the reference sweep is quadratic, so a semigroup
+    # whose trivial cocycle needs over 500 search nodes or has |Z^1||B^1|
+    # over 10^4 is skipped
+    compared = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        S = random_semigroup(rng, rng.randint(1, 5))
+        F = gf((2, 3, 4)[seed % 3])
+        try:
+            res = first_cohomology(S, TwoCocycle.trivial(S, F), Bounds(max_search=500))
+        except SearchBoundExceeded:
+            continue
+        if len(res.z1) * len(res.b1) > 10**4:
+            continue
+        for c in differential_cocycles(S, F, rng):
+            assert_matches_references(S, c, rng)
+        compared += 1
+    assert compared >= 20
+
+
+def counting(monkeypatch, name):
+    calls = [0]
+    inner = getattr(cohom, name)
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cohom, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("S, q", [(a3(), 9), (double_t2(), 8)], ids=["a3/GF9", "double_t2/GF8"])
+def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
+    # at most 2 gauge products per fixing pair, n coboundary_star actions
+    # per coboundary, and the eta search tree of the reference
+    base = TwoCocycle.trivial(S, gf(q))
+    products, stars = counting(monkeypatch, "gauge_mul"), counting(monkeypatch, "coboundary_star")
+    b1 = one_coboundaries(S, base)
+    assert stars[0] <= S.n * len(b1)
+    res = first_cohomology(S, base)
+    assert products[0] <= 2 * len(res.z1)
+    for _, targets in fixing_targets(S, base, base):
+        _, nodes = reference_eta_search(S, base.backend, base.alpha, targets, all_solutions=True)
+        assert_nodes(S, base.backend, base.alpha, targets, True, nodes)
+
+
+def test_h1_of_large_trivial_cocycles():
+    # frozen values of rings whose Z^1 x B^1 sweep took a minute or more
+    for S, F, want in (
+        (mu(4), gf(9), (2, 1024, 512)),
+        (a3(), FiniteField(2, 4, (1, 1, 0, 0, 1)), (4, 900, 225)),
+    ):
+        res = first_cohomology(S, TwoCocycle.trivial(S, F))
+        assert (res.order, len(res.z1), len(res.b1)) == want

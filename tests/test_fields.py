@@ -6,6 +6,9 @@ with one polynomial multiply and reduction per pair, and the public
 operations must agree with it on every pair.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from sqfree.coeff import FiniteField
@@ -98,6 +101,26 @@ def test_public_operations_match_the_per_pair_build(name):
         assert [(a + b).code for b in els] == add[a.code]
         assert [(a - b).code for b in els] == [add[a.code][neg[b]] for b in range(F.q)]
         assert [(a * b).code for b in els] == mul[a.code]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_kept_primitive_element_generates_the_unit_group(name):
+    F = FiniteField(*FIELDS[name])
+    g = F.element(F._primitive)
+    assert len({(g**e).code for e in range(F.q - 1)}) == F.q - 1
+
+
+def test_a_dropped_field_is_freed_without_the_cycle_collector():
+    # the q x q tables go with the last reference, not at the next
+    # collection, which would hold several large fields at once
+    gc.disable()
+    try:
+        F = FiniteField(*FIELDS["GF343"])
+        ref = weakref.ref(F)
+        del F
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_separately_built_copies_compare_equal_and_interoperate():

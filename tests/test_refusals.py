@@ -103,6 +103,13 @@ call("first_cohomology normal", lambda: first_cohomology(S, base),
      (cohom, "one_coboundaries", lambda *a, **kw: [GaugeElement.identity(S, F), frob]))
 call("first_cohomology index", lambda: first_cohomology(S, base),
      (cohom, "one_coboundaries", lambda *a, **kw: []))
+# the coset {2, 3} of {1, 4} in GF(5)^x on the arrow: abelian, so normal,
+# and 2 cosets of 2 for 4 fixing pairs, but 1 {2, 3} and 4 {2, 3} are one set
+F5 = gf(5)
+arrow = [GaugeElement.identity(S, F5) for _ in range(2)]
+arrow[0].eta[(1, 2)], arrow[1].eta[(1, 2)] = F5.element(2), F5.element(3)
+call("first_cohomology cover", lambda: first_cohomology(S, TwoCocycle.trivial(S, F5)),
+     (cohom, "one_coboundaries", lambda *a, **kw: arrow))
 # an exponent solution that leaves the Frobenius on the arrow
 R = TwistedRing(S, F, base.replace_alpha((1, 2), F.frobenius(1)))
 call("is_d_algebra", lambda: is_d_algebra(R),
@@ -122,5 +129,6 @@ def test_corrupted_replays_rejected_under_python_O():
         "first_cohomology outside rejected: NotAOneCocycle",
         "first_cohomology normal rejected: WitnessRejected",
         "first_cohomology index rejected: WitnessRejected",
+        "first_cohomology cover rejected: WitnessRejected",
         "is_d_algebra rejected: WitnessRejected",
     ]
