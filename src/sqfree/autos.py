@@ -3,21 +3,30 @@
 Automorphisms are stored as prime-field matrices on the (support pair, power
 basis) coordinates, which makes equality, composition, inversion and cosets
 mechanical. The witness map (sigma, the section, isomorphisms), unit
-conjugation tau, the brute-force Aut R search, Out R, and the Lambda / Phi
-interplay all live here.
+conjugation tau, Aut R as Inn R times the diagonal-normal maps, Out R, and
+the Lambda / Phi interplay all live here.
 
 Conventions: maps are applied on the left, compose(f, g) applies g first,
 and tau with X = {u}, Y = {u^(-1)} is a -> u^(-1) a u.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
-from .cohom import GaugeElement, act, first_cohomology, relabel, stabilizer, verify_one_cocycle
+from .cohom import (
+    GaugeElement,
+    _witnesses,
+    act,
+    first_cohomology,
+    relabel,
+    stabilizer,
+    verify_one_cocycle,
+    verify_two_cocycle,
+)
 from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import (
     InfiniteBackend,
+    InvalidCocycle,
     InvalidInput,
     MixedRings,
     NormalizationFailed,
@@ -26,12 +35,12 @@ from .errors import (
     SearchBoundExceeded,
     WitnessRejected,
 )
-from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce
+from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec
 from .sgrp import SemigroupAutomorphism, is_normal_automorphism
+from .sgrp import automorphisms as semigroup_automorphisms
 from .twring import (
     _enumeration_guard,
     _scan,
-    enumerate_idempotents,
     from_vector,
     identity_element,
     linear_basis,
@@ -115,11 +124,6 @@ def _product_violations(source, R, matrix):
                     lhs[r] += t * v
             if tuple([v % p for v in lhs]) != core.mul(cols[a], cols[b]):
                 yield "multiplicativity", (a, b)
-
-
-def _is_automorphism(R, matrix):
-    """check_ring_automorphism(...).ok, stopping at the first violation."""
-    return next(_product_violations(R, R, matrix), None) is None and _invertible(matrix, R.D.p)
 
 
 def check_ring_automorphism(R, f):
@@ -245,135 +249,6 @@ def inner_group(R, bounds=DEFAULT_BOUNDS):
     return [RingAut(R, m) for m in sorted(_inner(R, bounds))]
 
 
-def _corner(core, q1, q2):
-    """Row-reduced basis of the corner q1 R q2; its length is the dimension."""
-    return row_reduce([core.mul(core.mul(q1, e), q2) for e in core.basis], core.p)
-
-
-def _span(core, rows):
-    """Every vector of the span of rows, coefficients in lexicographic order."""
-    p = core.p
-    out = []
-    for combo in product(range(p), repeat=len(rows)):
-        vec = [0] * core.dim
-        for c, row in zip(combo, rows):
-            for a, val in enumerate(row):
-                vec[a] += c * val
-        out.append(tuple(v % p for v in vec))
-    return out
-
-
-def _modulus_roots(R, q, corner):
-    """Corner elements satisfying the coefficient modulus, with q as the unit."""
-    core, p = R.core, R.D.p
-    out = []
-    for w in corner:
-        acc = [0] * core.dim
-        wp = q
-        for coeff in R.D.modulus:
-            if coeff:
-                acc = [a + coeff * v for a, v in zip(acc, wp)]
-            wp = core.mul(wp, w)
-        if not any(a % p for a in acc):
-            out.append(w)
-    return out
-
-
-def aut_r_bruteforce(R, bounds=DEFAULT_BOUNDS):
-    """All ring automorphisms, by structured completion of generator images.
-
-    Images of the diagonal idempotents run over complete orthogonal idempotent
-    tuples with the same corner-dimension profile; a coefficient generator
-    image per idempotent runs over modulus roots of the matching corner; arrow
-    images run over the nonzero part of their corner. Every completion is then
-    fully verified, so the search is complete and the output sound.
-    """
-    if not R.D.is_finite:
-        raise InfiniteBackend("Aut R search needs a finite field")
-    S, D, core = R.S, R.D, R.core
-    n, k, p = S.n, D.k, D.p
-    idem = [to_vector(R, q) for q in enumerate_idempotents(R, bounds) if not q.is_zero()]
-    zero = (0,) * core.dim
-
-    @lru_cache(maxsize=None)
-    def corner(a, b):
-        return _corner(core, idem[a], idem[b])
-
-    @lru_cache(maxsize=None)
-    def orthogonal(a, b):
-        return core.mul(idem[a], idem[b]) == zero and core.mul(idem[b], idem[a]) == zero
-
-    ref = {(a, b): (k if S.has(a, b) else 0) for a in range(1, n + 1) for b in range(1, n + 1)}
-    # depth-first over partial tuples of indices into idem, in index order
-    tuples, stack = [], [()]
-    while stack:
-        estimate = len(tuples) * max(k, 1)
-        if estimate > bounds.max_search:
-            raise SearchBoundExceeded(
-                f"max_search: idempotent tuple estimate {estimate} above limit {bounds.max_search}"
-            )
-        chosen = stack.pop()
-        b = len(chosen) + 1
-        if b == n + 1:
-            if tuple(sum(col) % p for col in zip(*(idem[c] for c in chosen))) == core.one:
-                tuples.append(chosen)
-            continue
-        fits = [
-            q
-            for q in range(len(idem))
-            if len(corner(q, q)) == ref[(b, b)]
-            and all(
-                orthogonal(q, c)
-                and len(corner(c, q)) == ref[(a, b)]
-                and len(corner(q, c)) == ref[(b, a)]
-                for a, c in enumerate(chosen, start=1)
-            )
-        ]
-        stack.extend(chosen + (q,) for q in reversed(fits))
-
-    found = {}
-    arrows = S.arrows()
-    for qs in tuples:
-        if k > 1:
-            gen_choices = [_modulus_roots(R, idem[a], _span(core, corner(a, a))) for a in qs]
-        else:
-            gen_choices = [[idem[a]] for a in qs]
-        arrow_choices = [
-            [y for y in _span(core, corner(qs[i - 1], qs[j - 1])) if y != zero] for i, j in arrows
-        ]
-        total = 1
-        for ch in gen_choices + arrow_choices:
-            total *= len(ch)
-        if total > bounds.max_search:
-            raise SearchBoundExceeded(
-                f"max_search: generator completion estimate {total} above limit {bounds.max_search}"
-            )
-        for ws in product(*gen_choices):
-            # powers of the generator image inside its corner, q as power zero
-            pows = []
-            for a, w in zip(qs, ws):
-                acc, row = idem[a], [idem[a]]
-                for _ in range(k - 1):
-                    acc = core.mul(acc, w)
-                    row.append(acc)
-                pows.append(row)
-            for ys in product(*arrow_choices):
-                yof = dict(zip(arrows, ys))
-                cols = []
-                for pair in S.elements():
-                    row = pows[pair[0] - 1]
-                    if pair[0] == pair[1]:
-                        cols.extend(row)
-                    else:
-                        cols.extend(core.mul(x, yof[pair]) for x in row)
-                matrix = tuple(zip(*cols))
-                if matrix in found:
-                    continue
-                if _is_automorphism(R, matrix):
-                    found[matrix] = RingAut(R, matrix)
-    return [found[m] for m in sorted(found)]
-
-
 def aut_r_linear_filter(R, bounds=DEFAULT_BOUNDS):
     """Raw oracle: filter every prime-field-linear map for the ring axioms."""
     basis = linear_basis(R)
@@ -401,36 +276,59 @@ def aut_r_linear_filter(R, bounds=DEFAULT_BOUNDS):
     return out
 
 
-def _out_cosets(R, auts, inn_mats):
+def _normal_maps(R, bounds):
+    """Yield the diagonal-normal automorphisms d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j).
+
+    phi runs over Aut S and (mu, eta) over the gauge witnesses carrying the
+    relabeled cocycle back to R's; every map is checked by _witness_aut.
+    """
+    for phi in semigroup_automorphisms(R.S, bounds):
+        for g in _witnesses(R.S, relabel(R.S, phi, R.c), R.c, bounds, all_solutions=True):
+            yield _witness_aut(R, R, phi, g)
+
+
+def _out_cosets(R, bounds):
     """Partition Aut R into Inn R cosets, each keyed by its least matrix.
 
-    Returns the coset key of an automorphism, a dict read for every matrix
-    of the cosets met, and the first automorphism of each coset in the
-    order of auts; the search is complete, so a map outside them is refused.
+    Every automorphism is an inner one times a diagonal-normal map: a unit
+    conjugates its images of the e_i back onto a permutation of them, by
+    the lifting of idempotents in a semiperfect ring (Lam, A First Course
+    in Noncommutative Rings, section 23). So the cosets of the normal maps
+    cover Aut R; each is formed once. Returns {matrix: coset key} and the
+    coset key of an automorphism, which refuses a map outside the cosets.
     """
-    p = R.D.p
-    key_of, reps = {}, {}
-    for f in auts:
-        if f.matrix in key_of:
-            continue
-        coset = [mat_mul(f.matrix, m, p) for m in inn_mats]
-        key = min(coset)
-        key_of.update(dict.fromkeys(coset, key))
-        reps[key] = f
+    if not R.D.is_finite:
+        raise InfiniteBackend("Aut R search needs a finite field")
+    rep = verify_two_cocycle(R.S, R.c)
+    if not rep.ok:
+        # the lifting step needs R to be a ring
+        raise InvalidCocycle(rep.as_json())
+    p, inn = R.D.p, list(_inner(R, bounds))
+    key_of = {}
+    for f in _normal_maps(R, bounds):
+        if f.matrix not in key_of:
+            coset = [mat_mul(f.matrix, m, p) for m in inn]
+            key_of.update(dict.fromkeys(coset, min(coset)))
 
     def coset_key(f):
         if f.matrix not in key_of:
             raise WitnessRejected("map outside every coset of the Aut R search")
         return key_of[f.matrix]
 
-    return coset_key, reps
+    return key_of, coset_key
+
+
+def aut_r_bruteforce(R, bounds=DEFAULT_BOUNDS):
+    """All ring automorphisms in matrix order: the union of the Inn R cosets of the normal maps."""
+    key_of, _ = _out_cosets(R, bounds)
+    return [RingAut(R, m) for m in sorted(key_of)]
 
 
 def out_r(R, bounds=DEFAULT_BOUNDS):
-    """Order of Aut R / Inn R plus one representative automorphism per coset."""
-    auts = aut_r_bruteforce(R, bounds)
-    _, reps = _out_cosets(R, auts, list(_inner(R, bounds)))
-    return len(reps), [reps[key] for key in sorted(reps)]
+    """Order of Aut R / Inn R plus the least automorphism of each coset."""
+    key_of, _ = _out_cosets(R, bounds)
+    keys = sorted(set(key_of.values()))
+    return len(keys), [RingAut(R, key) for key in keys]
 
 
 def lambda_map(R, h1, bounds=DEFAULT_BOUNDS):
@@ -528,9 +426,11 @@ def _is_trivial_cocycle(R):
 
 
 def verify_ses(R, bounds=DEFAULT_BOUNDS):
-    """Run the three independent computations and check the sequence glues.
+    """Compute H^1, the normal stabilizer and Out R, and check the sequence glues.
 
-    Out order must factor as the first-cohomology order times the order of
+    The three are not independent: Out R is built from Aut S and the same
+    gauge solver that H^1 and the stabilizer use, and assumes the idempotent
+    lifting named in _out_cosets. Out order must factor as the first-cohomology order times the order of
     the normal stabilizer of the cocycle in Aut S; the sigma-image cosets
     must be exactly the kernel of the induced semigroup map, whose image must
     be that stabilizer. For a trivial cocycle the basis-permutation section
@@ -541,15 +441,14 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     stab_full = stabilizer(S, R.c, bounds)
     W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
 
-    auts = aut_r_bruteforce(R, bounds)
-    coset_key, cosets = _out_cosets(R, auts, list(_inner(R, bounds)))
-    out_order = len(cosets)
-    out_reps = [cosets[key] for key in sorted(cosets)]
+    key_of, coset_key = _out_cosets(R, bounds)
+    out_keys = sorted(set(key_of.values()))
+    out_order = len(out_keys)
 
     lam = lambda_map(R, h1, bounds=bounds)
     lam_keys = {coset_key(f) for f in R.core.cache.pop("sigma").values()}
 
-    induced = {key: phi_map(R, rep, bounds=bounds) for key, rep in zip(sorted(cosets), out_reps)}
+    induced = {key: phi_map(R, RingAut(R, key), bounds=bounds) for key in out_keys}
     ker_keys = {key for key, phi in induced.items() if phi.is_identity()}
     kernel_ok = lam_keys == ker_keys and len(lam_keys) == h1.order
     image_ok = set(induced.values()) == set(W)

@@ -473,6 +473,19 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
     return solutions
 
 
+def _witnesses(S, c1, c2, bounds, all_solutions):
+    """Yield GaugeElement(mu, eta) with act(g, c1) = c2, mu in _mu_candidates order.
+
+    Each mu gets its own eta search under the max_search node budget; with
+    all_solutions false, that search stops at its first solution.
+    """
+    D = c1.backend
+    for mu in _mu_candidates(S, c1, c2, D):
+        targets = {t: mu[t[0]](c2.xi[t]) * c1.xi[t].inverse() for t in S.comp}
+        for eta in _eta_search(S, D, c1.alpha, targets, all_solutions, budget=bounds.max_search):
+            yield GaugeElement(mu, eta)
+
+
 def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
     """A gauge witness g with act(g, c1) = c2, or None after complete search."""
     D = c1.backend
@@ -484,15 +497,10 @@ def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
         rep = verify_two_cocycle(S, c)
         if not rep.ok:
             raise InvalidCocycle(rep.as_json())
-    for mu in _mu_candidates(S, c1, c2, D):
-        targets = {t: mu[t[0]](c2.xi[t]) * c1.xi[t].inverse() for t in S.comp}
-        sols = _eta_search(S, D, c1.alpha, targets, all_solutions=False, budget=bounds.max_search)
-        if sols:
-            g = GaugeElement(mu, sols[0])
-            if act(S, g, c1, check=False) != c2:
-                raise WitnessRejected("gauge witness does not carry the first cocycle to the second")
-            return g
-    return None
+    g = next(_witnesses(S, c1, c2, bounds, all_solutions=False), None)
+    if g is not None and act(S, g, c1, check=False) != c2:
+        raise WitnessRejected("gauge witness does not carry the first cocycle to the second")
+    return g
 
 
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
@@ -526,13 +534,7 @@ def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     rep = verify_two_cocycle(S, base)
     if not rep.ok:
         raise InvalidCocycle(rep.as_json())
-    out = []
-    for mu in _mu_candidates(S, base, base, D):
-        targets = {t: mu[t[0]](base.xi[t]) * base.xi[t].inverse() for t in S.comp}
-        for eta in _eta_search(S, D, base.alpha, targets, all_solutions=True, budget=bounds.max_search):
-            out.append(GaugeElement(mu, eta))
-    out.sort(key=lambda g: g.canonical_key())
-    return out
+    return sorted(_witnesses(S, base, base, bounds, all_solutions=True), key=lambda g: g.canonical_key())
 
 
 def coboundary_star(S, base, nu, g):

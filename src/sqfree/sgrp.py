@@ -41,9 +41,6 @@ class SquareFreeSemigroup:
             out.setdefault(p[0], []).append(p)
         return out
 
-    def has(self, i, j):
-        return (i, j) in self.support
-
     def mul(self, p, q):
         """Product of two elements-as-pairs, or None for zero."""
         if p[1] != q[0]:
@@ -53,9 +50,6 @@ class SquareFreeSemigroup:
 
     def idempotent_pairs(self):
         return [(i, i) for i in range(1, self.n + 1)]
-
-    def arrows(self):
-        return sorted(p for p in self.support if p[0] != p[1])
 
     def elements(self):
         return sorted(self.support)

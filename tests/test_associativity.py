@@ -62,14 +62,15 @@ def ring(name, q, kind):
     S, F = FIXTURES[name](), gf(q)
     rng = random.Random(f"{name}/GF{q}/{kind}")
     base = TwoCocycle.trivial(S, F)
-    for p in S.arrows():
+    arrows = sorted(p for p in S.support if p[0] != p[1])
+    for p in arrows:
         base = base.replace_alpha(p, F.frobenius(rng.randrange(F.k)))
     c = act(S, random_gauge(S, F, rng), base, check=False)
     if kind == "xi":
         t = rng.choice(sorted(S.comp))
         c = c.replace_xi(t, rng.choice([u for u in F.units() if u != c.xi[t]] or [F.zero]))
     elif kind == "alpha":
-        p = rng.choice(S.arrows() or S.elements())
+        p = rng.choice(arrows or S.elements())
         c = c.replace_alpha(p, c.alpha[p] * F.frobenius(1))
     return TwistedRing(S, F, c, check=False)
 

@@ -2,9 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
+from sqfree import autos, jsonio
 from sqfree.autos import (
     InnerWitness,
     RingAut,
@@ -32,17 +35,20 @@ from sqfree.cohom import (
     random_gauge,
     stabilizer,
 )
-from sqfree.errors import InvalidInput, NotAOneCocycle, NotInvertible, SearchBoundExceeded
-from sqfree.common import Bounds
+from sqfree.errors import InvalidInput, NotAOneCocycle, NotInvertible, SearchBoundExceeded, WitnessRejected
+from sqfree.common import DEFAULT_BOUNDS, Bounds
 from sqfree.fixtures import a3, double_t2, gf, mu, single, t2, two_cycle
+from sqfree.linalg import mat_mul, row_reduce
 from sqfree.sgrp import SemigroupAutomorphism, is_normal_automorphism
 from sqfree.twring import (
     TwistedRing,
+    enumerate_idempotents,
     enumerate_units,
     identity_element,
     mul,
     to_vector,
 )
+from test_cohom import DIFFERENTIAL_FIELDS, DIFFERENTIAL_FIXTURES, differential_cocycles
 from test_sgrp import random_semigroup
 from test_twring import random_ring_element
 
@@ -174,10 +180,13 @@ def test_aut_r_bound_guard():
 
 def test_aut_r_bound_messages_name_bound_estimate_and_limit():
     with pytest.raises(SearchBoundExceeded, match=r"^max_search: idempotent tuple estimate 1 above limit 0$"):
-        aut_r_bruteforce(trivial_ring(t2(), gf(2)), Bounds(max_search=0))
+        reference_aut_r(trivial_ring(t2(), gf(2)), Bounds(max_search=0))
     # one idempotent tuple, then two generator roots over GF(4)
     with pytest.raises(SearchBoundExceeded, match=r"^max_search: generator completion estimate 2 above limit 1$"):
-        aut_r_bruteforce(trivial_ring(single(), gf(4)), Bounds(max_search=1))
+        reference_aut_r(trivial_ring(single(), gf(4)), Bounds(max_search=1))
+    # the library's normal maps: the first node of the gauge search is one too many
+    with pytest.raises(SearchBoundExceeded, match=r"^max_search: witness node estimate 1 above limit 0$"):
+        aut_r_bruteforce(trivial_ring(t2(), gf(2)), Bounds(max_search=0))
 
 
 CORRUPTED_WITNESS_SCRIPT = """
@@ -405,8 +414,8 @@ from sqfree.twring import TwistedRing
 assert sys.flags.optimize, "run me under python -O"
 S, F = two_cycle(), gf(4)
 R = TwistedRing(S, F, TwoCocycle.trivial(S, F))
-# an incomplete Aut R search: Inn R alone, so sigma of a class outside B^1 has no coset
-autos.aut_r_bruteforce = lambda R, bounds=None: autos.inner_group(R)
+# an incomplete Aut R search: the identity coset alone, so sigma of a class outside B^1 has no coset
+autos._normal_maps = lambda R, bounds: iter([autos.RingAut.identity(R)])
 try:
     autos.verify_ses(R)
 except WitnessRejected as exc:
@@ -424,3 +433,233 @@ def test_map_outside_the_aut_r_search_is_refused_under_python_O():
         capture_output=True, text=True, env=env, check=True,
     ).stdout.splitlines()
     assert out == ["rejected: map outside every coset of the Aut R search"]
+
+
+# The reference: the complete idempotent-tuple search that built Aut R before
+# the diagonal-normal maps did. It assumes no lifting of idempotents, so it
+# keeps Out R independent of the lemma the library relies on.
+
+
+def reference_corner(core, q1, q2):
+    """Row-reduced basis of the corner q1 R q2; its length is the dimension."""
+    return row_reduce([core.mul(core.mul(q1, e), q2) for e in core.basis], core.p)
+
+
+def reference_span(core, rows):
+    """Every vector of the span of rows, coefficients in lexicographic order."""
+    p = core.p
+    out = []
+    for combo in product(range(p), repeat=len(rows)):
+        vec = [0] * core.dim
+        for c, row in zip(combo, rows):
+            for a, val in enumerate(row):
+                vec[a] += c * val
+        out.append(tuple(v % p for v in vec))
+    return out
+
+
+def reference_modulus_roots(R, q, corner):
+    """Corner elements satisfying the coefficient modulus, with q as the unit."""
+    core, p = R.core, R.D.p
+    out = []
+    for w in corner:
+        acc = [0] * core.dim
+        wp = q
+        for coeff in R.D.modulus:
+            if coeff:
+                acc = [a + coeff * v for a, v in zip(acc, wp)]
+            wp = core.mul(wp, w)
+        if not any(a % p for a in acc):
+            out.append(w)
+    return out
+
+
+def reference_is_automorphism(R, matrix):
+    """check_ring_automorphism(...).ok, stopping at the first violation."""
+    return next(autos._product_violations(R, R, matrix), None) is None and autos._invertible(matrix, R.D.p)
+
+
+def reference_aut_r(R, bounds=DEFAULT_BOUNDS):
+    """All ring automorphisms, by structured completion of generator images.
+
+    Images of the diagonal idempotents run over complete orthogonal idempotent
+    tuples with the same corner-dimension profile; a coefficient generator
+    image per idempotent runs over modulus roots of the matching corner; arrow
+    images run over the nonzero part of their corner. Every completion is then
+    fully verified, so the search is complete and the output sound.
+    """
+    S, D, core = R.S, R.D, R.core
+    n, k, p = S.n, D.k, D.p
+    idem = [to_vector(R, q) for q in enumerate_idempotents(R, bounds) if not q.is_zero()]
+    zero = (0,) * core.dim
+
+    @lru_cache(maxsize=None)
+    def corner(a, b):
+        return reference_corner(core, idem[a], idem[b])
+
+    @lru_cache(maxsize=None)
+    def orthogonal(a, b):
+        return core.mul(idem[a], idem[b]) == zero and core.mul(idem[b], idem[a]) == zero
+
+    ref = {(a, b): (k if (a, b) in S.support else 0) for a in range(1, n + 1) for b in range(1, n + 1)}
+    # depth-first over partial tuples of indices into idem, in index order
+    tuples, stack = [], [()]
+    while stack:
+        estimate = len(tuples) * max(k, 1)
+        if estimate > bounds.max_search:
+            raise SearchBoundExceeded(
+                f"max_search: idempotent tuple estimate {estimate} above limit {bounds.max_search}"
+            )
+        chosen = stack.pop()
+        b = len(chosen) + 1
+        if b == n + 1:
+            if tuple(sum(col) % p for col in zip(*(idem[c] for c in chosen))) == core.one:
+                tuples.append(chosen)
+            continue
+        fits = [
+            q
+            for q in range(len(idem))
+            if len(corner(q, q)) == ref[(b, b)]
+            and all(
+                orthogonal(q, c)
+                and len(corner(c, q)) == ref[(a, b)]
+                and len(corner(q, c)) == ref[(b, a)]
+                for a, c in enumerate(chosen, start=1)
+            )
+        ]
+        stack.extend(chosen + (q,) for q in reversed(fits))
+
+    found = {}
+    arrows = sorted(p for p in S.support if p[0] != p[1])
+    for qs in tuples:
+        if k > 1:
+            gen_choices = [reference_modulus_roots(R, idem[a], reference_span(core, corner(a, a))) for a in qs]
+        else:
+            gen_choices = [[idem[a]] for a in qs]
+        arrow_choices = [
+            [y for y in reference_span(core, corner(qs[i - 1], qs[j - 1])) if y != zero] for i, j in arrows
+        ]
+        total = 1
+        for ch in gen_choices + arrow_choices:
+            total *= len(ch)
+        if total > bounds.max_search:
+            raise SearchBoundExceeded(
+                f"max_search: generator completion estimate {total} above limit {bounds.max_search}"
+            )
+        for ws in product(*gen_choices):
+            # powers of the generator image inside its corner, q as power zero
+            pows = []
+            for a, w in zip(qs, ws):
+                acc, row = idem[a], [idem[a]]
+                for _ in range(k - 1):
+                    acc = core.mul(acc, w)
+                    row.append(acc)
+                pows.append(row)
+            for ys in product(*arrow_choices):
+                yof = dict(zip(arrows, ys))
+                cols = []
+                for pair in S.elements():
+                    row = pows[pair[0] - 1]
+                    if pair[0] == pair[1]:
+                        cols.extend(row)
+                    else:
+                        cols.extend(core.mul(x, yof[pair]) for x in row)
+                matrix = tuple(zip(*cols))
+                if matrix in found:
+                    continue
+                if reference_is_automorphism(R, matrix):
+                    found[matrix] = RingAut(R, matrix)
+    return [found[m] for m in sorted(found)]
+
+
+def reference_out_cosets(R, auts):
+    """Partition a listed Aut R into Inn R cosets, each keyed by its least matrix.
+
+    Returns the {matrix: key} table, the coset key of an automorphism, and
+    the first automorphism of each coset in the order of auts.
+    """
+    p, inn_mats = R.D.p, list(autos._inner(R, DEFAULT_BOUNDS))
+    key_of, reps = {}, {}
+    for f in auts:
+        if f.matrix in key_of:
+            continue
+        coset = [mat_mul(f.matrix, m, p) for m in inn_mats]
+        key = min(coset)
+        key_of.update(dict.fromkeys(coset, key))
+        reps[key] = f
+
+    def coset_key(f):
+        if f.matrix not in key_of:
+            raise WitnessRejected("map outside every coset of the Aut R search")
+        return key_of[f.matrix]
+
+    return key_of, coset_key, reps
+
+
+def assert_matches_the_tuple_search(R, monkeypatch):
+    """Aut R, the out_r representatives and the SESReport, library against reference."""
+    auts = reference_aut_r(R)
+    assert [f.matrix for f in aut_r_bruteforce(R)] == [f.matrix for f in auts]
+    key_of, coset_key, reps = reference_out_cosets(R, auts)
+    order, out_reps = out_r(R)
+    assert order == len(reps)
+    want = [jsonio.encode_ring_aut(reps[key]) for key in sorted(reps)]
+    assert jsonio.dumps([jsonio.encode_ring_aut(f) for f in out_reps]) == jsonio.dumps(want)
+    report = verify_ses(R)
+    with monkeypatch.context() as m:
+        m.setattr(autos, "_out_cosets", lambda R, bounds: (key_of, coset_key))
+        assert verify_ses(R) == report
+
+
+ORACLE_LIMIT = 4096
+ORACLE_CASES = [
+    (name, q, kind)
+    for name in sorted(DIFFERENTIAL_FIXTURES)
+    for q in DIFFERENTIAL_FIELDS
+    if q ** len(DIFFERENTIAL_FIXTURES[name]().support) <= ORACLE_LIMIT
+    for kind in ("trivial", "frobenius", "gauged")
+]
+
+
+@pytest.mark.parametrize("name, q, kind", ORACLE_CASES, ids=[f"{n}-GF{q}-{k}" for n, q, k in ORACLE_CASES])
+def test_out_r_matches_the_tuple_search_on_fixtures(name, q, kind, monkeypatch):
+    S, F = DIFFERENTIAL_FIXTURES[name](), gf(q)
+    # differential_cocycles lists the trivial, the gauged Frobenius twist and the gauged trivial cocycle
+    cocycles = dict(zip(("trivial", "frobenius", "gauged"), differential_cocycles(S, F, random.Random(f"{name}/GF{q}"))))
+    assert_matches_the_tuple_search(TwistedRing(S, F, cocycles[kind]), monkeypatch)
+
+
+def test_out_r_matches_the_tuple_search_on_random_semigroups(monkeypatch):
+    compared = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        S = random_semigroup(rng, rng.randint(1, 4))
+        F = gf((2, 3, 4)[seed % 3])
+        if F.q ** len(S.support) > ORACLE_LIMIT:
+            continue
+        for c in differential_cocycles(S, F, rng):
+            assert_matches_the_tuple_search(TwistedRing(S, F, c), monkeypatch)
+        compared += 1
+    assert compared >= 20
+
+
+def counting(monkeypatch, name):
+    calls = [0]
+    inner = getattr(autos, name)
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(autos, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("S, want", [(two_cycle(), (36, 576)), (mu(2), (12, 120))], ids=["two_cycle", "mu2"])
+def test_out_r_work_is_one_coset_per_class(monkeypatch, S, want):
+    # |Stab| |Z^1| witness maps and |Out| |Inn| coset products over GF(4)
+    R = trivial_ring(S, gf(4))
+    maps, products = counting(monkeypatch, "_witness_aut"), counting(monkeypatch, "mat_mul")
+    order, _ = out_r(R)
+    assert (maps[0], products[0]) == want
+    assert products[0] == order * len(inner_group(R))

@@ -323,6 +323,17 @@ def test_bound_exceeded_exit(tmp_path, capsys):
     assert report["kind"] == "SearchBoundExceeded"
 
 
+def test_out_r_refuses_past_the_aut_s_bound(tmp_path, capsys):
+    # nine isolated idempotents over GF(2): 512 elements, but 9! relabelings
+    bundle = {
+        "semigroup": {"n": 9, "support": [[i, i] for i in range(1, 10)], "comp": []},
+        "coefficients": {"backend": "finite_field", "p": 2, "k": 1},
+    }
+    code, report, _ = invoke(capsys, ["out-r", write(tmp_path, "b.json", bundle)])
+    assert code == 3
+    assert report == {"error": "n=9 above automorphism bound 8", "kind": "SearchBoundExceeded"}
+
+
 def test_invalid_cocycle_rejected_by_transforms(tmp_path, capsys):
     bundle = t2_bundle()
     bundle["semigroup"] = {"n": 2, "support": [[1, 2], [1, 1], [2, 2]], "comp": []}

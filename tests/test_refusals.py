@@ -66,9 +66,10 @@ def test_bound_messages_name_bound_estimate_and_limit(case):
 CORRUPTED_REPLAY_SCRIPT = """
 import sys
 from sqfree import cohom, twring
+from sqfree.autos import aut_r_bruteforce
 from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology
-from sqfree.errors import NotAOneCocycle, WitnessRejected
-from sqfree.fixtures import gf, t2
+from sqfree.errors import InvalidCocycle, NotAOneCocycle, WitnessRejected
+from sqfree.fixtures import a3, gf, t2
 from sqfree.twring import TwistedRing, is_d_algebra
 
 assert sys.flags.optimize, "run me under python -O"
@@ -79,18 +80,20 @@ g.eta[(1, 1)] = F.gen
 frob = GaugeElement({i: F.frobenius(1) for i in (1, 2)}, {p: F.one for p in S.support})
 
 
-def call(name, fn, patch):
-    module, attr, value = patch
-    saved = getattr(module, attr)
-    setattr(module, attr, value)
+def call(name, fn, patch=None):
+    if patch is not None:
+        module, attr, value = patch
+        saved = getattr(module, attr)
+        setattr(module, attr, value)
     try:
         fn()
-    except (NotAOneCocycle, WitnessRejected) as exc:
+    except (InvalidCocycle, NotAOneCocycle, WitnessRejected) as exc:
         print(name, "rejected:", type(exc).__name__)
     else:
         print(name, "returned a result")
     finally:
-        setattr(module, attr, saved)
+        if patch is not None:
+            setattr(module, attr, saved)
 
 
 # an eta solution that does not carry base to its rescaled copy
@@ -114,6 +117,10 @@ call("first_cohomology cover", lambda: first_cohomology(S, TwoCocycle.trivial(S,
 R = TwistedRing(S, F, base.replace_alpha((1, 2), F.frobenius(1)))
 call("is_d_algebra", lambda: is_d_algebra(R),
      (twring, "_mu_candidates", lambda S, *rest: iter([{1: F.frobenius(0), 2: F.frobenius(0)}])))
+# e_1 s_12 = 2 s_12 breaks the unit law, so the ring is no ring and idempotents do not lift
+F3 = gf(3)
+corrupted = TwoCocycle.trivial(a3(), F3).replace_xi((1, 1, 2), F3.element(2))
+call("aut_r_bruteforce", lambda: aut_r_bruteforce(TwistedRing(a3(), F3, corrupted, check=False)))
 """
 
 
@@ -131,4 +138,5 @@ def test_corrupted_replays_rejected_under_python_O():
         "first_cohomology index rejected: WitnessRejected",
         "first_cohomology cover rejected: WitnessRejected",
         "is_d_algebra rejected: WitnessRejected",
+        "aut_r_bruteforce rejected: InvalidCocycle",
     ]
