@@ -10,7 +10,7 @@ Conventions: maps are applied on the left, compose(f, g) applies g first,
 and tau with X = {u}, Y = {u^(-1)} is a -> u^(-1) a u.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .cohom import (
@@ -35,7 +35,7 @@ from .errors import (
     SearchBoundExceeded,
     WitnessRejected,
 )
-from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec
+from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce
 from .sgrp import SemigroupAutomorphism, is_normal_automorphism
 from .sgrp import automorphisms as semigroup_automorphisms
 from .twring import (
@@ -216,6 +216,53 @@ def tau(R, w):
     return _verified(R, RingAut(R, _conjugation_matrix(core, sx, sy)))
 
 
+def _kernel(core, M, order):
+    """A basis of the x with x f(e_a) = e_a x for all basis vectors e_a, from the last free column.
+
+    Coordinate b of x is column order[b] of the system; order is its own inverse.
+    """
+    dim = core.dim
+    rows = [[0] * dim for _ in range(dim * dim)]
+    for (b, b2), entries in core.constants.items():
+        for c, t in entries:
+            # e_b e_b2 has t e_c: x_b2 enters (e_b x)_c, and x_b enters (x f(e_a))_c through f(e_a)_b2
+            rows[b * dim + c][order[b2]] -= t
+            for a, m in enumerate(M[b2]):
+                if m:
+                    rows[a * dim + c][order[b]] += t * m
+    pivots = {row.index(1): row for row in row_reduce(rows, core.p)}
+    free = [j for j in reversed(range(dim)) if j not in pivots]
+    return [[-pivots[i][j] if i in pivots else int(i == j) for i in order] for j in free]
+
+
+def _conjugator(R, M, bounds):
+    """The first unit x, in enumerate_units order, with M the matrix of a -> x^(-1) a x, and its inverse; or None.
+
+    The system's columns run from the least to the most significant
+    coordinate of the scan, so the kernel walk below is in scan order. When
+    M is inner the kernel is x_0 Z(R), as large as the centre.
+    """
+    core, p, k = R.core, R.D.p, R.D.k
+    # scan order: the first pair leads, and inside a pair the last power-basis coordinate
+    order = [a + i for a in reversed(range(0, core.dim, k)) for i in range(k)]
+    basis = _kernel(core, M, order)
+    if "centre" not in core.cache:
+        core.cache["centre"] = len(_kernel(core, core.basis, order))
+    if len(basis) != core.cache["centre"]:
+        return None
+    if p ** len(basis) > bounds.max_units:
+        raise SearchBoundExceeded(f"max_units: inner kernel estimate {p ** len(basis)} above limit {bounds.max_units}")
+    cols = list(zip(*basis))
+    for coeffs in product(range(p), repeat=len(basis)):
+        x = mat_vec(cols, coeffs, p)
+        v = core.inverse(x)
+        if v is not None:
+            if _conjugation_matrix(core, x, v) != M:
+                raise WitnessRejected("the solved unit does not conjugate to the map")
+            return x, v
+    return None
+
+
 def _inner(R, bounds):
     """Inn R as {matrix: (unit vector, inverse vector)}, from the first unit giving it.
 
@@ -237,11 +284,11 @@ def _inner(R, bounds):
 
 
 def is_inner(R, f, bounds=DEFAULT_BOUNDS):
-    """A conjugation witness producing f, or None after trying every unit."""
-    table = _inner(R, bounds)
-    if not (f.ring is R or f.ring == R) or f.matrix not in table:
+    """A conjugation witness producing f, from the first unit giving it, or None when no unit does."""
+    found = _conjugator(R, f.matrix, bounds) if f.ring is R or f.ring == R else None
+    if found is None:
         return None
-    x, v = table[f.matrix]
+    x, v = found
     return InnerWitness((from_vector(R, x),), (from_vector(R, v),))
 
 
@@ -277,83 +324,115 @@ def aut_r_linear_filter(R, bounds=DEFAULT_BOUNDS):
 
 
 def _normal_maps(R, bounds):
-    """Yield the diagonal-normal automorphisms d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j).
+    """The diagonal-normal automorphisms d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j).
 
     phi runs over Aut S and (mu, eta) over the gauge witnesses carrying the
     relabeled cocycle back to R's; every map is checked by _witness_aut.
-    """
-    for phi in semigroup_automorphisms(R.S, bounds):
-        for g in _witnesses(R.S, relabel(R.S, phi, R.c), R.c, bounds, all_solutions=True):
-            yield _witness_aut(R, R, phi, g)
-
-
-def _out_cosets(R, bounds):
-    """Partition Aut R into Inn R cosets, each keyed by its least matrix.
-
-    Every automorphism is an inner one times a diagonal-normal map: a unit
-    conjugates its images of the e_i back onto a permutation of them, by
-    the lifting of idempotents in a semiperfect ring (Lam, A First Course
-    in Noncommutative Rings, section 23). So the cosets of the normal maps
-    cover Aut R; each is formed once. Returns {matrix: coset key} and the
-    coset key of an automorphism, which refuses a map outside the cosets.
+    Every automorphism is an inner one times such a map: a unit conjugates
+    its images of the e_i back onto a permutation of them, by the lifting
+    of idempotents in a semiperfect ring (Lam, A First Course in
+    Noncommutative Rings, section 23). That step needs R to be a ring.
     """
     if not R.D.is_finite:
         raise InfiniteBackend("Aut R search needs a finite field")
     rep = verify_two_cocycle(R.S, R.c)
     if not rep.ok:
-        # the lifting step needs R to be a ring
         raise InvalidCocycle(rep.as_json())
-    p, inn = R.D.p, list(_inner(R, bounds))
+    return [
+        _witness_aut(R, R, phi, g)
+        for phi in semigroup_automorphisms(R.S, bounds)
+        for g in _witnesses(R.S, relabel(R.S, phi, R.c), R.c, bounds, all_solutions=True)
+    ]
+
+
+def _cosets(maps, sub, p):
+    """{matrix: least matrix of its coset} over the cosets f H, one for each map f no earlier coset holds."""
     key_of = {}
-    for f in _normal_maps(R, bounds):
-        if f.matrix not in key_of:
-            coset = [mat_mul(f.matrix, m, p) for m in inn]
+    for M in maps:
+        if M not in key_of:
+            coset = [mat_mul(M, m, p) for m in sub]
             key_of.update(dict.fromkeys(coset, min(coset)))
+    return key_of
 
-    def coset_key(f):
-        if f.matrix not in key_of:
-            raise WitnessRejected("map outside every coset of the Aut R search")
-        return key_of[f.matrix]
 
-    return key_of, coset_key
+def _key(key_of, f):
+    if f.matrix not in key_of:
+        raise WitnessRejected("map outside every coset of the Aut R search")
+    return key_of[f.matrix]
+
+
+def _out_cosets(R, bounds):
+    """Aut R as {matrix: least matrix of its Inn R coset}: the cosets of the normal maps, from the unit table."""
+    maps = [f.matrix for f in _normal_maps(R, bounds)]
+    return _cosets(maps, list(_inner(R, bounds)), R.D.p)
+
+
+def _normal_cosets(R, bounds):
+    """The normal maps N as {matrix: least matrix of its coset f K}, K = N meet Inn R, cached per bounds.
+
+    _conjugator decides K; N/K is Out R, as N meets every Inn R coset.
+    """
+    cache = R.core.cache
+    if ("normal", bounds) not in cache:
+        maps = list(dict.fromkeys(f.matrix for f in _normal_maps(R, bounds)))
+        key_of = _cosets(maps, [M for M in maps if _conjugator(R, M, bounds)], R.D.p)
+        if len(key_of) != len(maps):
+            raise WitnessRejected("a coset of the inner normal maps leaves the normal maps")
+        cache[("normal", bounds)] = key_of
+    return cache[("normal", bounds)]
 
 
 def aut_r_bruteforce(R, bounds=DEFAULT_BOUNDS):
     """All ring automorphisms in matrix order: the union of the Inn R cosets of the normal maps."""
-    key_of, _ = _out_cosets(R, bounds)
-    return [RingAut(R, m) for m in sorted(key_of)]
+    return [RingAut(R, m) for m in sorted(_out_cosets(R, bounds))]
 
 
 def out_r(R, bounds=DEFAULT_BOUNDS):
     """Order of Aut R / Inn R plus the least automorphism of each coset."""
-    key_of, _ = _out_cosets(R, bounds)
-    keys = sorted(set(key_of.values()))
+    keys = sorted(set(_out_cosets(R, bounds).values()))
     return len(keys), [RingAut(R, key) for key in keys]
 
 
 def lambda_map(R, h1, bounds=DEFAULT_BOUNDS):
     """Check sigma is inner exactly on the coboundary part of the fixing pairs.
 
+    sigma(g) is inner when its coset in _normal_cosets is the identity's.
     Runs over the whole enumerated Z^1, so a passing report certifies the
-    induced map on classes is well defined and injective. The sigma of each
-    H^1 representative waits in the ring's core cache until verify_ses takes it.
+    induced map on classes is well defined and injective. The coset keys of
+    the H^1 representatives' sigmas wait in the core cache for verify_ses.
     """
     report = ValidationReport()
-    inner = _inner(R, bounds)
+    key_of = _normal_cosets(R, bounds)
+    inner = _key(key_of, RingAut.identity(R))
     b1, reps = set(h1.b1), set(h1.reps)
-    kept = R.core.cache["sigma"] = {}
+    kept = R.core.cache["sigma_keys"] = set()
     for g in h1.z1:
-        f = sigma(R, g)
+        key = _key(key_of, sigma(R, g))
         if g in reps:
-            kept[g] = f
-        is_inner_g = f.matrix in inner
-        if is_inner_g != (g in b1):
+            kept.add(key)
+        if (key == inner) != (g in b1):
             report.add(
                 "lambda_monomorphism",
                 (g.canonical_key(),),
-                "inner" if is_inner_g else "not inner",
+                "inner" if key == inner else "not inner",
             )
     return report
+
+
+def _diagonal_phi(R, images):
+    """The normal automorphism phi of S whose e_phi(i) is the i-th of the images of e_1..e_n, or None."""
+    S, core = R.S, R.core
+    diag = {core.basis[core.offset[(i, i)]]: i for i in range(1, S.n + 1)}
+    perm = tuple(diag.get(img) for img in images)
+    if None in perm or len(set(perm)) != S.n:
+        return None
+    phi = SemigroupAutomorphism(perm)
+    closed = all(phi.pair(p) in S.support for p in S.support) and all(phi.triple(t) in S.comp for t in S.comp)
+    return phi if closed and is_normal_automorphism(S, phi) else None
+
+
+def _diagonal_images(R, M):
+    return [tuple(row[R.core.offset[(i, i)]] for row in M) for i in range(1, R.S.n + 1)]
 
 
 def phi_map(R, f, bounds=DEFAULT_BOUNDS):
@@ -363,27 +442,12 @@ def phi_map(R, f, bounds=DEFAULT_BOUNDS):
     back in the diagonal set, order-preserving per splitting class; the
     resulting index permutation is independent of the correcting unit.
     """
-    S, core = R.S, R.core
-    idempotents = [core.offset[(i, i)] for i in range(1, S.n + 1)]
-    diag = {core.basis[a]: i for i, a in enumerate(idempotents, start=1)}
-    images = [tuple(row[a] for row in f.matrix) for a in idempotents]
+    images = _diagonal_images(R, f.matrix)
     # units giving the same conjugation give the same permutation, so Inn R
     # in first-unit order decides as the full unit scan does
     for M in _inner(R, bounds):
-        perm = []
-        for img in images:
-            j = diag.get(mat_vec(M, img, R.D.p))
-            if j is None:
-                break
-            perm.append(j)
-        if len(perm) != S.n or len(set(perm)) != S.n:
-            continue
-        phi = SemigroupAutomorphism(tuple(perm))
-        if not all(phi.pair(p) in S.support for p in S.support):
-            continue
-        if not all(phi.triple(t) in S.comp for t in S.comp):
-            continue
-        if is_normal_automorphism(S, phi):
+        phi = _diagonal_phi(R, (mat_vec(M, img, R.D.p) for img in images))
+        if phi is not None:
             return phi
     raise NormalizationFailed("no unit conjugation makes the map diagonal-normal")
 
@@ -406,17 +470,7 @@ class SESReport:
     split_ok: object = None
 
     def as_json(self):
-        return {
-            "h1_order": self.h1_order,
-            "stab_order": self.stab_order,
-            "stab_full_order": self.stab_full_order,
-            "out_order": self.out_order,
-            "exact": self.exact,
-            "lambda_ok": self.lambda_ok,
-            "kernel_ok": self.kernel_ok,
-            "image_ok": self.image_ok,
-            "split_ok": self.split_ok,
-        }
+        return asdict(self)
 
 
 def _is_trivial_cocycle(R):
@@ -428,27 +482,33 @@ def _is_trivial_cocycle(R):
 def verify_ses(R, bounds=DEFAULT_BOUNDS):
     """Compute H^1, the normal stabilizer and Out R, and check the sequence glues.
 
-    The three are not independent: Out R is built from Aut S and the same
-    gauge solver that H^1 and the stabilizer use, and assumes the idempotent
-    lifting named in _out_cosets. Out order must factor as the first-cohomology order times the order of
-    the normal stabilizer of the cocycle in Aut S; the sigma-image cosets
-    must be exactly the kernel of the induced semigroup map, whose image must
-    be that stabilizer. For a trivial cocycle the basis-permutation section
-    is checked to split the sequence.
+    The three are not independent: Out R is N/K (see _normal_cosets), and N
+    comes from Aut S and the same gauge solver that H^1 and the stabilizer
+    use. Out order must factor as the first-cohomology order times the order
+    of the normal stabilizer of the cocycle in Aut S; each coset must induce
+    one normal semigroup map, read off its normal maps' diagonal images; the
+    sigma-image cosets must be exactly the kernel of that map, whose image
+    must be that stabilizer. For a trivial cocycle the basis-permutation
+    section is checked to split the sequence.
     """
     S = R.S
     h1 = first_cohomology(S, R.c, bounds)
     stab_full = stabilizer(S, R.c, bounds)
     W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
 
-    key_of, coset_key = _out_cosets(R, bounds)
-    out_keys = sorted(set(key_of.values()))
-    out_order = len(out_keys)
+    key_of = _normal_cosets(R, bounds)
+    induced = {}
+    for M, key in key_of.items():
+        phi = _diagonal_phi(R, _diagonal_images(R, M))
+        if phi is not None and induced.setdefault(key, phi) != phi:
+            raise WitnessRejected("an Out R class induces two normal semigroup maps")
+    out_order = len(set(key_of.values()))
+    if len(induced) != out_order:
+        raise WitnessRejected("an Out R class induces no normal semigroup map")
 
     lam = lambda_map(R, h1, bounds=bounds)
-    lam_keys = {coset_key(f) for f in R.core.cache.pop("sigma").values()}
+    lam_keys = R.core.cache.pop("sigma_keys")
 
-    induced = {key: phi_map(R, RingAut(R, key), bounds=bounds) for key in out_keys}
     ker_keys = {key for key, phi in induced.items() if phi.is_identity()}
     kernel_ok = lam_keys == ker_keys and len(lam_keys) == h1.order
     image_ok = set(induced.values()) == set(W)
@@ -458,15 +518,14 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     split_ok = None
     if _is_trivial_cocycle(R):
         sec = {phi: section_automorphism(R, phi) for phi in W}
-        keys = {phi: coset_key(sec[phi]) for phi in W}
+        keys = {phi: _key(key_of, sec[phi]) for phi in W}
         split_ok = len(set(keys.values())) == len(W)
         for a in W:
             for b in W:
-                lhs = coset_key(sec[a].compose(sec[b]))
-                if lhs != keys[a * b]:
+                if _key(key_of, sec[a].compose(sec[b])) != keys[a * b]:
                     split_ok = False
         for phi in W:
-            if phi_map(R, sec[phi], bounds=bounds) != phi:
+            if induced[keys[phi]] != phi:
                 split_ok = False
     return SESReport(
         h1_order=h1.order,

@@ -23,11 +23,10 @@ def mat_mul(A, B, p):
 
 def row_reduce(vecs, p):
     """Reduced row-echelon basis of the span of the given vectors."""
-    rows = [list(v) for v in vecs if any(x % p for x in v)]
-    out = []
+    # equal rows add nothing to the span, so each is reduced once
+    rows = dict.fromkeys(tuple([x % p for x in v]) for v in vecs)
     lead = {}
     for row in rows:
-        row = [x % p for x in row]
         for pivot_col, pivot_row in lead.items():
             if row[pivot_col]:
                 f = row[pivot_col]

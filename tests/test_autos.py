@@ -7,10 +7,11 @@ from itertools import product
 
 import pytest
 
-from sqfree import autos, jsonio
+from sqfree import autos, jsonio, twring
 from sqfree.autos import (
     InnerWitness,
     RingAut,
+    SESReport,
     aut_r_bruteforce,
     aut_r_linear_filter,
     check_ring_automorphism,
@@ -596,8 +597,58 @@ def reference_out_cosets(R, auts):
     return key_of, coset_key, reps
 
 
-def assert_matches_the_tuple_search(R, monkeypatch):
-    """Aut R, the out_r representatives and the SESReport, library against reference."""
+def reference_verify_ses(R, key_of, coset_key):
+    """verify_ses on the Inn R unit table, given a partition of Aut R into Inn R cosets.
+
+    Out R is the set of coset keys; sigma is inner when the table holds it;
+    each coset's induced map comes from phi_map, which conjugates by every
+    element of the table until the diagonal lands on a normal permutation.
+    """
+    S = R.S
+    h1 = first_cohomology(S, R.c)
+    stab_full = stabilizer(S, R.c)
+    W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
+    out_keys = sorted(set(key_of.values()))
+    inner = autos._inner(R, DEFAULT_BOUNDS)
+    b1, reps = set(h1.b1), set(h1.reps)
+    lambda_ok, lam_keys = True, set()
+    for g in h1.z1:
+        f = sigma(R, g)
+        if g in reps:
+            lam_keys.add(coset_key(f))
+        if (f.matrix in inner) != (g in b1):
+            lambda_ok = False
+    induced = {key: phi_map(R, RingAut(R, key)) for key in out_keys}
+    ker_keys = {key for key, phi in induced.items() if phi.is_identity()}
+    kernel_ok = lam_keys == ker_keys and len(lam_keys) == h1.order
+    image_ok = set(induced.values()) == set(W)
+    split_ok = None
+    if autos._is_trivial_cocycle(R):
+        sec = {phi: section_automorphism(R, phi) for phi in W}
+        keys = {phi: coset_key(sec[phi]) for phi in W}
+        split_ok = len(set(keys.values())) == len(W)
+        for a in W:
+            for b in W:
+                if coset_key(sec[a].compose(sec[b])) != keys[a * b]:
+                    split_ok = False
+        for phi in W:
+            if phi_map(R, sec[phi]) != phi:
+                split_ok = False
+    return SESReport(
+        h1_order=h1.order,
+        stab_order=len(W),
+        stab_full_order=len(stab_full),
+        out_order=len(out_keys),
+        exact=len(out_keys) == h1.order * len(W) and lambda_ok and kernel_ok and image_ok,
+        lambda_ok=lambda_ok,
+        kernel_ok=kernel_ok,
+        image_ok=image_ok,
+        split_ok=split_ok,
+    )
+
+
+def assert_matches_the_tuple_search(R):
+    """Aut R, the out_r representatives, the inner verdicts and the SESReport, library against reference."""
     auts = reference_aut_r(R)
     assert [f.matrix for f in aut_r_bruteforce(R)] == [f.matrix for f in auts]
     key_of, coset_key, reps = reference_out_cosets(R, auts)
@@ -605,10 +656,10 @@ def assert_matches_the_tuple_search(R, monkeypatch):
     assert order == len(reps)
     want = [jsonio.encode_ring_aut(reps[key]) for key in sorted(reps)]
     assert jsonio.dumps([jsonio.encode_ring_aut(f) for f in out_reps]) == jsonio.dumps(want)
-    report = verify_ses(R)
-    with monkeypatch.context() as m:
-        m.setattr(autos, "_out_cosets", lambda R, bounds: (key_of, coset_key))
-        assert verify_ses(R) == report
+    # the linear test finds a unit exactly for the table's maps, and the table's first unit
+    table = autos._inner(R, DEFAULT_BOUNDS)
+    assert [autos._conjugator(R, f.matrix, DEFAULT_BOUNDS) for f in auts] == [table.get(f.matrix) for f in auts]
+    assert verify_ses(R) == reference_verify_ses(R, key_of, coset_key)
 
 
 ORACLE_LIMIT = 4096
@@ -622,14 +673,14 @@ ORACLE_CASES = [
 
 
 @pytest.mark.parametrize("name, q, kind", ORACLE_CASES, ids=[f"{n}-GF{q}-{k}" for n, q, k in ORACLE_CASES])
-def test_out_r_matches_the_tuple_search_on_fixtures(name, q, kind, monkeypatch):
+def test_out_r_matches_the_tuple_search_on_fixtures(name, q, kind):
     S, F = DIFFERENTIAL_FIXTURES[name](), gf(q)
     # differential_cocycles lists the trivial, the gauged Frobenius twist and the gauged trivial cocycle
     cocycles = dict(zip(("trivial", "frobenius", "gauged"), differential_cocycles(S, F, random.Random(f"{name}/GF{q}"))))
-    assert_matches_the_tuple_search(TwistedRing(S, F, cocycles[kind]), monkeypatch)
+    assert_matches_the_tuple_search(TwistedRing(S, F, cocycles[kind]))
 
 
-def test_out_r_matches_the_tuple_search_on_random_semigroups(monkeypatch):
+def test_out_r_matches_the_tuple_search_on_random_semigroups():
     compared = 0
     for seed in range(40):
         rng = random.Random(seed)
@@ -638,20 +689,20 @@ def test_out_r_matches_the_tuple_search_on_random_semigroups(monkeypatch):
         if F.q ** len(S.support) > ORACLE_LIMIT:
             continue
         for c in differential_cocycles(S, F, rng):
-            assert_matches_the_tuple_search(TwistedRing(S, F, c), monkeypatch)
+            assert_matches_the_tuple_search(TwistedRing(S, F, c))
         compared += 1
     assert compared >= 20
 
 
-def counting(monkeypatch, name):
+def counting(monkeypatch, name, module=autos):
     calls = [0]
-    inner = getattr(autos, name)
+    inner = getattr(module, name)
 
     def wrapped(*args, **kwargs):
         calls[0] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(autos, name, wrapped)
+    monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
@@ -663,3 +714,23 @@ def test_out_r_work_is_one_coset_per_class(monkeypatch, S, want):
     order, _ = out_r(R)
     assert (maps[0], products[0]) == want
     assert products[0] == order * len(inner_group(R))
+
+
+@pytest.mark.parametrize("S, want", [(two_cycle(), (36, 2)), (mu(2), (12, 1))], ids=["two_cycle", "mu2"])
+def test_verify_ses_work_is_one_linear_test_per_normal_map(monkeypatch, S, want):
+    # over GF(4): |N| linear tests, |N| coset products plus |W|^2 section products, no element scan
+    R = trivial_ring(S, gf(4))
+    normal = len({f.matrix for f in autos._normal_maps(R, DEFAULT_BOUNDS)})
+    tests, products = counting(monkeypatch, "_conjugator"), counting(monkeypatch, "mat_mul")
+    scans = [counting(monkeypatch, "_scan", twring), counting(monkeypatch, "_scan")]
+    rep = verify_ses(R)
+    assert (normal, rep.stab_order) == want
+    assert tests[0] == normal
+    assert products[0] == normal + rep.stab_order**2
+    assert scans == [[0], [0]]
+
+
+def test_verify_ses_answers_rings_above_the_unit_bound():
+    # 4^3 elements over the bound of 10; the centre GF(4) gives 2^2 kernel candidates
+    R = trivial_ring(t2(), gf(4))
+    assert verify_ses(R, Bounds(max_units=10)) == verify_ses(trivial_ring(t2(), gf(4)))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sqfree.autos import aut_r_linear_filter
+from sqfree.autos import RingAut, aut_r_linear_filter, is_inner
 from sqfree.cohom import (
     GaugeElement,
     TwoCocycle,
@@ -32,6 +32,11 @@ def rescaled(q):
     return act(S, g, trivial(q))
 
 
+def identity_is_inner(q, bounds):
+    R = TwistedRing(t2(), gf(q), trivial(q))
+    return is_inner(R, RingAut.identity(R), bounds)
+
+
 BOUND_CASES = {
     # 4^3 elements of the t2 ring over GF(4)
     "enumeration": (
@@ -47,6 +52,11 @@ BOUND_CASES = {
     "one_coboundaries": (
         lambda: one_coboundaries(t2(), trivial(4), Bounds(max_search=8)),
         r"^max_search: orbit estimate 9 above limit 8$",
+    ),
+    # the centre of the t2 ring over GF(2) is GF(2): 2 candidate conjugators
+    "inner_kernel": (
+        lambda: identity_is_inner(2, Bounds(max_units=1)),
+        r"^max_units: inner kernel estimate 2 above limit 1$",
     ),
     # every 3x3 matrix over GF(2)
     "aut_r_linear_filter": (
