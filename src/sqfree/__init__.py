@@ -3,7 +3,7 @@
 The package is organized along the pipeline:
 
 - coeff: exact coefficient division rings, GF(p^k) and rational quaternions
-- sgrp: square-free semigroups, blocks, reduction, automorphisms
+- sgrp: square-free semigroups, splitting classes, automorphisms
 - cohom: cochains, two-cocycles, gauge action, normalization, H^1
 - twring: the twisted semigroup ring built from a cocycle
 - autos: ring automorphisms and witness isomorphisms, inner/outer split, the exact sequence check

@@ -19,7 +19,6 @@ from .cohom import (
     act,
     first_cohomology,
     relabel,
-    stabilizer,
     verify_one_cocycle,
     verify_two_cocycle,
 )
@@ -324,10 +323,10 @@ def aut_r_linear_filter(R, bounds=DEFAULT_BOUNDS):
 
 
 def _normal_maps(R, bounds):
-    """The diagonal-normal automorphisms d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j).
+    """The diagonal-normal automorphisms d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j), as (phi, g, map).
 
-    phi runs over Aut S and (mu, eta) over the gauge witnesses carrying the
-    relabeled cocycle back to R's; every map is checked by _witness_aut.
+    phi runs over Aut S and g = (mu, eta) over the gauge witnesses carrying
+    the relabeled cocycle back to R's; every map is checked by _witness_aut.
     Every automorphism is an inner one times such a map: a unit conjugates
     its images of the e_i back onto a permutation of them, by the lifting
     of idempotents in a semiperfect ring (Lam, A First Course in
@@ -339,7 +338,7 @@ def _normal_maps(R, bounds):
     if not rep.ok:
         raise InvalidCocycle(rep.as_json())
     return [
-        _witness_aut(R, R, phi, g)
+        (phi, g, _witness_aut(R, R, phi, g))
         for phi in semigroup_automorphisms(R.S, bounds)
         for g in _witnesses(R.S, relabel(R.S, phi, R.c), R.c, bounds, all_solutions=True)
     ]
@@ -363,22 +362,29 @@ def _key(key_of, f):
 
 def _out_cosets(R, bounds):
     """Aut R as {matrix: least matrix of its Inn R coset}: the cosets of the normal maps, from the unit table."""
-    maps = [f.matrix for f in _normal_maps(R, bounds)]
+    maps = [f.matrix for _, _, f in _normal_maps(R, bounds)]
     return _cosets(maps, list(_inner(R, bounds)), R.D.p)
 
 
 def _normal_cosets(R, bounds):
-    """The normal maps N as {matrix: least matrix of its coset f K}, K = N meet Inn R, cached per bounds.
+    """(key_of, stab, sigma_key) from one pass over the normal maps N, cached per bounds.
 
-    _conjugator decides K; N/K is Out R, as N meets every Inn R coset.
+    key_of is N as {matrix: least matrix of its coset f K}, K = N meet Inn R;
+    _conjugator decides K, and N/K is Out R, as N meets every Inn R coset.
+    stab is every phi of Aut S with a witness, in Aut S order: the full
+    stabilizer of the cocycle. sigma_key maps each phi = id witness g, a
+    fixing pair, to the key of sigma(g), which is g's normal map.
     """
     cache = R.core.cache
     if ("normal", bounds) not in cache:
-        maps = list(dict.fromkeys(f.matrix for f in _normal_maps(R, bounds)))
+        labelled = _normal_maps(R, bounds)
+        maps = list(dict.fromkeys(f.matrix for _, _, f in labelled))
         key_of = _cosets(maps, [M for M in maps if _conjugator(R, M, bounds)], R.D.p)
         if len(key_of) != len(maps):
             raise WitnessRejected("a coset of the inner normal maps leaves the normal maps")
-        cache[("normal", bounds)] = key_of
+        stab = list(dict.fromkeys(phi for phi, _, _ in labelled))
+        sigma_key = {g: key_of[f.matrix] for phi, g, f in labelled if phi.is_identity()}
+        cache[("normal", bounds)] = key_of, stab, sigma_key
     return cache[("normal", bounds)]
 
 
@@ -396,20 +402,22 @@ def out_r(R, bounds=DEFAULT_BOUNDS):
 def lambda_map(R, h1, bounds=DEFAULT_BOUNDS):
     """Check sigma is inner exactly on the coboundary part of the fixing pairs.
 
-    sigma(g) is inner when its coset in _normal_cosets is the identity's.
-    Runs over the whole enumerated Z^1, so a passing report certifies the
-    induced map on classes is well defined and injective. The coset keys of
-    the H^1 representatives' sigmas wait in the core cache for verify_ses.
+    sigma(g) is g's phi = id normal map, so its coset key comes from
+    _normal_cosets, and it is inner when that key is the identity's. Runs
+    over the whole enumerated Z^1, so a passing report certifies the induced
+    map on classes is well defined and injective. A g with no normal map
+    raises as sigma(g) and its coset lookup would.
     """
     report = ValidationReport()
-    key_of = _normal_cosets(R, bounds)
+    key_of, _, sigma_key = _normal_cosets(R, bounds)
     inner = _key(key_of, RingAut.identity(R))
-    b1, reps = set(h1.b1), set(h1.reps)
-    kept = R.core.cache["sigma_keys"] = set()
+    b1 = set(h1.b1)
     for g in h1.z1:
-        key = _key(key_of, sigma(R, g))
-        if g in reps:
-            kept.add(key)
+        if g not in sigma_key:
+            if not verify_one_cocycle(R.S, R.c, g):
+                raise NotAOneCocycle("the pair does not fix the ring's cocycle")
+            raise WitnessRejected("map outside every coset of the Aut R search")
+        key = sigma_key[g]
         if (key == inner) != (g in b1):
             report.add(
                 "lambda_monomorphism",
@@ -482,9 +490,10 @@ def _is_trivial_cocycle(R):
 def verify_ses(R, bounds=DEFAULT_BOUNDS):
     """Compute H^1, the normal stabilizer and Out R, and check the sequence glues.
 
-    The three are not independent: Out R is N/K (see _normal_cosets), and N
-    comes from Aut S and the same gauge solver that H^1 and the stabilizer
-    use. Out order must factor as the first-cohomology order times the order
+    The three come from one gauge equation. H^1 is solved first; one pass
+    over Aut S and that equation's witnesses then gives N, the full
+    stabilizer and the sigma(Z^1) coset keys (see _normal_cosets), and Out R
+    is N/K. Out order must factor as the first-cohomology order times the order
     of the normal stabilizer of the cocycle in Aut S; each coset must induce
     one normal semigroup map, read off its normal maps' diagonal images; the
     sigma-image cosets must be exactly the kernel of that map, whose image
@@ -493,10 +502,9 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     """
     S = R.S
     h1 = first_cohomology(S, R.c, bounds)
-    stab_full = stabilizer(S, R.c, bounds)
+    key_of, stab_full, sigma_key = _normal_cosets(R, bounds)
     W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
 
-    key_of = _normal_cosets(R, bounds)
     induced = {}
     for M, key in key_of.items():
         phi = _diagonal_phi(R, _diagonal_images(R, M))
@@ -507,7 +515,7 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
         raise WitnessRejected("an Out R class induces no normal semigroup map")
 
     lam = lambda_map(R, h1, bounds=bounds)
-    lam_keys = R.core.cache.pop("sigma_keys")
+    lam_keys = {sigma_key[g] for g in h1.reps}
 
     ker_keys = {key for key, phi in induced.items() if phi.is_identity()}
     kernel_ok = lam_keys == ker_keys and len(lam_keys) == h1.order

@@ -25,10 +25,6 @@ class SearchBoundExceeded(SqfreeError):
     """A search space estimate exceeded the configured bound."""
 
 
-class BlockNotMatrixUnits(SqfreeError):
-    """An equivalence class of idempotents is not a full matrix-unit pattern."""
-
-
 class NonCommutativeCoefficients(SqfreeError):
     """Abelian cochain machinery called with a non-commutative backend."""
 

@@ -10,10 +10,9 @@ Semigroup elements are represented by their support pair; e_i is (i,i).
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .common import DEFAULT_BOUNDS, ValidationReport
-from .errors import BlockNotMatrixUnits, SearchBoundExceeded
+from .errors import SearchBoundExceeded
 
 
 @dataclass(frozen=True)
@@ -132,45 +131,6 @@ def sim_classes(S):
     for i in range(1, S.n + 1):
         groups.setdefault(find(i), []).append(i)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
-def blocks(S):
-    """The ~-classes as standalone matrix-unit semigroups.
-
-    Returns (block, parent_indices) pairs; block index a corresponds to
-    parent index parent_indices[a-1]. Raises BlockNotMatrixUnits when a
-    class is not a full matrix-unit pattern.
-    """
-    out = []
-    for cls in sim_classes(S):
-        m = len(cls)
-        for a, b in product(cls, repeat=2):
-            if (a, b) not in S.support:
-                raise BlockNotMatrixUnits(f"class {cls}: pair {(a, b)} missing")
-        for a, b, c in product(cls, repeat=3):
-            if (a, b, c) not in S.comp:
-                raise BlockNotMatrixUnits(f"class {cls}: triple {(a, b, c)} missing")
-        sub = SquareFreeSemigroup.make(
-            m,
-            [(a, b) for a, b in product(range(1, m + 1), repeat=2)],
-            [(a, b, c) for a, b, c in product(range(1, m + 1), repeat=3)],
-            close_units=False,
-        )
-        out.append((sub, tuple(cls)))
-    return out
-
-
-def reduced(S):
-    """Restriction to the least index of every ~-class, reindexed densely."""
-    reps = [cls[0] for cls in sim_classes(S)]
-    pos = {r: a + 1 for a, r in enumerate(reps)}
-    support = [(pos[i], pos[j]) for i, j in S.support if i in pos and j in pos]
-    comp = [
-        (pos[i], pos[j], pos[k])
-        for i, j, k in S.comp
-        if i in pos and j in pos and k in pos
-    ]
-    return SquareFreeSemigroup.make(len(reps), support, comp, close_units=False), tuple(reps)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,10 @@ from .cohom import (
     _mu_candidates,
     act,
     normalize,
-    verify_two_cocycle,
 )
 from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import (
     InfiniteBackend,
-    InvalidCocycle,
     InvalidInput,
     MixedRings,
     NonCentralXi,
@@ -38,9 +36,6 @@ class TwistedRing:
 
     def __init__(self, S, D, c, check=True):
         if check:
-            rep = verify_two_cocycle(S, c)
-            if not rep.ok:
-                raise InvalidCocycle(rep.as_json())
             c, witness = normalize(S, c)
         else:
             # corrupted-cocycle experiments construct the raw product table

@@ -2,12 +2,13 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from sqfree import autos, jsonio, twring
+from sqfree import autos, cohom, jsonio, twring
 from sqfree.autos import (
     InnerWitness,
     RingAut,
@@ -35,6 +36,7 @@ from sqfree.cohom import (
     one_cocycles,
     random_gauge,
     stabilizer,
+    verify_one_cocycle,
 )
 from sqfree.errors import InvalidInput, NotAOneCocycle, NotInvertible, SearchBoundExceeded, WitnessRejected
 from sqfree.common import DEFAULT_BOUNDS, Bounds
@@ -260,6 +262,11 @@ def test_lambda_monomorphism():
     assert lambda_map(R, h1).ok
     R2 = frob_ring()
     assert lambda_map(R2, first_cohomology(t2(), R2.c)).ok
+    # a gauge that moves the cocycle has no sigma, so lambda_map refuses it as sigma does
+    moving = GaugeElement({1: F.frobenius(1), 2: F.identity_automorphism()}, {p: F.one for p in S.support})
+    assert not verify_one_cocycle(S, R.c, moving)
+    with pytest.raises(NotAOneCocycle, match="^the pair does not fix the ring's cocycle$"):
+        lambda_map(R, replace(h1, z1=h1.z1 + [moving]))
 
 
 def test_phi_map_basics():
@@ -407,16 +414,18 @@ def test_section_of_a_non_automorphism_names_the_pair(S, perm, pair):
 INNER_ONLY_SEARCH_SCRIPT = """
 import sys
 from sqfree import autos
-from sqfree.cohom import TwoCocycle
+from sqfree.cohom import GaugeElement, TwoCocycle
 from sqfree.errors import WitnessRejected
 from sqfree.fixtures import gf, two_cycle
+from sqfree.sgrp import SemigroupAutomorphism
 from sqfree.twring import TwistedRing
 
 assert sys.flags.optimize, "run me under python -O"
 S, F = two_cycle(), gf(4)
 R = TwistedRing(S, F, TwoCocycle.trivial(S, F))
 # an incomplete Aut R search: the identity coset alone, so sigma of a class outside B^1 has no coset
-autos._normal_maps = lambda R, bounds: iter([autos.RingAut.identity(R)])
+identity = SemigroupAutomorphism.identity(S.n), GaugeElement.identity(S, F), autos.RingAut.identity(R)
+autos._normal_maps = lambda R, bounds: [identity]
 try:
     autos.verify_ses(R)
 except WitnessRejected as exc:
@@ -718,16 +727,21 @@ def test_out_r_work_is_one_coset_per_class(monkeypatch, S, want):
 
 @pytest.mark.parametrize("S, want", [(two_cycle(), (36, 2)), (mu(2), (12, 1))], ids=["two_cycle", "mu2"])
 def test_verify_ses_work_is_one_linear_test_per_normal_map(monkeypatch, S, want):
-    # over GF(4): |N| linear tests, |N| coset products plus |W|^2 section products, no element scan
+    # over GF(4): |N| linear tests, |N| coset products plus |W|^2 section products, no element scan;
+    # |N| + |W| witness maps (the normal maps and the sections), and no second solve or sigma build
     R = trivial_ring(S, gf(4))
-    normal = len({f.matrix for f in autos._normal_maps(R, DEFAULT_BOUNDS)})
+    normal = len({f.matrix for _, _, f in autos._normal_maps(R, DEFAULT_BOUNDS)})
     tests, products = counting(monkeypatch, "_conjugator"), counting(monkeypatch, "mat_mul")
     scans = [counting(monkeypatch, "_scan", twring), counting(monkeypatch, "_scan")]
+    maps, sigmas = counting(monkeypatch, "_witness_aut"), counting(monkeypatch, "sigma")
+    solves = counting(monkeypatch, "cohomologous", cohom)
     rep = verify_ses(R)
     assert (normal, rep.stab_order) == want
     assert tests[0] == normal
     assert products[0] == normal + rep.stab_order**2
     assert scans == [[0], [0]]
+    assert maps[0] == normal + rep.stab_order
+    assert (sigmas, solves) == ([0], [0])
 
 
 def test_verify_ses_answers_rings_above_the_unit_bound():

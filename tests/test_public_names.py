@@ -29,8 +29,6 @@ ALLOWED = {
     "lscale": "the left scalar action d x of the left D-space that the twring docstring defines",
     "rscale": "the right scalar action x d that the twring docstring defines",
     "enumerate_elements": "the element order that _scan and the unit and idempotent scans follow",
-    "blocks": "the block decomposition the Inn R conjugator lift may use",
-    "reduced": "the reduced semigroup the Inn R conjugator lift may use",
 }
 
 

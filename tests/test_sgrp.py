@@ -13,15 +13,13 @@ import pytest
 
 from sqfree.common import ValidationReport
 
-from sqfree.errors import BlockNotMatrixUnits, SearchBoundExceeded
+from sqfree.errors import SearchBoundExceeded
 from sqfree.fixtures import a3, double_t2, mu, single, t2
 from sqfree.sgrp import (
     SemigroupAutomorphism,
     SquareFreeSemigroup,
     automorphisms,
-    blocks,
     is_normal_automorphism,
-    reduced,
     sim_classes,
 )
 
@@ -113,35 +111,6 @@ def test_sim_classes():
     assert sim_classes(mu(2)) == [[1, 2]]
     assert sim_classes(mu(3)) == [[1, 2, 3]]
     assert sim_classes(double_t2()) == [[1], [2], [3], [4]]
-
-
-def test_blocks_mu():
-    out = blocks(mu(2))
-    assert len(out) == 1
-    sub, parents = out[0]
-    assert parents == (1, 2)
-    assert sub.n == 2 and len(sub.support) == 4
-
-
-def test_blocks_reject_partial_class():
-    # 1 ~ 2 ~ 3 by mutual splitting, but the pair (1, 3) is missing
-    S = SquareFreeSemigroup.make(
-        3,
-        [(1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (2, 3), (3, 2)],
-        [(1, 2, 1), (2, 1, 2), (2, 3, 2), (3, 2, 3)],
-    )
-    assert sim_classes(S) == [[1, 2, 3]]
-    with pytest.raises(BlockNotMatrixUnits):
-        blocks(S)
-
-
-def test_reduced():
-    Sbar, reps = reduced(mu(3))
-    assert reps == (1,)
-    assert Sbar.n == 1 and Sbar.support == frozenset({(1, 1)})
-    Tbar, treps = reduced(t2())
-    assert treps == (1, 2)
-    assert Tbar.support == t2().support
 
 
 def test_automorphism_groups():
