@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import jsonio
 from .autos import out_r, verify_ses
@@ -72,12 +73,10 @@ def _load_json(source, label):
         )
 
 
-def _bounds_json(bounds):
-    return {
-        "max_units": bounds.max_units,
-        "max_search": bounds.max_search,
-        "aut_s_max_n": bounds.aut_s_max_n,
-    }
+def _require(rep, message, where):
+    """Refuse a failed report as input, naming its first violation's kind in message."""
+    if not rep.ok:
+        raise InvalidInput(message.format(rep.violations[0].kind), where=where)
 
 
 class Job:
@@ -95,29 +94,19 @@ class Job:
         self.bounds = jsonio.decode_bounds(overrides or None, bounds, where="--bounds")
 
     def checked_semigroup(self):
-        rep = self.S.validate()
-        if not rep.ok:
-            raise InvalidInput(
-                f"semigroup fails validation ({rep.violations[0].kind}); run the validate command",
-                where="bundle.semigroup",
-            )
+        _require(self.S.validate(), "semigroup fails validation ({}); run the validate command", "bundle.semigroup")
         return self.S
 
     def cocycle_or_trivial(self):
         return self.cocycle if self.cocycle is not None else TwoCocycle.trivial(self.S, self.D)
 
     def valid_cocycle(self):
+        self.checked_semigroup()
         c = self.cocycle_or_trivial()
-        rep = verify_two_cocycle(self.S, c)
-        if not rep.ok:
-            raise InvalidInput(
-                f"cocycle fails verification ({rep.violations[0].kind}); run verify-cocycle",
-                where="bundle.cocycle",
-            )
+        _require(verify_two_cocycle(self.S, c), "cocycle fails verification ({}); run verify-cocycle", "bundle.cocycle")
         return c
 
     def ring(self):
-        self.checked_semigroup()
         return TwistedRing(self.S, self.D, self.valid_cocycle())
 
 
@@ -144,7 +133,6 @@ def cmd_verify_cocycle(args):
 def cmd_normalize(args):
     """emit an equivalent cocycle with trivial idempotent scalars, plus witness"""
     job = Job(args)
-    job.checked_semigroup()
     c2, g = normalize(job.S, job.valid_cocycle())
     return 0, {"cocycle": jsonio.encode_cocycle(c2), "witness": jsonio.encode_gauge(g)}
 
@@ -153,7 +141,6 @@ def cmd_normalize(args):
 def cmd_trivialize_blocks(args):
     """emit an equivalent cocycle that is trivial on every block, plus witness"""
     job = Job(args)
-    job.checked_semigroup()
     c2, g = trivialize_on_blocks(job.S, job.valid_cocycle())
     return 0, {"cocycle": jsonio.encode_cocycle(c2), "witness": jsonio.encode_gauge(g)}
 
@@ -162,15 +149,10 @@ def cmd_trivialize_blocks(args):
 def cmd_cohomologous(args):
     """search for a gauge witness between the bundle cocycle and --other"""
     job = Job(args)
-    job.checked_semigroup()
     c1 = job.valid_cocycle()
     other = jsonio.decode_cocycle(job.S, job.D, _load_json(args.other, args.other), where="other")
-    rep = verify_two_cocycle(job.S, other)
-    if not rep.ok:
-        raise InvalidInput(
-            f"second cocycle fails verification ({rep.violations[0].kind})", where="other"
-        )
-    report = {"bounds": _bounds_json(job.bounds)}
+    _require(verify_two_cocycle(job.S, other), "second cocycle fails verification ({})", "other")
+    report = {"bounds": asdict(job.bounds)}
     if args.phi:
         found = cohomologous_with_relabel(job.S, c1, other, job.bounds)
         if found is None:
@@ -189,30 +171,27 @@ def cmd_cohomologous(args):
     return 0, report
 
 
+def _group_report(job, auts):
+    """Report of a list of semigroup automorphisms, in the order given."""
+    return 0, {
+        "bounds": asdict(job.bounds),
+        "order": len(auts),
+        "automorphisms": [list(phi.perm) for phi in auts],
+    }
+
+
 @command("aut-s")
 def cmd_aut_s(args):
     """enumerate the semigroup automorphisms"""
     job = Job(args)
-    job.checked_semigroup()
-    auts = semigroup_automorphisms(job.S, job.bounds)
-    return 0, {
-        "bounds": _bounds_json(job.bounds),
-        "order": len(auts),
-        "automorphisms": [list(phi.perm) for phi in auts],
-    }
+    return _group_report(job, semigroup_automorphisms(job.checked_semigroup(), job.bounds))
 
 
 @command("stab")
 def cmd_stab(args):
     """semigroup automorphisms whose relabeling stays in the gauge orbit"""
     job = Job(args)
-    job.checked_semigroup()
-    stab = stabilizer(job.S, job.valid_cocycle(), job.bounds)
-    return 0, {
-        "bounds": _bounds_json(job.bounds),
-        "order": len(stab),
-        "automorphisms": [list(phi.perm) for phi in stab],
-    }
+    return _group_report(job, stabilizer(job.S, job.valid_cocycle(), job.bounds))
 
 
 @command("ring-check")
@@ -224,7 +203,7 @@ def cmd_ring_check(args):
     R = TwistedRing(job.S, job.D, job.cocycle_or_trivial(), check=False)
     rep = check_associativity(R)
     report = {
-        "bounds": _bounds_json(job.bounds),
+        "bounds": asdict(job.bounds),
         "associativity": rep.as_json(),
         "idempotent_count": None,
         "unit_count": None,
@@ -242,7 +221,7 @@ def cmd_d_algebra(args):
     """search for a gauge witness trivializing all coefficient twists"""
     job = Job(args)
     witness = is_d_algebra(job.ring(), job.bounds)
-    report = {"bounds": _bounds_json(job.bounds), "is_d_algebra": witness is not None}
+    report = {"bounds": asdict(job.bounds), "is_d_algebra": witness is not None}
     if witness is None:
         return 1, report
     report["witness"] = jsonio.encode_gauge(witness)
@@ -253,10 +232,9 @@ def cmd_d_algebra(args):
 def cmd_h1(args):
     """first cohomology of the bundle cocycle, with representatives"""
     job = Job(args)
-    job.checked_semigroup()
     h1 = first_cohomology(job.S, job.valid_cocycle(), job.bounds)
     return 0, {
-        "bounds": _bounds_json(job.bounds),
+        "bounds": asdict(job.bounds),
         "order": h1.order,
         "z1_order": len(h1.z1),
         "b1_order": len(h1.b1),
@@ -270,7 +248,7 @@ def cmd_out_r(args):
     job = Job(args)
     order, reps = out_r(job.ring(), job.bounds)
     return 0, {
-        "bounds": _bounds_json(job.bounds),
+        "bounds": asdict(job.bounds),
         "order": order,
         "representatives": [jsonio.encode_ring_aut(f) for f in reps],
     }
@@ -283,7 +261,7 @@ def cmd_verify_ses(args):
     rep = verify_ses(job.ring(), job.bounds)
     ok = rep.exact and rep.split_ok is not False
     report = dict(rep.as_json())
-    report["bounds"] = _bounds_json(job.bounds)
+    report["bounds"] = asdict(job.bounds)
     return (0 if ok else 1), report
 
 

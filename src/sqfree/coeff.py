@@ -83,6 +83,25 @@ def _check_irreducible(modulus, p, k):
                 raise ValueError(f"modulus {list(modulus)} divisible by {cand} over GF({p})")
 
 
+# _divide and _power serve both element classes; each class binds them in its
+# own dict, where perfbench/tracer.py looks the element operations up
+def _divide(self, other):
+    self._same(other)
+    return self * other.inverse()
+
+
+def _power(self, n):
+    base = self if n >= 0 else self.inverse()
+    n = abs(n)
+    acc = self.field.one
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base
+        n >>= 1
+    return acc
+
+
 class FFElement:
     __slots__ = ("field", "code")
 
@@ -128,20 +147,8 @@ class FFElement:
             raise DivisionByZero("inverse of 0")
         return FFElement(self.field, self.field._inv[self.code])
 
-    def __truediv__(self, other):
-        self._same(other)
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        acc = self.field.one
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+    __truediv__ = _divide
+    __pow__ = _power
 
     def __eq__(self, other):
         return isinstance(other, FFElement) and other.field == self.field and other.code == self.code
@@ -421,20 +428,8 @@ class QuatElement:
             raise DivisionByZero("inverse of 0")
         return QuatElement(self.field, tuple(x / n for x in self.conjugate().parts))
 
-    def __truediv__(self, other):
-        self._same(other)
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        acc = self.field.one
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+    __truediv__ = _divide
+    __pow__ = _power
 
     def __eq__(self, other):
         return isinstance(other, QuatElement) and other.parts == self.parts

@@ -197,6 +197,14 @@ def verify_two_cocycle(S, c):
     return rep
 
 
+def _valid(S, c):
+    """c itself, or InvalidCocycle carrying verify_two_cocycle's report."""
+    rep = verify_two_cocycle(S, c)
+    if not rep.ok:
+        raise InvalidCocycle(rep.as_json())
+    return c
+
+
 def _aut_key(a):
     # Frobenius exponent or conjugator tuple; both orderable and hashable
     return a.m if hasattr(a, "m") else a.conjugator
@@ -265,9 +273,7 @@ def random_gauge(S, D, rng):
 def act(S, g, c, check=True):
     """Gauge action on a two-cocycle; preserves validity."""
     if check:
-        rep = verify_two_cocycle(S, c)
-        if not rep.ok:
-            raise InvalidCocycle(rep.as_json())
+        _valid(S, c)
     D = c.backend
     beta = {}
     for p in S.support:
@@ -283,23 +289,20 @@ def act(S, g, c, check=True):
 
 
 def normalize(S, c):
-    """Gauge c until all diagonal xi values are 1; returns (result, witness)."""
-    rep = verify_two_cocycle(S, c)
-    if not rep.ok:
-        raise InvalidCocycle(rep.as_json())
-    D = c.backend
-    witness = GaugeElement.identity(S, D)
-    current = c
-    for _ in range(4):
-        if current.is_normal():
-            return current, witness
-        eta = {p: D.one for p in S.support}
-        for i in range(1, S.n + 1):
-            eta[(i, i)] = current.xi[(i, i, i)].inverse()
-        step = GaugeElement({i: D.identity_automorphism() for i in range(1, S.n + 1)}, eta)
-        current = act(S, step, current, check=False)
-        witness = gauge_mul(S, witness, step)
-    raise InvalidCocycle("diagonal xi values did not stabilize at 1")
+    """Gauge c by eta(e_i) = xi(e_i, e_i)^(-1) so every diagonal xi value is 1; returns (result, witness).
+
+    alpha_ii is conjugation by x = xi(e_i, e_i), so the new value
+    x^(-1) alpha_ii(x^(-1)) x x = 1 after one step.
+    """
+    D = _valid(S, c).backend
+    eta = {p: D.one for p in S.support}
+    for i in range(1, S.n + 1):
+        eta[(i, i)] = c.xi[(i, i, i)].inverse()
+    witness = GaugeElement({i: D.identity_automorphism() for i in range(1, S.n + 1)}, eta)
+    out = act(S, witness, c, check=False)
+    if not out.is_normal():
+        raise InvalidCocycle("diagonal xi values did not reach 1")
+    return out, witness
 
 
 def trivialize_on_blocks(S, c):
@@ -309,10 +312,7 @@ def trivialize_on_blocks(S, c):
     eta(s_jk) = mu_j(xi(s_bj, s_jk)^(-1)) inside the class, identity/1
     elsewhere. Returns (result, witness); the restriction is re-checked.
     """
-    rep = verify_two_cocycle(S, c)
-    if not rep.ok:
-        raise InvalidCocycle(rep.as_json())
-    if not c.is_normal():
+    if not _valid(S, c).is_normal():
         raise InvalidCocycle("block trivialization expects a normal cocycle")
     D = c.backend
     mu = {i: D.identity_automorphism() for i in range(1, S.n + 1)}
@@ -494,9 +494,7 @@ def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
     if D != c2.backend:
         raise MixedBackends("cocycles over different backends")
     for c in (c1, c2):
-        rep = verify_two_cocycle(S, c)
-        if not rep.ok:
-            raise InvalidCocycle(rep.as_json())
+        _valid(S, c)
     g = next(_witnesses(S, c1, c2, bounds, all_solutions=False), None)
     if g is not None and act(S, g, c1, check=False) != c2:
         raise WitnessRejected("gauge witness does not carry the first cocycle to the second")
@@ -531,9 +529,7 @@ def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     D = base.backend
     if not D.is_finite:
         raise InfiniteBackend("fixed-point enumeration needs a finite field")
-    rep = verify_two_cocycle(S, base)
-    if not rep.ok:
-        raise InvalidCocycle(rep.as_json())
+    _valid(S, base)
     return sorted(_witnesses(S, base, base, bounds, all_solutions=True), key=lambda g: g.canonical_key())
 
 

@@ -14,7 +14,6 @@ from sqfree.autos import (
     RingAut,
     SESReport,
     aut_r_bruteforce,
-    aut_r_linear_filter,
     check_ring_automorphism,
     inner_group,
     is_inner,
@@ -41,13 +40,14 @@ from sqfree.cohom import (
 from sqfree.errors import InvalidInput, NotAOneCocycle, NotInvertible, SearchBoundExceeded, WitnessRejected
 from sqfree.common import DEFAULT_BOUNDS, Bounds
 from sqfree.fixtures import a3, double_t2, gf, mu, single, t2, two_cycle
-from sqfree.linalg import mat_mul, row_reduce
+from sqfree.linalg import mat_inv, mat_mul, row_reduce
 from sqfree.sgrp import SemigroupAutomorphism, is_normal_automorphism
 from sqfree.twring import (
     TwistedRing,
     enumerate_idempotents,
     enumerate_units,
     identity_element,
+    linear_basis,
     mul,
     to_vector,
 )
@@ -487,6 +487,33 @@ def reference_modulus_roots(R, q, corner):
 def reference_is_automorphism(R, matrix):
     """check_ring_automorphism(...).ok, stopping at the first violation."""
     return next(autos._product_violations(R, R, matrix), None) is None and autos._invertible(matrix, R.D.p)
+
+
+def aut_r_linear_filter(R, bounds=DEFAULT_BOUNDS):
+    """Raw oracle: filter every prime-field-linear map for the ring axioms, on the reference product."""
+    basis = linear_basis(R)
+    N, p = len(basis), R.D.p
+    total = p ** (N * N)
+    if total > bounds.max_search:
+        raise SearchBoundExceeded(f"max_search: linear map estimate {total} above limit {bounds.max_search}")
+    one = identity_element(R)
+    out = []
+    for flat in product(range(p), repeat=N * N):
+        M = tuple(flat[r * N : (r + 1) * N] for r in range(N))
+        f = RingAut(R, M)
+        if f.apply(one) != one:
+            continue
+        try:
+            mat_inv(M, p)
+        except NotInvertible:
+            continue
+        if all(
+            f.apply(mul(R, x, y)) == mul(R, f.apply(x), f.apply(y))
+            for x in basis
+            for y in basis
+        ):
+            out.append(f)
+    return out
 
 
 def reference_aut_r(R, bounds=DEFAULT_BOUNDS):

@@ -6,6 +6,7 @@ from sqfree.autos import RingAut, check_ring_automorphism
 from sqfree.cohom import TwoCocycle, act, verify_one_cocycle
 from sqfree.fixtures import a3, gf, mu, t2, two_cycle
 from sqfree.twring import TwistedRing, linear_basis, to_vector
+from test_bench_contract import run_bench
 
 
 def invoke(capsys, argv, stdin=None, monkeypatch=None):
@@ -376,3 +377,32 @@ def test_one_parser_per_process_with_each_docstring_as_help():
     text = " ".join(parser.format_help().split())
     for name, fn in cli.COMMANDS.items():
         assert f"{name} {' '.join(fn.__doc__.split())}" in text
+
+
+# Every variant of every CLI job the benchmark freezes, replayed through the
+# benchmark's own bundle writer, runner and digest, in a fresh interpreter
+# that writes no bytecode, so nothing under perfbench/ changes.
+REPLAY_SCRIPT = """
+import json
+import sys
+
+import run
+import workloads
+
+sq = run.load_library()
+table = run.load_oracles()["cli"]
+replayed, mismatched = 0, []
+for key in sorted(table):
+    for variant, want in enumerate(table[key]):
+        code, out = workloads.run_cli(sq, workloads.write_cli_job(sq, key, variant, sys.argv[1]))
+        replayed += 1
+        if [code, workloads.digest(out)] != want:
+            mismatched.append(f"{key} v{variant}")
+print(json.dumps({"replayed": replayed, "mismatched": mismatched}))
+"""
+
+
+def test_every_frozen_cli_digest_replays(tmp_path):
+    proc = run_bench("-c", REPLAY_SCRIPT, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"replayed": 352, "mismatched": []}

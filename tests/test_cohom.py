@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from sqfree import cohom
+from sqfree import cohom, jsonio
 from sqfree.coeff import FiniteField
 from sqfree.cohom import (
     Cochain,
@@ -241,6 +241,49 @@ def test_normalize_random_gauged():
         out, w = normalize(S, c)
         assert out.is_normal()
         assert act(S, w, c, check=False) == out
+
+
+def reference_normalize(S, c):
+    """The four-round loop normalize used before its single gauge step."""
+    D = c.backend
+    witness = GaugeElement.identity(S, D)
+    current = c
+    for _ in range(4):
+        if current.is_normal():
+            return current, witness
+        eta = {p: D.one for p in S.support}
+        for i in range(1, S.n + 1):
+            eta[(i, i)] = current.xi[(i, i, i)].inverse()
+        step = GaugeElement({i: D.identity_automorphism() for i in range(1, S.n + 1)}, eta)
+        current = act(S, step, current, check=False)
+        witness = gauge_mul(S, witness, step)
+    raise AssertionError("diagonal xi values did not stabilize at 1")
+
+
+def normalize_json(S, c, normalizer):
+    out, w = normalizer(S, c)
+    return jsonio.dumps({"cocycle": jsonio.encode_cocycle(out), "witness": jsonio.encode_gauge(w)})
+
+
+def test_normalize_matches_the_four_round_loop():
+    # trivial, gauged difference twists and gauged trivial cocycles over
+    # GF(2..9), and gauged trivial cocycles over the quaternions
+    rng = random.Random(12)
+    compared = 0
+    for name in sorted(DIFFERENTIAL_FIXTURES):
+        S = DIFFERENTIAL_FIXTURES[name]()
+        for F in [gf(q) for q in DIFFERENTIAL_FIELDS] + [FiniteField(7)]:
+            cases = differential_cocycles(S, F, rng) + differential_cocycles(S, F, rng)[1:]
+            for c in cases:
+                assert normalize_json(S, c, normalize) == normalize_json(S, c, reference_normalize)
+                compared += 1
+        H = quaternions()
+        for _ in range(8):
+            c = act(S, random_gauge(S, H, rng), TwoCocycle.trivial(S, H), check=False)
+            assert not c.is_normal()
+            assert normalize_json(S, c, normalize) == normalize_json(S, c, reference_normalize)
+            compared += 1
+    assert compared >= 300
 
 
 def test_trivialize_on_blocks():

@@ -15,7 +15,6 @@ from sqfree.autos import (
     InnerWitness,
     RingAut,
     aut_r_bruteforce,
-    aut_r_linear_filter,
     check_ring_automorphism,
     inner_group,
     is_inner,
@@ -38,7 +37,7 @@ from sqfree.twring import (
     mul,
     to_vector,
 )
-from test_autos import reference_aut_r
+from test_autos import aut_r_linear_filter, reference_aut_r
 from test_twring import random_ring_element
 
 FIXTURES = {

@@ -11,6 +11,10 @@ such a class, passes when one of these holds:
 - it is on the allowlist below, with its reason.
 
 Names that only the tests call move into the tests or gain a caller.
+
+Every private top-level function or class, and every private method, must
+be named somewhere in `src/` outside its own definition, so that a refactor
+leaves no stale helper behind.
 """
 
 import ast
@@ -23,7 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sqfree"
 
 ALLOWED = {
-    "aut_r_linear_filter": "the only user of autos's import of twring.mul, which the benchmark self-test pins",
     "decode_gauge": "inverse of encode_gauge in the wire format, anchored by the JSON round-trip test",
     "decode_ring_element": "inverse of encode_ring_element in the wire format, anchored by the JSON round-trip test",
     "lscale": "the left scalar action d x of the left D-space that the twring docstring defines",
@@ -36,14 +39,23 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _definitions(tree):
-    """(name, def node) for public top-level functions and classes and their public methods."""
+def _is_public(name):
+    return not name.startswith("_")
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _definitions(tree, wanted=_is_public):
+    """(name, def node) for the wanted top-level functions and classes and the wanted methods of every class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if wanted(node.name):
+                yield node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    if isinstance(item, ast.FunctionDef) and wanted(item.name):
                         yield item.name, item
 
 
@@ -91,9 +103,24 @@ def uncalled_public_names():
     return missing
 
 
+def unreferenced_private_names():
+    """module.name for each private definition that nothing else in src/ names."""
+    src_trees = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    return [
+        f"{path.stem}.{name}"
+        for path, tree in src_trees.items()
+        for name, node in _definitions(tree, _is_private)
+        if not any(name in _referenced_names(t, skip=node) for t in src_trees.values())
+    ]
+
+
 def test_every_public_name_has_a_caller_or_a_reason():
     assert [m for m in uncalled_public_names() if m.partition(".")[2] not in ALLOWED] == []
 
 
 def test_every_allowlisted_name_still_lacks_a_caller():
     assert sorted(m.partition(".")[2] for m in uncalled_public_names()) == sorted(ALLOWED)
+
+
+def test_every_private_helper_is_used_in_src():
+    assert unreferenced_private_names() == []

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sqfree.autos import RingAut, aut_r_linear_filter, is_inner
+from sqfree.autos import RingAut, is_inner
 from sqfree.cohom import (
     GaugeElement,
     TwoCocycle,
@@ -18,6 +18,7 @@ from sqfree.common import Bounds
 from sqfree.errors import SearchBoundExceeded
 from sqfree.fixtures import gf, t2
 from sqfree.twring import TwistedRing, enumerate_units
+from test_autos import aut_r_linear_filter
 
 
 def trivial(q):

@@ -3,18 +3,19 @@
 The walks in `tuples`, `validate` and `sim_classes` follow the support
 pairs out of each index; the references at the end of this file scan every
 pair or index instead, and both must agree on random valid semigroups and
-on corrupted copies of them.
+on corrupted copies of them. `automorphisms` is compared with a filter of
+all n! permutations.
 """
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from sqfree.common import ValidationReport
 
 from sqfree.errors import SearchBoundExceeded
-from sqfree.fixtures import a3, double_t2, mu, single, t2
+from sqfree.fixtures import a3, double_t2, mu, single, t2, two_cycle
 from sqfree.sgrp import (
     SemigroupAutomorphism,
     SquareFreeSemigroup,
@@ -328,3 +329,24 @@ def test_adjacency_leaves_equality_and_hash_alone():
     assert S.tuples(3) == T.tuples(3)
     assert S == T and hash(S) == hash(T)
     assert S != SquareFreeSemigroup(S.n, S.support, S.comp - {(1, 2, 3)})
+
+
+def ref_automorphisms(S):
+    """Every index permutation preserving support and comp both ways, in perm order."""
+    indices = range(1, S.n + 1)
+    out = []
+    for perm in permutations(indices):
+        phi = SemigroupAutomorphism(perm)
+        if all((p in S.support) == (phi.pair(p) in S.support) for p in product(indices, repeat=2)) and all(
+            (t in S.comp) == (phi.triple(t) in S.comp) for t in product(indices, repeat=3)
+        ):
+            out.append(phi)
+    return out
+
+
+def test_automorphisms_match_a_filter_of_every_permutation():
+    fixtures = [single(), t2(), a3(), mu(2), mu(3), two_cycle(), double_t2()]
+    randoms = [S for S, _ in map(_cases, SEEDS) if S.n <= 6]
+    assert len(randoms) >= 30 and any(len(automorphisms(S)) > 1 for S in randoms)
+    for S in fixtures + randoms:
+        assert automorphisms(S) == ref_automorphisms(S), S
