@@ -374,7 +374,10 @@ def lambda_map(R, h1, bounds=DEFAULT_BOUNDS):
     _normal_cosets, and it is inner when that key is the identity's. Runs
     over the whole enumerated Z^1, so a passing report certifies the induced
     map on classes is well defined and injective. A g with no normal map
-    goes through sigma(g) and its coset lookup, which refuse it.
+    goes through sigma(g) and its coset lookup, which refuse it: g -> sigma(g)
+    is injective (sigma(g) sends 1 s_ij to eta(ij) s_ij and d s_ii to
+    mu_i(d) eta(ii) s_ii), and a normal map with phi != id moves some s_ii,
+    so sigma(g) of a g missing from sigma_key is never in key_of.
     """
     report = ValidationReport()
     key_of, _, sigma_key = _normal_cosets(R, bounds)

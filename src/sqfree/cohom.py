@@ -292,9 +292,12 @@ def normalize(S, c):
     """Gauge c by eta(e_i) = xi(e_i, e_i)^(-1) so every diagonal xi value is 1; returns (result, witness).
 
     alpha_ii is conjugation by x = xi(e_i, e_i), so the new value
-    x^(-1) alpha_ii(x^(-1)) x x = 1 after one step.
+    x^(-1) alpha_ii(x^(-1)) x x = 1 after one step. A normal c comes back
+    as it is, with the identity witness the step would also give.
     """
     D = _valid(S, c).backend
+    if c.is_normal():
+        return c, GaugeElement.identity(S, D)
     eta = {p: D.one for p in S.support}
     for i in range(1, S.n + 1):
         eta[(i, i)] = c.xi[(i, i, i)].inverse()
