@@ -295,13 +295,11 @@ def normalize(S, c):
     x^(-1) alpha_ii(x^(-1)) x x = 1 after one step. A normal c comes back
     as it is, with the identity witness the step would also give.
     """
-    D = _valid(S, c).backend
+    witness = GaugeElement.identity(S, _valid(S, c).backend)
     if c.is_normal():
-        return c, GaugeElement.identity(S, D)
-    eta = {p: D.one for p in S.support}
+        return c, witness
     for i in range(1, S.n + 1):
-        eta[(i, i)] = c.xi[(i, i, i)].inverse()
-    witness = GaugeElement({i: D.identity_automorphism() for i in range(1, S.n + 1)}, eta)
+        witness.eta[(i, i)] = c.xi[(i, i, i)].inverse()
     out = act(S, witness, c, check=False)
     if not out.is_normal():
         raise InvalidCocycle("diagonal xi values did not reach 1")
@@ -318,8 +316,8 @@ def trivialize_on_blocks(S, c):
     if not _valid(S, c).is_normal():
         raise InvalidCocycle("block trivialization expects a normal cocycle")
     D = c.backend
-    mu = {i: D.identity_automorphism() for i in range(1, S.n + 1)}
-    eta = {p: D.one for p in S.support}
+    witness = GaugeElement.identity(S, D)
+    mu, eta = witness.mu, witness.eta
     classes = [cls for cls in sim_classes(S) if len(cls) > 1]
     for cls in classes:
         b = cls[0]
@@ -328,7 +326,6 @@ def trivialize_on_blocks(S, c):
         for j in cls:
             for k in cls:
                 eta[(j, k)] = mu[j](c.xi[(b, j, k)].inverse())
-    witness = GaugeElement(mu, eta)
     out = act(S, witness, c, check=False)
     for cls in classes:
         members = set(cls)
@@ -498,16 +495,26 @@ def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
         raise MixedBackends("cocycles over different backends")
     for c in (c1, c2):
         _valid(S, c)
+    return _cohomologous(S, c1, c2, bounds)
+
+
+def _cohomologous(S, c1, c2, bounds):
     g = next(_witnesses(S, c1, c2, bounds, all_solutions=False), None)
     if g is not None and act(S, g, c1, check=False) != c2:
         raise WitnessRejected("gauge witness does not carry the first cocycle to the second")
     return g
 
 
+def _searches(S, bounds):
+    """(phi, gauge search) over Aut S; only the first, the identity, is checked: relabelling keeps validity."""
+    for n, phi in enumerate(semigroup_automorphisms(S, bounds)):
+        yield phi, _cohomologous if n else cohomologous
+
+
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
     """Search Aut S x gauge for act(g, relabel(phi, c1)) = c2."""
-    for phi in semigroup_automorphisms(S, bounds):
-        g = cohomologous(S, relabel(S, phi, c1), c2, bounds)
+    for phi, search in _searches(S, bounds):
+        g = search(S, relabel(S, phi, c1), c2, bounds)
         if g is not None:
             return phi, g
     return None
@@ -515,11 +522,7 @@ def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
 
 def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
     """Semigroup automorphisms whose relabeling stays in the gauge orbit."""
-    return [
-        phi
-        for phi in semigroup_automorphisms(S, bounds)
-        if cohomologous(S, c, relabel(S, phi, c), bounds) is not None
-    ]
+    return [phi for phi, search in _searches(S, bounds) if search(S, c, relabel(S, phi, c), bounds) is not None]
 
 
 def verify_one_cocycle(S, base, g):

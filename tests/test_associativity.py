@@ -11,12 +11,14 @@ from itertools import product
 
 import pytest
 
-from sqfree.cohom import TwoCocycle, act, random_gauge
+from sqfree import twring
+from sqfree.cohom import TwoCocycle, act, random_gauge, verify_two_cocycle
 from sqfree.common import ValidationReport
 from sqfree.errors import InvalidInput
 from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
 from sqfree.sgrp import SquareFreeSemigroup
 from sqfree.twring import RingElement, TwistedRing, check_associativity, mul
+from test_sgrp import random_semigroup
 
 FIXTURES = {
     "single": single,
@@ -76,11 +78,38 @@ def ring(name, q, kind):
 
 
 def quaternion_ring(kind):
+    """t2 over the quaternions with alpha_12 conjugation by 1 + i, or a copy
+    with xi(1, 1, 2) = i, or with alpha_11 changed to conjugation by i.
+
+    conj(i) fixes 1 and i, so the alpha copy first fails at the scalar j,
+    the third generator; only d3 = j separates it, with d1 = d2 = 1.
+    """
     S, Q = t2(), quaternions()
     c = TwoCocycle.trivial(S, Q).replace_alpha((1, 2), Q.inner_automorphism(Q.element((1, 1, 0, 0))))
     if kind == "xi":
         c = c.replace_xi((1, 1, 2), Q.element((0, 1, 0, 0)))
+    elif kind == "alpha":
+        c = c.replace_alpha((1, 1), Q.inner_automorphism(Q.element((0, 1, 0, 0))))
     return TwistedRing(S, Q, c, check=False)
+
+
+def random_ring(seed, q, kind):
+    """A random gauge of the trivial cocycle on a random semigroup, or a copy
+    of it with one xi or one alpha changed.
+
+    The gauge gives Frobenius-twisted alphas and non-trivial xi values, and
+    the valid copy stays a valid cocycle, so its sweep must pass.
+    """
+    rng = random.Random(f"random/{seed}/GF{q}")
+    S, F = random_semigroup(rng, rng.randint(2, 4)), gf(q)
+    c = act(S, random_gauge(S, F, rng), TwoCocycle.trivial(S, F), check=False)
+    if kind == "xi":
+        t = rng.choice(sorted(S.comp))
+        c = c.replace_xi(t, rng.choice([u for u in F.units() if u != c.xi[t]]))
+    elif kind == "alpha":
+        p = rng.choice(S.elements())
+        c = c.replace_alpha(p, c.alpha[p] * F.frobenius(1))
+    return TwistedRing(S, F, c, check=False)
 
 
 CASES = [
@@ -89,7 +118,11 @@ CASES = [
     for q in FIELDS
     for k in KINDS
 ]
-CASES += [pytest.param(lambda k=k: quaternion_ring(k), id=f"quaternion-{k}") for k in ("valid", "xi")]
+CASES += [pytest.param(lambda k=k: quaternion_ring(k), id=f"quaternion-{k}") for k in KINDS]
+RANDOM_CASES = [(seed, q, k) for seed in range(4) for q in (4, 9) for k in KINDS]
+CASES += [
+    pytest.param(lambda s=s, q=q, k=k: random_ring(s, q, k), id=f"random{s}-GF{q}-{k}") for s, q, k in RANDOM_CASES
+]
 
 
 @pytest.mark.parametrize("make", CASES)
@@ -119,3 +152,41 @@ def test_invalid_semigroup_is_refused():
     S = SquareFreeSemigroup.make(2, [(1, 1), (2, 2), (1, 2)], [], close_units=False)
     with pytest.raises(InvalidInput, match="unit_law"):
         check_associativity(TwistedRing(S, F, TwoCocycle.trivial(S, F), check=False))
+
+
+def test_random_rings_pass_exactly_when_valid():
+    # the random differential above is only telling if corrupted copies fail;
+    # a changed xi can still be a cocycle (a diagonal one over a field), so
+    # the verdict is compared with the cocycle check
+    verdicts = set()
+    for s, q, k in RANDOM_CASES:
+        R = random_ring(s, q, k)
+        ok = check_associativity(R).ok
+        assert ok == verify_two_cocycle(R.S, R.c).ok
+        verdicts.add((k, ok))
+    assert verdicts == {("valid", True), ("xi", True), ("xi", False), ("alpha", False)}
+
+
+@pytest.mark.parametrize(
+    "make, per_chain",
+    [
+        (lambda: quaternion_ring("valid"), 10),
+        (lambda: TwistedRing(mu(3), gf(3), TwoCocycle.trivial(mu(3), gf(3))), 4),
+        (lambda: random_ring(0, 4, "valid"), 7),
+        (lambda: random_ring(1, 9, "valid"), 7),
+    ],
+    ids=["quaternion", "mu3-GF3", "random0-GF4", "random1-GF9"],
+)
+def test_sweep_makes_one_plus_three_gens_products_per_chain(monkeypatch, make, per_chain):
+    # x y once per chain, then (xy) z, y z and x (yz) per generator d3
+    R = make()
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(twring, "mul", counted)
+    assert check_associativity(R).ok
+    assert per_chain == 1 + 3 * len(R.D.generators())
+    assert calls[0] == len(R.S.tuples(3)) * per_chain

@@ -46,7 +46,7 @@ from sqfree.errors import (
     SearchBoundExceeded,
 )
 from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
-from sqfree.sgrp import SemigroupAutomorphism, automorphisms
+from sqfree.sgrp import SemigroupAutomorphism, SquareFreeSemigroup, automorphisms
 from test_sgrp import random_semigroup
 
 
@@ -930,6 +930,27 @@ def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
     for _, targets in fixing_targets(S, base, base):
         _, nodes = reference_eta_search(S, base.backend, base.alpha, targets, all_solutions=True)
         assert_nodes(S, base.backend, base.alpha, targets, True, nodes)
+
+
+def test_relabel_searches_verify_each_cocycle_once(monkeypatch):
+    # two disjoint two_cycles; swapping them moves the exponent-sum class,
+    # so Stab is half of Aut S and the relabel search passes phis that fail.
+    # Only the first phi, the identity, is verified, as cohomologous verifies
+    # it; a relabelled copy of a valid cocycle stays valid.
+    S = SquareFreeSemigroup.make(4, [(i, i) for i in range(1, 5)] + [(1, 2), (2, 1), (3, 4), (4, 3)], [])
+    F = gf(4)
+    c = TwoCocycle.trivial(S, F).replace_alpha((1, 2), F.frobenius(1))
+    swap = SemigroupAutomorphism((3, 4, 1, 2))
+    target = act(S, random_gauge(S, F, random.Random(3)), relabel(S, swap, c), check=False)
+    calls = counting(monkeypatch, "verify_two_cocycle")
+    assert len(automorphisms(S)) == 8
+    assert [phi.perm for phi in stabilizer(S, c)] == [(1, 2, 3, 4), (1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3)]
+    assert calls[0] == 2
+    assert cohomologous_with_relabel(S, c, target)[0].perm == swap.perm
+    assert calls[0] == 4
+    # mu3/GF4 made 12 calls when every phi re-verified both cocycles
+    assert len(stabilizer(mu(3), TwoCocycle.trivial(mu(3), F))) == 6
+    assert calls[0] == 6
 
 
 def test_h1_of_large_trivial_cocycles():
