@@ -34,7 +34,7 @@ from .errors import (
     WitnessRejected,
 )
 from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce
-from .sgrp import SemigroupAutomorphism, is_normal_automorphism
+from .sgrp import SemigroupAutomorphism, is_automorphism, is_normal_automorphism
 from .sgrp import automorphisms as semigroup_automorphisms
 from .twring import (
     _enumeration_guard,
@@ -402,8 +402,7 @@ def _diagonal_phi(R, images):
     if None in perm or len(set(perm)) != S.n:
         return None
     phi = SemigroupAutomorphism(perm)
-    closed = all(phi.pair(p) in S.support for p in S.support) and all(phi.triple(t) in S.comp for t in S.comp)
-    return phi if closed and is_normal_automorphism(S, phi) else None
+    return phi if is_automorphism(S, phi) and is_normal_automorphism(S, phi) else None
 
 
 def _diagonal_images(R, M):

@@ -19,6 +19,7 @@ relabel(psi*phi, c). Both laws are property-tested rather than trusted.
 from dataclasses import dataclass
 from itertools import product
 
+from .coeff import FFElement
 from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import (
     InfiniteBackend,
@@ -339,7 +340,9 @@ def trivialize_on_blocks(S, c):
 
 
 def relabel(S, phi, c):
-    """Pull a cocycle back along a semigroup automorphism (pure reindexing)."""
+    """Pull a cocycle back along a semigroup automorphism (pure reindexing); c must be defined on S's domain."""
+    if c.alpha.keys() != S.support or c.xi.keys() != S.comp:
+        _valid(S, c)
     alpha = {p: c.alpha[phi.pair(p)] for p in S.support}
     xi = {t: c.xi[phi.triple(t)] for t in S.comp}
     return TwoCocycle(alpha, xi)
@@ -395,37 +398,40 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
     One unknown in three distinct slots is solved for directly; a triple
     with a repeated slot scans the units. Forced values are unique, so the
     closure and its failure do not depend on visiting order. Branching on
-    the first free slot is deterministic; every leaf is re-checked.
+    the first free slot is deterministic; every leaf is re-checked. It runs
+    on field codes (D's _mul, _inv and _frob tables), units in code order:
+    the tree and node count of the element search; solutions become elements.
     """
-    units = D.units()
+    mul, inv, frob, units = D._mul, D._inv, D._frob, range(1, D.q)
     support = sorted(S.support)
     triples = sorted(S.comp)
     touching = {p: [] for p in support}
+    eqs = {}  # triple -> slots (ij), (jk), (ik), the rows of alpha_ij and its inverse, the target code
     for i, j, k in triples:
+        m = alpha1[(i, j)].m
+        eqs[(i, j, k)] = ((i, j), (j, k), (i, k), frob[m], frob[-m % D.k], targets[(i, j, k)].code)
         for s in {(i, j), (j, k), (i, k)}:
             touching[s].append((i, j, k))
     solutions = []
     nodes = [0]
 
     def value(t, assign):
-        i, j, k = t
-        return assign[(i, j)] * alpha1[(i, j)](assign[(j, k)]) * assign[(i, k)].inverse()
+        a, b, c, alpha, _, _ = eqs[t]
+        return mul[mul[assign[a]][alpha[assign[b]]]][inv[assign[c]]]
 
     def fits(t, v, assign):
-        i, j, k = t
-        a, b, c = (i, j), (j, k), (i, k)
+        a, b, c, alpha, alpha_inv, target = eqs[t]
         if len({a, b, c}) == 3:
             # a * alpha(b) * c^-1 = target, solved for the one unknown
-            target, alpha = targets[t], alpha1[a]
             if v == a:
-                return [target * assign[c] * alpha(assign[b]).inverse()]
+                return [mul[mul[target][assign[c]]][inv[alpha[assign[b]]]]]
             if v == b:
-                return [alpha.inverse()(assign[a].inverse() * target * assign[c])]
-            return [target.inverse() * assign[a] * alpha(assign[b])]
+                return [alpha_inv[mul[mul[inv[assign[a]]][target]][assign[c]]]]
+            return [mul[mul[inv[target]][assign[a]]][alpha[assign[b]]]]
         out = []
         for u in units:
             assign[v] = u
-            if value(t, assign) == targets[t]:
+            if value(t, assign) == target:
                 out.append(u)
         del assign[v]
         return out
@@ -434,10 +440,10 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
         todo = list(todo)
         while todo:
             t = todo.pop()
-            i, j, k = t
-            unknown = {(i, j), (j, k), (i, k)} - assign.keys()
+            a, b, c = eqs[t][:3]
+            unknown = {a, b, c} - assign.keys()
             if not unknown:
-                if value(t, assign) != targets[t]:
+                if value(t, assign) != eqs[t][5]:
                     return False
             elif len(unknown) == 1:
                 (v,) = unknown
@@ -458,7 +464,7 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
             return False
         free = [p for p in support if p not in assign]
         if not free:
-            if all(value(t, assign) == targets[t] for t in triples):
+            if all(value(t, assign) == eqs[t][5] for t in triples):
                 solutions.append(assign)
                 return not all_solutions
             return False
@@ -470,7 +476,7 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
         return False
 
     search({}, triples)
-    return solutions
+    return [{p: FFElement(D, u) for p, u in assign.items()} for assign in solutions]
 
 
 def _witnesses(S, c1, c2, bounds, all_solutions):
@@ -539,15 +545,9 @@ def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     return sorted(_witnesses(S, base, base, bounds, all_solutions=True), key=lambda g: g.canonical_key())
 
 
-def coboundary_star(S, base, nu, g):
-    """The diagonal-unit action on fixing pairs: nu is a map index -> unit."""
-    D = base.backend
-    mu = {i: D.inner_automorphism(nu[i]) * g.mu[i] for i in g.mu}
-    eta = {
-        (i, j): nu[i] * g.eta[(i, j)] * base.alpha[(i, j)](nu[j].inverse())
-        for (i, j) in g.eta
-    }
-    return GaugeElement(mu, eta)
+def _scale(mul, eta, factors):
+    """One orbit step of one_coboundaries: eta codes times a generator's factors, slot by slot."""
+    return tuple(mul[u][f] for u, f in zip(eta, factors))
 
 
 def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
@@ -555,7 +555,8 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
 
     D^x is cyclic, so (D^x)^n is generated by the n maps nu = g at one
     index and 1 elsewhere, g primitive: the walk makes n actions per orbit
-    element. The refusal still estimates the (q-1)^n maps nu.
+    element, on eta codes in support order, as nu keeps mu over a field.
+    The refusal still estimates the (q-1)^n maps nu.
     """
     D = base.backend
     if not D.is_finite:
@@ -563,19 +564,32 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
     total = len(D.units()) ** S.n
     if total > bounds.max_search:
         raise SearchBoundExceeded(f"max_search: orbit estimate {total} above limit {bounds.max_search}")
-    g, indices = D.element(D._primitive), range(1, S.n + 1)
-    gens = [{i: g if i == k else D.one for i in indices} for k in indices]
-    identity = GaugeElement.identity(S, D)
-    seen = {identity.canonical_key(): identity}
-    orbit = [identity]
-    for g in orbit:
-        for nu in gens:
-            h = coboundary_star(S, base, nu, g)
-            key = h.canonical_key()
-            if key not in seen:
-                seen[key] = h
+    support, mul, one, g = sorted(S.support), D._mul, D.one.code, D.element(D._primitive).code
+    # nu sends eta(ij) to nu_i eta(ij) alpha_ij(nu_j^-1)
+    factor = {(i, j): D._frob[base.alpha[(i, j)].m][D._inv[g]] for i, j in support}
+    gens = [[mul[g if i == k else one][factor[i, j] if j == k else one] for i, j in support] for k in range(1, S.n + 1)]
+    orbit = [(one,) * len(support)]
+    seen = set(orbit)
+    for eta in orbit:
+        for factors in gens:
+            h = _scale(mul, eta, factors)
+            if h not in seen:
+                seen.add(h)
                 orbit.append(h)
-    return [seen[key] for key in sorted(seen)]
+    mu = GaugeElement.identity(S, D).mu
+    return [GaugeElement(mu, {p: FFElement(D, u) for p, u in zip(support, eta)}) for eta in sorted(orbit)]
+
+
+def _code_keys(S, gauges):
+    """Each gauge as (Frobenius exponents of mu in index order, eta codes in support order): canonical_key's order."""
+    indices, support = range(1, S.n + 1), sorted(S.support)
+    return [(tuple(g.mu[i].m for i in indices), tuple(g.eta[p].code for p in support)) for g in gauges]
+
+
+def _code_mul(F, src, a, b):
+    """gauge_mul on _code_keys pairs; src[x] is the mu position of support pair x's first index."""
+    (am, ae), (bm, be), mul, frob = a, b, F._mul, F._frob
+    return tuple((x + y) % F.k for x, y in zip(am, bm)), tuple(mul[frob[am[s]][y]][x] for s, x, y in zip(src, ae, be))
 
 
 @dataclass
@@ -593,25 +607,27 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     representative, the least key of its class. Its coset must be |B^1| new
     keys inside Z^1. B^1 is a group by construction (an orbit of a group
     action); its normality is re-checked on the representatives only, as
-    z = r b' gives z B^1 z^-1 = r B^1 r^-1 and the cosets cover Z^1.
+    z = r b' gives z B^1 z^-1 = r B^1 r^-1 and the cosets cover Z^1. The
+    pass makes its 2|Z^1| products on field codes (_code_keys pairs) and
+    one gauge_inv per representative.
     """
     z1 = one_cocycles(S, base, bounds)
     b1 = one_coboundaries(S, base, bounds)
-    z1_keys = {g.canonical_key(): g for g in z1}
-    b1_keys = {g.canonical_key() for g in b1}
+    F, src = base.backend, [i - 1 for i, _ in sorted(S.support)]
+    z1_keys, b1_codes = dict(zip(_code_keys(S, z1), z1)), _code_keys(S, b1)
+    b1_keys = set(b1_codes)
     if not b1_keys <= z1_keys.keys():
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
     covered, reps = set(), []
     for key, z in z1_keys.items():
         if key in covered:
             continue
-        z_inv = gauge_inv(S, z)
-        coset = set()
-        for b in b1:
-            zb = gauge_mul(S, z, b)
-            if gauge_mul(S, zb, z_inv).canonical_key() not in b1_keys:
+        z_inv, coset = _code_keys(S, [gauge_inv(S, z)])[0], set()
+        for b in b1_codes:
+            zb = _code_mul(F, src, key, b)
+            if _code_mul(F, src, zb, z_inv) not in b1_keys:
                 raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-            coset.add(zb.canonical_key())
+            coset.add(zb)
         if len(coset) < len(b1) or not coset <= z1_keys.keys() or not coset.isdisjoint(covered):
             raise WitnessRejected("a coset of the coboundaries is not a block of the fixing pairs")
         covered |= coset

@@ -173,15 +173,14 @@ def automorphisms(S, bounds=DEFAULT_BOUNDS):
     """All automorphisms in perm order, by backtracking on images in increasing order.
 
     Each placed index has its pairs and its triples on at most two indices
-    checked both ways; a leaf checks that the triples on three distinct
-    indices map into comp, which for a permutation of the finite comp is onto.
+    checked both ways, which prunes; a leaf is kept when is_automorphism
+    holds.
     """
     if S.n > bounds.aut_s_max_n:
         raise SearchBoundExceeded(f"n={S.n} above automorphism bound {bounds.aut_s_max_n}")
     n = S.n
     found = []
     image = [0] * (n + 1)
-    distinct = [t for t in S.comp if len(set(t)) == 3]
 
     def consistent(i):
         for j in range(1, i + 1):
@@ -195,8 +194,9 @@ def automorphisms(S, bounds=DEFAULT_BOUNDS):
 
     def place(i, used):
         if i > n:
-            if all((image[a], image[b], image[c]) in S.comp for a, b, c in distinct):
-                found.append(SemigroupAutomorphism(tuple(image[1:])))
+            phi = SemigroupAutomorphism(tuple(image[1:]))
+            if is_automorphism(S, phi):
+                found.append(phi)
             return
         for img in range(1, n + 1):
             if img in used:
@@ -208,6 +208,11 @@ def automorphisms(S, bounds=DEFAULT_BOUNDS):
 
     place(1, frozenset())
     return found
+
+
+def is_automorphism(S, phi):
+    """Does the permutation phi map support and comp into themselves? Both are finite, so into is onto."""
+    return all(phi.pair(p) in S.support for p in S.support) and all(phi.triple(t) in S.comp for t in S.comp)
 
 
 def is_normal_automorphism(S, phi):

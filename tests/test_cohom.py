@@ -21,7 +21,6 @@ from sqfree.cohom import (
     act,
     boundary,
     chain_keys,
-    coboundary_star,
     cohomologous,
     cohomologous_with_relabel,
     first_cohomology,
@@ -791,6 +790,17 @@ def reference_one_cocycles(S, base):
     return out
 
 
+def coboundary_star(S, base, nu, g):
+    """The diagonal-unit action on fixing pairs: nu is a map index -> unit."""
+    D = base.backend
+    mu = {i: D.inner_automorphism(nu[i]) * g.mu[i] for i in g.mu}
+    eta = {
+        (i, j): nu[i] * g.eta[(i, j)] * base.alpha[(i, j)](nu[j].inverse())
+        for (i, j) in g.eta
+    }
+    return GaugeElement(mu, eta)
+
+
 def reference_one_coboundaries(S, base):
     """coboundary_star of every nu in (D^x)^n on the identity pair."""
     D = base.backend
@@ -859,12 +869,17 @@ DIFFERENTIAL_FIELDS = (2, 3, 4, 5, 8, 9)
 
 
 def assert_matches_references(S, c, rng):
-    D = c.backend
     res, ref = first_cohomology(S, c), reference_first_cohomology(S, c)
     assert res.order == ref.order
     assert keys(res.reps) == keys(ref.reps)
     assert keys(res.z1) == keys(ref.z1)
     assert keys(res.b1) == keys(ref.b1)
+    assert_searches_match_references(S, c, rng)
+
+
+def assert_searches_match_references(S, c, rng):
+    """Eta-search solutions and node counts, and the cohomologous witness, against c and a gauged copy."""
+    D = c.backend
     other = act(S, random_gauge(S, D, rng), c, check=False)
     for c2 in (c, other):
         for _, targets in fixing_targets(S, c, c2):
@@ -882,6 +897,33 @@ def test_h1_and_eta_search_match_the_references_on_fixtures(name):
         S, F = DIFFERENTIAL_FIXTURES[name](), gf(q)
         for c in differential_cocycles(S, F, rng):
             assert_matches_references(S, c, rng)
+
+
+# field, then the semigroups that get the full references; two_cycle's
+# quadratic H^1 reference takes seconds over GF(25) and GF(27)
+EXPLICIT_MODULUS_CASES = {
+    "GF16": ((2, 4, (1, 1, 0, 0, 1)), (single, t2, two_cycle)),
+    "GF25": ((5, 2, (2, 1, 1)), (single, t2)),
+    "GF27": ((3, 3, (1, 2, 0, 1)), (single, t2)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(EXPLICIT_MODULUS_CASES))
+def test_h1_and_eta_search_match_the_references_on_explicit_moduli(field):
+    # Frobenius rows of degree 3 and 4 over p = 2, 3 and 5, beyond the pinned
+    # GF(4), GF(8) and GF(9)
+    rng = random.Random(field)
+    spec, semigroups = EXPLICIT_MODULUS_CASES[field]
+    F = FiniteField(*spec)
+    for make in semigroups:
+        for c in differential_cocycles(make(), F, rng):
+            assert_matches_references(make(), c, rng)
+    # only a triple on three distinct indices, as a3's (1, 2, 3), has three
+    # distinct slots, where the search solves for x(jk) through alpha_ij^-1;
+    # alpha_ij = frob^(i - j) makes alpha_12 differ from its inverse for k > 2
+    S = a3()
+    twist = TwoCocycle({(i, j): F.frobenius(i - j) for i, j in S.support}, {t: F.one for t in S.comp})
+    assert_searches_match_references(S, twist, rng)
 
 
 def test_h1_and_eta_search_match_the_references_on_random_semigroups():
@@ -919,14 +961,14 @@ def counting(monkeypatch, name):
 
 @pytest.mark.parametrize("S, q", [(a3(), 9), (double_t2(), 8)], ids=["a3/GF9", "double_t2/GF8"])
 def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
-    # at most 2 gauge products per fixing pair, n coboundary_star actions
-    # per coboundary, and the eta search tree of the reference
+    # at most 2 code-pair products per fixing pair, n orbit steps per
+    # coboundary, and the eta search tree of the reference
     base = TwoCocycle.trivial(S, gf(q))
-    products, stars = counting(monkeypatch, "gauge_mul"), counting(monkeypatch, "coboundary_star")
+    products, stars = counting(monkeypatch, "_code_mul"), counting(monkeypatch, "_scale")
     b1 = one_coboundaries(S, base)
-    assert stars[0] <= S.n * len(b1)
+    assert 0 < stars[0] <= S.n * len(b1)
     res = first_cohomology(S, base)
-    assert products[0] <= 2 * len(res.z1)
+    assert 0 < products[0] <= 2 * len(res.z1)
     for _, targets in fixing_targets(S, base, base):
         _, nodes = reference_eta_search(S, base.backend, base.alpha, targets, all_solutions=True)
         assert_nodes(S, base.backend, base.alpha, targets, True, nodes)
@@ -951,6 +993,30 @@ def test_relabel_searches_verify_each_cocycle_once(monkeypatch):
     # mu3/GF4 made 12 calls when every phi re-verified both cocycles
     assert len(stabilizer(mu(3), TwoCocycle.trivial(mu(3), F))) == 6
     assert calls[0] == 6
+
+
+@pytest.mark.parametrize(
+    "search",
+    [stabilizer, lambda S, c: cohomologous_with_relabel(S, c, c)],
+    ids=["stabilizer", "cohomologous_with_relabel"],
+)
+def test_relabel_refuses_a_cocycle_off_the_domain(monkeypatch, search):
+    # a missing alpha or a stray xi is reported as verify_two_cocycle
+    # reports it, not as a KeyError from the reindexing
+    S, F = a3(), gf(4)
+    trivial = TwoCocycle.trivial(S, F)
+    missing = TwoCocycle({p: a for p, a in trivial.alpha.items() if p != (1, 2)}, trivial.xi)
+    stray = TwoCocycle(trivial.alpha, {**trivial.xi, (1, 3, 2): F.one})
+    for c in (missing, stray):
+        want = verify_two_cocycle(S, c)
+        assert [v["kind"] for v in want.as_json()["violations"]] in (["missing_alpha"], ["stray_xi"])
+        with pytest.raises(InvalidCocycle) as refused:
+            search(S, c)
+        assert refused.value.args[0] == want.as_json()
+    # a cocycle on S's domain is not re-verified by the reindexing
+    calls = counting(monkeypatch, "verify_two_cocycle")
+    relabel(S, automorphisms(S)[-1], trivial)
+    assert calls[0] == 0
 
 
 def test_h1_of_large_trivial_cocycles():

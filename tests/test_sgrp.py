@@ -3,8 +3,8 @@
 The walks in `tuples`, `validate` and `sim_classes` follow the support
 pairs out of each index; the references at the end of this file scan every
 pair or index instead, and both must agree on random valid semigroups and
-on corrupted copies of them. `automorphisms` is compared with a filter of
-all n! permutations.
+on corrupted copies of them. `automorphisms` and `is_automorphism` are
+compared with a filter of all n! permutations.
 """
 
 import random
@@ -20,6 +20,7 @@ from sqfree.sgrp import (
     SemigroupAutomorphism,
     SquareFreeSemigroup,
     automorphisms,
+    is_automorphism,
     is_normal_automorphism,
     sim_classes,
 )
@@ -349,4 +350,8 @@ def test_automorphisms_match_a_filter_of_every_permutation():
     randoms = [S for S, _ in map(_cases, SEEDS) if S.n <= 6]
     assert len(randoms) >= 30 and any(len(automorphisms(S)) > 1 for S in randoms)
     for S in fixtures + randoms:
-        assert automorphisms(S) == ref_automorphisms(S), S
+        want = ref_automorphisms(S)
+        assert automorphisms(S) == want, S
+        # the closure rule alone, on every permutation, keeps the same maps
+        perms = map(SemigroupAutomorphism, permutations(range(1, S.n + 1)))
+        assert [phi for phi in perms if is_automorphism(S, phi)] == want, S
