@@ -11,6 +11,7 @@ and tau with X = {u}, Y = {u^(-1)} is a -> u^(-1) a u.
 """
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import product
 
 from .cohom import (
@@ -22,7 +23,7 @@ from .cohom import (
     relabel,
     verify_one_cocycle,
 )
-from .common import DEFAULT_BOUNDS, ValidationReport
+from .common import DEFAULT_BOUNDS, ValidationReport, cosets
 from .errors import (
     InfiniteBackend,
     InvalidInput,
@@ -33,7 +34,7 @@ from .errors import (
     SearchBoundExceeded,
     WitnessRejected,
 )
-from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce
+from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce, solve
 from .sgrp import SemigroupAutomorphism, is_automorphism, is_normal_automorphism
 from .sgrp import automorphisms as semigroup_automorphisms
 from .twring import (
@@ -94,11 +95,7 @@ class RingAut:
 
 
 def _invertible(matrix, p):
-    try:
-        mat_inv(matrix, p)
-    except NotInvertible:
-        return False
-    return True
+    return solve(matrix, [()] * len(matrix), p) is not None
 
 
 def _product_violations(source, R, matrix):
@@ -312,16 +309,6 @@ def _normal_maps(R, bounds):
     ]
 
 
-def _cosets(maps, sub, p):
-    """{matrix: least matrix of its coset} over the cosets f H, one for each map f no earlier coset holds."""
-    key_of = {}
-    for M in maps:
-        if M not in key_of:
-            coset = [mat_mul(M, m, p) for m in sub]
-            key_of.update(dict.fromkeys(coset, min(coset)))
-    return key_of
-
-
 def _key(key_of, f):
     if f.matrix not in key_of:
         raise WitnessRejected("map outside every coset of the Aut R search")
@@ -331,7 +318,7 @@ def _key(key_of, f):
 def _out_cosets(R, bounds):
     """Aut R as {matrix: least matrix of its Inn R coset}: the cosets of the normal maps, from the unit table."""
     maps = [f.matrix for _, _, f in _normal_maps(R, bounds)]
-    return _cosets(maps, list(_inner(R, bounds)), R.D.p)
+    return cosets(maps, list(_inner(R, bounds)), partial(mat_mul, p=R.D.p))
 
 
 def _normal_cosets(R, bounds):
@@ -347,7 +334,7 @@ def _normal_cosets(R, bounds):
     if ("normal", bounds) not in cache:
         labelled = _normal_maps(R, bounds)
         maps = list(dict.fromkeys(f.matrix for _, _, f in labelled))
-        key_of = _cosets(maps, [M for M in maps if _conjugator(R, M, bounds)], R.D.p)
+        key_of = cosets(maps, [M for M in maps if _conjugator(R, M, bounds)], partial(mat_mul, p=R.D.p))
         if len(key_of) != len(maps):
             raise WitnessRejected("a coset of the inner normal maps leaves the normal maps")
         stab = list(dict.fromkeys(phi for phi, _, _ in labelled))

@@ -111,11 +111,7 @@ class FFElement:
 
     @property
     def coords(self):
-        c, out = self.code, []
-        for _ in range(self.field.k):
-            out.append(c % self.field.p)
-            c //= self.field.p
-        return tuple(out)
+        return tuple(self.field._decode(self.code))
 
     def is_zero(self):
         return self.code == 0
@@ -239,6 +235,7 @@ class FiniteField:
         return f"GF({self.q})" if self.k > 1 else f"GF({self.p})"
 
     def _decode(self, code):
+        """Coordinates c_a on the power basis x^a of the element with code sum c_a p^a."""
         out, c = [], code
         for _ in range(self.k):
             out.append(c % self.p)
@@ -317,19 +314,19 @@ class FiniteField:
 
     @property
     def one(self):
-        return FFElement(self, self._encode([1]))
+        return FFElement(self, 1)
 
     @property
     def gen(self):
         """Residue class of x; equals 1 when k = 1."""
-        return FFElement(self, self._encode([0, 1])) if self.k > 1 else self.one
+        return FFElement(self, self.p if self.k > 1 else 1)
 
     def generators(self):
         """Additive-basis coefficients used in exhaustive product checks."""
         return [self.one, self.gen] if self.k > 1 else [self.one]
 
     def power_basis(self):
-        return [self.gen**a for a in range(self.k)]
+        return [FFElement(self, self.p**a) for a in range(self.k)]
 
     def elements(self):
         return [FFElement(self, c) for c in range(self.q)]

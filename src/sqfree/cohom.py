@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .coeff import FFElement
-from .common import DEFAULT_BOUNDS, ValidationReport
+from .common import DEFAULT_BOUNDS, ValidationReport, cosets
 from .errors import (
     InfiniteBackend,
     InvalidCocycle,
@@ -603,35 +603,25 @@ class H1Result:
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     """Fixing pairs modulo the identity orbit, one pass per coset.
 
-    Z^1 is walked in canonical order; a pair no coset covers yet is the next
-    representative, the least key of its class. Its coset must be |B^1| new
-    keys inside Z^1. B^1 is a group by construction (an orbit of a group
-    action); its normality is re-checked on the representatives only, as
-    z = r b' gives z B^1 z^-1 = r B^1 r^-1 and the cosets cover Z^1. The
-    pass makes its 2|Z^1| products on field codes (_code_keys pairs) and
-    one gauge_inv per representative.
+    common.cosets partitions Z^1 into cosets of |B^1| keys, each keyed by its
+    least member, the representative; they must cover exactly Z^1. B^1 is a
+    group by construction (an orbit of a group action); normality is checked
+    as x r^-1 in B^1 for each x in r's coset, that is r B^1 r^-1 = B^1 for
+    each representative r, hence for all of Z^1. The 2|Z^1| products are on
+    field codes (_code_keys pairs), with one gauge_inv per representative.
     """
     z1 = one_cocycles(S, base, bounds)
     b1 = one_coboundaries(S, base, bounds)
     F, src = base.backend, [i - 1 for i, _ in sorted(S.support)]
-    z1_keys, b1_codes = dict(zip(_code_keys(S, z1), z1)), _code_keys(S, b1)
-    b1_keys = set(b1_codes)
-    if not b1_keys <= z1_keys.keys():
+    z1_keys, b1_keys = dict(zip(_code_keys(S, z1), z1)), _code_keys(S, b1)
+    b1_set = set(b1_keys)
+    if not b1_set <= z1_keys.keys():
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
-    covered, reps = set(), []
-    for key, z in z1_keys.items():
-        if key in covered:
-            continue
-        z_inv, coset = _code_keys(S, [gauge_inv(S, z)])[0], set()
-        for b in b1_codes:
-            zb = _code_mul(F, src, key, b)
-            if _code_mul(F, src, zb, z_inv) not in b1_keys:
-                raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-            coset.add(zb)
-        if len(coset) < len(b1) or not coset <= z1_keys.keys() or not coset.isdisjoint(covered):
-            raise WitnessRejected("a coset of the coboundaries is not a block of the fixing pairs")
-        covered |= coset
-        reps.append(z)
-    if len(reps) * len(b1) != len(z1):
-        raise WitnessRejected(f"{len(reps)} cosets of {len(b1)} do not cover {len(z1)} fixing pairs")
+    key_of = cosets(z1_keys, b1_keys, lambda a, b: _code_mul(F, src, a, b))
+    if key_of.keys() != z1_keys.keys():
+        raise WitnessRejected(f"{len(set(key_of.values()))} cosets of {len(b1)} do not cover {len(z1)} fixing pairs")
+    inv = {key: _code_keys(S, [gauge_inv(S, z)])[0] for key, z in z1_keys.items() if key_of[key] == key}
+    if any(_code_mul(F, src, x, inv[r]) not in b1_set for x, r in key_of.items()):
+        raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
+    reps = [z1_keys[key] for key in inv]
     return H1Result(order=len(reps), reps=reps, z1=z1, b1=b1)

@@ -1,6 +1,8 @@
-"""Search bounds and violation reports used by every checking routine."""
+"""Search bounds, violation reports and the coset partition shared by the checking routines."""
 
 from dataclasses import dataclass, field
+
+from .errors import WitnessRejected
 
 
 @dataclass(frozen=True)
@@ -45,3 +47,21 @@ class ValidationReport:
 
     def __bool__(self):
         return self.ok
+
+
+def cosets(elements, sub, mul):
+    """{x: least element of its coset} over the cosets mul(x, h), h in sub, one for each x no earlier coset holds.
+
+    Each coset must be |sub| new elements; the caller checks what they cover.
+    """
+    if not sub:
+        raise WitnessRejected("a coset of an empty subgroup is empty")
+    key_of = {}
+    for x in elements:
+        if x not in key_of:
+            coset = [mul(x, h) for h in sub]
+            size = len(key_of) + len(sub)
+            key_of.update(dict.fromkeys(coset, min(coset)))
+            if len(key_of) != size:
+                raise WitnessRejected("a coset meets an earlier coset or repeats an element")
+    return key_of

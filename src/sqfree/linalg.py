@@ -1,4 +1,4 @@
-"""Dense matrices over Z/p, just enough for unit tests and map composition.
+"""Dense matrices over Z/p; one Gauss-Jordan column step gives span bases, solves, inverses and ranks.
 
 Matrices are tuples of row tuples of ints reduced mod p; vectors are tuples.
 """
@@ -21,43 +21,43 @@ def mat_mul(A, B, p):
     return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in A)
 
 
+def _pivot(rows, rank, col, p):
+    """Move the first row from rank on nonzero at col to rank, scale it to 1 there, clear col elsewhere; or False."""
+    pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+    if pivot is None:
+        return False
+    inv = pow(rows[pivot][col], -1, p)
+    row = [x * inv % p for x in rows[pivot]]
+    rows[pivot], rows[rank] = rows[rank], row
+    for r, other in enumerate(rows):
+        if r != rank and other[col]:
+            f = other[col]
+            rows[r] = [(x - f * y) % p for x, y in zip(other, row)]
+    return True
+
+
 def row_reduce(vecs, p):
-    """Reduced row-echelon basis of the span of the given vectors."""
+    """Reduced row-echelon basis of the span of the given vectors, in lead order."""
     # equal rows add nothing to the span, so each is reduced once
-    rows = dict.fromkeys(tuple([x % p for x in v]) for v in vecs)
-    lead = {}
-    for row in rows:
-        for pivot_col, pivot_row in lead.items():
-            if row[pivot_col]:
-                f = row[pivot_col]
-                row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is None:
-            continue
-        inv = pow(row[col], -1, p)
-        row = [x * inv % p for x in row]
-        for pivot_col in list(lead):
-            other = lead[pivot_col]
-            if other[col]:
-                f = other[col]
-                lead[pivot_col] = [(x - f * y) % p for x, y in zip(other, row)]
-        lead[col] = row
-    return [tuple(lead[c]) for c in sorted(lead)]
+    rows = [list(v) for v in dict.fromkeys(tuple([x % p for x in v]) for v in vecs)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        rank += _pivot(rows, rank, col, p)
+    return [tuple(row) for row in rows[:rank]]
+
+
+def solve(A, B, p):
+    """X with A X = B for a square A over Z/p, read off [A | B]; None when A is singular."""
+    rows, n = [[x % p for x in a] + [x % p for x in b] for a, b in zip(A, B)], len(A)
+    for col in range(n):
+        if not _pivot(rows, col, col, p):
+            return None
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def mat_inv(A, p):
-    """Gauss-Jordan over Z/p; raises when the matrix is singular."""
-    n = len(A)
-    aug = [list(A[r]) + [1 if c == r else 0 for c in range(n)] for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if pivot is None:
-            raise NotInvertible(f"singular matrix mod {p}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    """The inverse of A over Z/p; raises NotInvertible when A is singular."""
+    X = solve(A, identity_matrix(len(A)), p)
+    if X is None:
+        raise NotInvertible(f"singular matrix mod {p}")
+    return X

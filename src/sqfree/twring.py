@@ -22,11 +22,10 @@ from .errors import (
     InvalidInput,
     MixedRings,
     NonCentralXi,
-    NotInvertible,
     SearchBoundExceeded,
     WitnessRejected,
 )
-from .linalg import mat_inv, mat_vec
+from .linalg import solve
 
 
 class TwistedRing:
@@ -393,10 +392,11 @@ class RingCore:
 
     def inverse(self, x):
         """The two-sided inverse of x, or None when x is not a unit."""
-        try:
-            y = mat_vec(mat_inv(self.left_matrix(x), self.p), self.one, self.p)
-        except NotInvertible:
+        # x y = 1 as one column of the left multiplication matrix
+        Y = solve(self.left_matrix(x), [(v,) for v in self.one], self.p)
+        if Y is None:
             return None
+        y = tuple(row[0] for row in Y)
         # one-sided inverses are two-sided here, but re-check both products
         if self.mul(x, y) != self.one or self.mul(y, x) != self.one:
             return None

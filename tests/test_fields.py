@@ -110,6 +110,17 @@ def test_kept_primitive_element_generates_the_unit_group(name):
     assert len({(g**e).code for e in range(F.q - 1)}) == F.q - 1
 
 
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_one_gen_power_basis_and_coords_follow_the_code_layout(name):
+    p, k, modulus = FIELDS[name]
+    F = FiniteField(p, k, modulus)
+    assert F.one.coords == tuple(_decode(1, p, k)) and F.one * F.one == F.one
+    # x, or 1 when k = 1
+    assert F.gen.coords == tuple(_decode(p if k > 1 else 1, p, k))
+    assert F.power_basis() == [F.gen**a for a in range(k)]
+    assert [x.coords for x in F.elements()] == [tuple(_decode(code, p, k)) for code in range(F.q)]
+
+
 def test_a_dropped_field_is_freed_without_the_cycle_collector():
     # the q x q tables go with the last reference, not at the next
     # collection, which would hold several large fields at once

@@ -15,6 +15,9 @@ Names that only the tests call move into the tests or gain a caller.
 Every private top-level function or class, and every private method, must
 be named somewhere in `src/` outside its own definition, so that a refactor
 leaves no stale helper behind.
+
+No `assert` statement guards a claim in `src/`: `python -O` strips them, and
+every invariant must still hold there.
 """
 
 import ast
@@ -124,3 +127,17 @@ def test_every_allowlisted_name_still_lacks_a_caller():
 
 def test_every_private_helper_is_used_in_src():
     assert unreferenced_private_names() == []
+
+
+def assert_statements():
+    """module:line for each assert statement in src/."""
+    return [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_no_library_claim_rests_on_an_assert():
+    assert assert_statements() == []
