@@ -119,24 +119,29 @@ class FFElement:
     def is_central(self):
         return True
 
+    # backend checks test the class and the field's identity first, so
+    # FiniteField.__eq__ runs only for two distinct field objects
     def _same(self, other):
-        if not isinstance(other, FFElement) or other.field != self.field:
+        if not (other.__class__ is FFElement and (other.field is self.field or other.field == self.field)):
             raise MixedBackends(f"cannot combine {self!r} with {other!r}")
 
     def __add__(self, other):
         self._same(other)
-        return FFElement(self.field, self.field._add[self.code][other.code])
+        f = self.field
+        return FFElement(f, f._add[self.code][other.code])
 
     def __sub__(self, other):
         self._same(other)
-        return FFElement(self.field, self.field._add[self.code][self.field._neg[other.code]])
+        f = self.field
+        return FFElement(f, f._add[self.code][f._neg[other.code]])
 
     def __neg__(self):
         return FFElement(self.field, self.field._neg[self.code])
 
     def __mul__(self, other):
         self._same(other)
-        return FFElement(self.field, self.field._mul[self.code][other.code])
+        f = self.field
+        return FFElement(f, f._mul[self.code][other.code])
 
     def inverse(self):
         if self.code == 0:
@@ -147,7 +152,11 @@ class FFElement:
     __pow__ = _power
 
     def __eq__(self, other):
-        return isinstance(other, FFElement) and other.field == self.field and other.code == self.code
+        return (
+            other.__class__ is FFElement
+            and other.code == self.code
+            and (other.field is self.field or other.field == self.field)
+        )
 
     def __hash__(self):
         return hash((self.field, self.code))
@@ -172,15 +181,17 @@ class FieldAutomorphism:
         self.m = m % field.k
 
     def __call__(self, x):
-        if not isinstance(x, FFElement) or x.field != self.field:
-            raise MixedBackends(f"automorphism of {self.field} applied to {x!r}")
-        return FFElement(self.field, self.field._frob[self.m][x.code])
+        f = self.field
+        if not (x.__class__ is FFElement and (x.field is f or x.field == f)):
+            raise MixedBackends(f"automorphism of {f} applied to {x!r}")
+        return FFElement(f, f._frob[self.m][x.code])
 
     def __mul__(self, other):
         # (a*b)(x) = a(b(x))
-        if not isinstance(other, FieldAutomorphism) or other.field != self.field:
+        f = self.field
+        if not (other.__class__ is FieldAutomorphism and (other.field is f or other.field == f)):
             raise MixedBackends("composing automorphisms of different fields")
-        return FieldAutomorphism(self.field, self.m + other.m)
+        return FieldAutomorphism(f, self.m + other.m)
 
     def inverse(self):
         return FieldAutomorphism(self.field, -self.m)
@@ -189,7 +200,11 @@ class FieldAutomorphism:
         return self.m == 0
 
     def __eq__(self, other):
-        return isinstance(other, FieldAutomorphism) and other.field == self.field and other.m == self.m
+        return (
+            other.__class__ is FieldAutomorphism
+            and other.m == self.m
+            and (other.field is self.field or other.field == self.field)
+        )
 
     def __hash__(self):
         return hash((self.field, "frob", self.m))
@@ -344,9 +359,9 @@ class FiniteField:
         return FieldAutomorphism(self, m)
 
     def inner_automorphism(self, d):
-        if not isinstance(d, FFElement) or d.field != self:
+        if not (d.__class__ is FFElement and (d.field is self or d.field == self)):
             raise MixedBackends("conjugator from a different backend")
-        if d.is_zero():
+        if d.code == 0:
             raise ZeroConjugator("conjugation by 0")
         return FieldAutomorphism(self, 0)
 

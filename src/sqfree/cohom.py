@@ -176,7 +176,16 @@ def verify_two_cocycle(S, c):
             rep.add("mixed_backends", p)
     if not rep.ok:
         return rep
+    (_code_identities if D.is_finite else _element_identities)(S, c, D, rep)
+    return rep
 
+
+def _element_identities(S, c, D, rep):
+    """Add verify_two_cocycle's identity failures to rep, by element and automorphism arithmetic.
+
+    The only path over the quaternions; over a field, the tests' reference
+    for _code_identities.
+    """
     # xi compatibility on every composable 3-chain
     for chain in S.tuples(3):
         (i, j), (_, k), (_, l) = chain
@@ -195,7 +204,32 @@ def verify_two_cocycle(S, c):
     for i in range(1, S.n + 1):
         if c.alpha[(i, i)] != D.inner_automorphism(c.xi[(i, i, i)]):
             rep.add("diagonal_alpha", (i, i), "not conjugation by xi(e_i, e_i)")
-    return rep
+
+
+def _code_identities(S, c, F, rep):
+    """_element_identities over a finite field F, on codes and Frobenius exponents.
+
+    Every xi is a unit by now and a field's inner automorphisms are the
+    identity, so the 2-chain identity is a sum of exponents and a diagonal
+    alpha must be frob^0. Elements are built only to word a failure.
+    """
+    mul, frob, k = F._mul, F._frob, F.k
+    x = {t: v.code for t, v in c.xi.items()}
+    m = {p: a.m for p, a in c.alpha.items()}
+    for chain in S.tuples(3):
+        (i, j), (_, h), (_, l) = chain
+        lhs = mul[frob[m[i, j]][x[j, h, l]]][x[i, j, l]]
+        rhs = mul[x[i, j, h]][x[i, h, l]]
+        if lhs != rhs:
+            rep.add("three_chain", chain, f"lhs={FFElement(F, lhs)!r} rhs={FFElement(F, rhs)!r}")
+    for chain in S.tuples(2):
+        (i, j), (_, h) = chain
+        lhs = (m[i, j] + m[j, h]) % k
+        if lhs != m[i, h]:
+            rep.add("two_chain", chain, f"lhs={F.frobenius(lhs)!r} rhs={F.frobenius(m[i, h])!r}")
+    for i in range(1, S.n + 1):
+        if m[i, i]:
+            rep.add("diagonal_alpha", (i, i), "not conjugation by xi(e_i, e_i)")
 
 
 def _valid(S, c):

@@ -53,26 +53,34 @@ class SquareFreeSemigroup:
     def elements(self):
         return sorted(self.support)
 
+    @cached_property
+    def _chains(self):
+        """m -> the composable m-chains for m >= 2, each built on first request."""
+        return {}
+
     def tuples(self, m):
         """Composable m-chains: lists of pairs for m <= 1, m-tuples of pairs beyond.
 
         m = 0 gives the idempotents, m = 1 all of the support, m >= 2 the
-        m-tuples with every prefix product nonzero.
+        m-tuples with every prefix product nonzero. Every call returns a
+        fresh list.
         """
         if m == 0:
             return self.idempotent_pairs()
         if m == 1:
             return self.elements()
-        out, comp = self._out, self.comp
-        chains = [((p,), p[0], p[1]) for p in self.elements()]
-        for _ in range(m - 1):
-            chains = [
-                (chain + (q,), i, q[1])
-                for chain, i, j in chains
-                for q in out.get(j, ())
-                if (i, j, q[1]) in comp
-            ]
-        return [c for c, _, _ in chains]
+        if m not in self._chains:
+            out, comp = self._out, self.comp
+            chains = [((p,), p[0], p[1]) for p in self.elements()]
+            for _ in range(m - 1):
+                chains = [
+                    (chain + (q,), i, q[1])
+                    for chain, i, j in chains
+                    for q in out.get(j, ())
+                    if (i, j, q[1]) in comp
+                ]
+            self._chains[m] = tuple(c for c, _, _ in chains)
+        return list(self._chains[m])
 
     def validate(self):
         rep = ValidationReport()

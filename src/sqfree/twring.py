@@ -142,16 +142,18 @@ def mul(R, a, b):
     _same_ring(a, b)
     if not (a.ring is R or a.ring == R):
         raise MixedRings("elements do not belong to the given ring")
-    out = {}
+    alpha, xi, smul = R.c.alpha, R.c.xi, R.S.mul
+    out, right = {}, b.coeffs.items()
     for p, dv in a.coeffs.items():
-        ap = R.c.alpha[p]
-        for q, dw in b.coeffs.items():
-            if p[1] != q[0]:
+        i, j = p
+        ap = alpha[p]
+        for q, dw in right:
+            if j != q[0]:
                 continue
-            r = R.S.mul(p, q)
+            r = smul(p, q)
             if r is None:
                 continue
-            term = dv * ap(dw) * R.c.xi[(p[0], p[1], q[1])]
+            term = dv * ap(dw) * xi[(i, j, q[1])]
             out[r] = out[r] + term if r in out else term
     return RingElement(R, out)
 

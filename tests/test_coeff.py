@@ -58,6 +58,28 @@ def test_mixed_field_arithmetic_rejected():
         gf(2).one + gf(3).one
     with pytest.raises(MixedBackends):
         gf(4).one * Quaternions().one
+    # every operation refuses an element of another field, a quaternion and
+    # a bare int, as the operand and as the argument of an automorphism
+    F = gf(4)
+    x, fr = F.gen, F.frobenius(1)
+    ops = (lambda y: x + y, lambda y: x - y, lambda y: x * y, lambda y: x / y, fr, F.inner_automorphism)
+    for y in (gf(2).one, gf(8).gen, Quaternions().one, 1):
+        for op in ops:
+            with pytest.raises(MixedBackends):
+                op(y)
+    for other in (gf(2).frobenius(0), gf(8).frobenius(1), Quaternions().identity_automorphism(), 1):
+        with pytest.raises(MixedBackends):
+            fr * other
+    with pytest.raises(ZeroConjugator):
+        F.inner_automorphism(F.zero)
+    # equality: False across fields, True across separately built copies
+    G = FiniteField(2, 2, (1, 1, 1))
+    assert F is not G
+    assert gf(2).one != gf(3).one and gf(2).one != gf(4).one and F.one != 1
+    assert F.frobenius(0) != gf(2).frobenius(0) and F.frobenius(0) != gf(8).frobenius(0)
+    assert F.gen == G.gen and F.frobenius(1) == G.frobenius(1)
+    assert F.gen + G.one == G.gen + F.one and fr(G.gen) == G.frobenius(1)(F.gen)
+    assert F.inner_automorphism(G.gen) == G.identity_automorphism()
 
 
 def test_reducible_modulus_rejected():

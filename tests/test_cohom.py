@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 from sqfree import cohom, jsonio
-from sqfree.coeff import FiniteField
+from sqfree.coeff import FFElement, FieldAutomorphism, FiniteField, QuatElement, QuaternionAutomorphism
 from sqfree.cohom import (
     Cochain,
     GaugeElement,
@@ -37,7 +37,7 @@ from sqfree.cohom import (
     trivialize_on_blocks,
     verify_two_cocycle,
 )
-from sqfree.common import Bounds
+from sqfree.common import Bounds, ValidationReport
 from sqfree.errors import (
     InfiniteBackend,
     InvalidCocycle,
@@ -46,6 +46,7 @@ from sqfree.errors import (
 )
 from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
 from sqfree.sgrp import SemigroupAutomorphism, SquareFreeSemigroup, automorphisms
+from test_fields import FIELDS
 from test_sgrp import random_semigroup
 
 
@@ -945,6 +946,64 @@ def test_h1_and_eta_search_match_the_references_on_random_semigroups():
             assert_matches_references(S, c, rng)
         compared += 1
     assert compared >= 20
+
+
+def corrupted_copies(S, c, rng):
+    """c with one xi changed, one alpha moved by a Frobenius power, and one diagonal alpha moved."""
+    F = c.backend
+    t = rng.choice(sorted(S.comp))
+    out = [c.replace_xi(t, c.xi[t] * FFElement(F, rng.randrange(2, F.q)))] if F.q > 2 else []
+    if F.k > 1:
+        p, i = rng.choice(sorted(S.support)), rng.randint(1, S.n)
+        out.append(c.replace_alpha(p, c.alpha[p] * F.frobenius(rng.randrange(1, F.k))))
+        out.append(c.replace_alpha((i, i), c.alpha[(i, i)] * F.frobenius(rng.randrange(1, F.k))))
+    return out
+
+
+def element_identities_json(S, c):
+    rep = ValidationReport()
+    cohom._element_identities(S, c, c.backend, rep)
+    return rep.as_json()
+
+
+def test_identities_on_codes_match_the_element_loops():
+    # over a field verify_two_cocycle checks the identities on codes; its
+    # report, messages included, is the element loops' report
+    rng = random.Random(15)
+    semigroups = [make() for make in DIFFERENTIAL_FIXTURES.values()]
+    semigroups += [random_semigroup(rng, rng.randint(1, 5)) for _ in range(8)]
+    kinds, compared = set(), 0
+    for spec in FIELDS.values():
+        F = FiniteField(*spec)
+        for S in semigroups:
+            for c in differential_cocycles(S, F, rng):
+                for d in [c] + corrupted_copies(S, c, rng):
+                    rep = verify_two_cocycle(S, d)
+                    assert rep.as_json() == element_identities_json(S, d)
+                    kinds.update(v.kind for v in rep.violations)
+                    compared += 1
+    assert kinds == {"three_chain", "two_chain", "diagonal_alpha"}
+    assert compared > 1000
+
+
+def test_field_identities_make_no_element_operations(monkeypatch):
+    S, F = mu(3), gf(4)
+    c = act(S, random_gauge(S, F, random.Random(4)), TwoCocycle.trivial(S, F), check=False)
+    T, H = t2(), quaternions()
+    twisted = TwoCocycle.trivial(T, H).replace_alpha((1, 2), H.inner_automorphism(H.element((1, 1, 0, 0))))
+    calls = {}
+    for cls, name in ((FFElement, "__mul__"), (FieldAutomorphism, "__call__"),
+                      (QuatElement, "__mul__"), (QuaternionAutomorphism, "__call__")):
+        def wrapped(*args, inner=getattr(cls, name), key=cls):
+            calls[key] += 1
+            return inner(*args)
+
+        calls[cls] = 0
+        monkeypatch.setattr(cls, name, wrapped)
+    assert verify_two_cocycle(S, c).ok
+    assert calls[FFElement] == calls[FieldAutomorphism] == 0
+    assert verify_two_cocycle(T, twisted).ok
+    assert calls[QuatElement] > 0 and calls[QuaternionAutomorphism] > 0
 
 
 def counting(monkeypatch, name):

@@ -69,6 +69,17 @@ def test_tuples_a3():
         assert S.mul(S.mul(p, q), r) is not None
 
 
+def test_tuples_is_a_fresh_list_each_call():
+    # the chains are built once per semigroup; a caller may change its copy
+    for S in (a3(), mu(3), double_t2()):
+        for m in (2, 3):
+            first = S.tuples(m)
+            first.append(((1, 1),) * m)
+            first[0] = None
+            assert S.tuples(m) == ref_tuples(S, m)
+            assert S.tuples(m) is not S.tuples(m)
+
+
 def test_missing_idempotent_flagged():
     S = SquareFreeSemigroup.make(2, [(1, 1), (1, 2)], [])
     kinds = {v.kind for v in S.validate().violations}
