@@ -25,12 +25,12 @@ from . import jsonio
 from .autos import out_r, verify_ses
 from .cohom import (
     TwoCocycle,
+    _relabel_search,
+    _stabilizer,
+    _trusted_cohomologous,
     boundary,
-    cohomologous,
-    cohomologous_with_relabel,
     first_cohomology,
     normalize,
-    stabilizer,
     trivialize_on_blocks,
     verify_two_cocycle,
 )
@@ -148,13 +148,14 @@ def cmd_trivialize_blocks(args):
 @command("cohomologous")
 def cmd_cohomologous(args):
     """search for a gauge witness between the bundle cocycle and --other"""
+    # both cocycles pass _require once; the searches keep only their backend refusals
     job = Job(args)
     c1 = job.valid_cocycle()
     other = jsonio.decode_cocycle(job.S, job.D, _load_json(args.other, args.other), where="other")
     _require(verify_two_cocycle(job.S, other), "second cocycle fails verification ({})", "other")
     report = {"bounds": asdict(job.bounds)}
     if args.phi:
-        found = cohomologous_with_relabel(job.S, c1, other, job.bounds)
+        found = _relabel_search(job.S, c1, other, job.bounds, verify=False)
         if found is None:
             report["cohomologous"] = False
             return 1, report
@@ -163,7 +164,7 @@ def cmd_cohomologous(args):
         report["phi"] = list(phi.perm)
         report["witness"] = jsonio.encode_gauge(g)
         return 0, report
-    g = cohomologous(job.S, c1, other, job.bounds)
+    g = _trusted_cohomologous(job.S, c1, other, job.bounds)
     report["cohomologous"] = g is not None
     if g is None:
         return 1, report
@@ -191,7 +192,7 @@ def cmd_aut_s(args):
 def cmd_stab(args):
     """semigroup automorphisms whose relabeling stays in the gauge orbit"""
     job = Job(args)
-    return _group_report(job, stabilizer(job.S, job.valid_cocycle(), job.bounds))
+    return _group_report(job, _stabilizer(job.S, job.valid_cocycle(), job.bounds, verify=False))
 
 
 @command("ring-check")

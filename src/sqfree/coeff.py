@@ -359,11 +359,21 @@ class FiniteField:
         return FieldAutomorphism(self, m)
 
     def inner_automorphism(self, d):
-        if not (d.__class__ is FFElement and (d.field is self or d.field == self)):
-            raise MixedBackends("conjugator from a different backend")
-        if d.code == 0:
+        if not self._code_of(d, "conjugator"):
             raise ZeroConjugator("conjugation by 0")
         return FieldAutomorphism(self, 0)
+
+    def _code_of(self, x, what):
+        """The code of x, an element of this field; MixedBackends naming what otherwise."""
+        if not (x.__class__ is FFElement and (x.field is self or x.field == self)):
+            raise MixedBackends(f"{what} from a different backend")
+        return x.code
+
+    def _exponent_of(self, a, what):
+        """The Frobenius exponent of a, an automorphism of this field; MixedBackends naming what otherwise."""
+        if not (a.__class__ is FieldAutomorphism and (a.field is self or a.field == self)):
+            raise MixedBackends(f"{what} from a different backend")
+        return a.m
 
     def random_element(self, rng):
         return FFElement(self, rng.randrange(self.q))

@@ -30,6 +30,7 @@ from .errors import (
     NotAOneCocycle,
     SearchBoundExceeded,
     WitnessRejected,
+    ZeroConjugator,
 )
 from .sgrp import automorphisms as semigroup_automorphisms
 from .sgrp import sim_classes
@@ -83,6 +84,9 @@ def boundary(S, m, phi):
     Commutative coefficients only; the alternating-product formula has no
     unambiguous factor order otherwise.
     """
+    if not phi.data:
+        # refused as missing its first value; S has at least one m-chain
+        _require_total(S, m, phi)
     sample = next(iter(phi.data.values()))
     if not sample.field.is_commutative:
         raise NonCommutativeCoefficients("boundary maps need commutative coefficients")
@@ -240,6 +244,13 @@ def _valid(S, c):
     return c
 
 
+def _backend(S, c):
+    """c.backend, read off its first alpha; a cocycle with no alpha has none and is refused as _valid refuses it."""
+    if not c.alpha:
+        _valid(S, c)
+    return c.backend
+
+
 def _aut_key(a):
     # Frobenius exponent or conjugator tuple; both orderable and hashable
     return a.m if hasattr(a, "m") else a.conjugator
@@ -306,10 +317,22 @@ def random_gauge(S, D, rng):
 
 
 def act(S, g, c, check=True):
-    """Gauge action on a two-cocycle; preserves validity."""
+    """Gauge action on a two-cocycle; preserves validity.
+
+    The new alpha_ij is mu_i^(-1) conj(eta_ij) alpha_ij mu_j, and the new
+    xi(ijk) is mu_i^(-1)(eta_ij alpha_ij(eta_jk) xi(ijk) eta_ik^(-1)). Over a
+    finite field this runs on codes and Frobenius exponents (_code_act).
+    A zero eta raises ZeroConjugator; a gauge or cocycle value from another
+    backend raises MixedBackends.
+    """
     if check:
         _valid(S, c)
     D = c.backend
+    return (_code_act if D.is_finite else _element_act)(S, g, c, D)
+
+
+def _element_act(S, g, c, D):
+    """act by element and automorphism arithmetic: the quaternions' path, the tests' reference over a field."""
     beta = {}
     for p in S.support:
         i, j = p
@@ -320,6 +343,32 @@ def act(S, g, c, check=True):
         i, j, k = t
         inner = g.eta[(i, j)] * c.alpha[(i, j)](g.eta[(j, k)]) * c.xi[t] * g.eta[(i, k)].inverse()
         zeta[t] = g.mu[i].inverse()(inner)
+    return TwoCocycle(beta, zeta)
+
+
+def _code_act(S, g, c, F):
+    """_element_act over a finite field F, on codes and Frobenius exponents.
+
+    A field's inner automorphisms are the identity, so the new alpha_ij is
+    frob^(-mu_i + a_ij + mu_j), and the new xi(ijk) is frob^(-mu_i) of
+    eta_ij frob^(a_ij)(eta_jk) x(ijk) eta_ik^(-1). Only the returned
+    cocycle holds objects.
+    """
+    mul, inv, frob, k = F._mul, F._inv, F._frob, F.k
+    mu = [0] + [F._exponent_of(g.mu[i], "gauge automorphism") for i in range(1, S.n + 1)]
+    eta = {}
+    for p in S.support:
+        eta[p] = F._code_of(g.eta[p], "conjugator")
+        if not eta[p]:
+            raise ZeroConjugator("conjugation by 0")
+    a = {p: F._exponent_of(c.alpha[p], "cocycle automorphism") for p in S.support}
+    auts = F.automorphisms()
+    beta = {(i, j): auts[(a[i, j] + mu[j] - mu[i]) % k] for i, j in S.support}
+    zeta = {}
+    for t in S.comp:
+        i, j, h = t
+        v = mul[mul[mul[eta[i, j]][frob[a[i, j]][eta[j, h]]]][F._code_of(c.xi[t], "cocycle value")]][inv[eta[i, h]]]
+        zeta[t] = FFElement(F, frob[-mu[i] % k][v])
     return TwoCocycle(beta, zeta)
 
 
@@ -528,14 +577,25 @@ def _witnesses(S, c1, c2, bounds, all_solutions):
 
 def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
     """A gauge witness g with act(g, c1) = c2, or None after complete search."""
-    D = c1.backend
-    if not D.is_finite:
-        raise InfiniteBackend("equivalence search needs a finite field")
-    if D != c2.backend:
-        raise MixedBackends("cocycles over different backends")
+    _refuse_backends(S, c1, c2)
     for c in (c1, c2):
         _valid(S, c)
     return _cohomologous(S, c1, c2, bounds)
+
+
+def _trusted_cohomologous(S, c1, c2, bounds):
+    """cohomologous for two cocycles already verified: its backend refusals, then the search."""
+    _refuse_backends(S, c1, c2)
+    return _cohomologous(S, c1, c2, bounds)
+
+
+def _refuse_backends(S, c1, c2):
+    """cohomologous' refusals before any check, in its order: no alpha in c1, an infinite backend, then c2's backend."""
+    D = _backend(S, c1)
+    if not D.is_finite:
+        raise InfiniteBackend("equivalence search needs a finite field")
+    if D != _backend(S, c2):
+        raise MixedBackends("cocycles over different backends")
 
 
 def _cohomologous(S, c1, c2, bounds):
@@ -545,15 +605,25 @@ def _cohomologous(S, c1, c2, bounds):
     return g
 
 
-def _searches(S, bounds):
-    """(phi, gauge search) over Aut S; only the first, the identity, is checked: relabelling keeps validity."""
+def _searches(S, bounds, verify):
+    """(phi, gauge search) over Aut S; only the first, the identity, is refused and checked as cohomologous does.
+
+    Relabelling keeps validity. verify=False keeps the refusals but trusts
+    both cocycles to be valid.
+    """
+    first = cohomologous if verify else _trusted_cohomologous
     for n, phi in enumerate(semigroup_automorphisms(S, bounds)):
-        yield phi, _cohomologous if n else cohomologous
+        yield phi, _cohomologous if n else first
 
 
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
     """Search Aut S x gauge for act(g, relabel(phi, c1)) = c2."""
-    for phi, search in _searches(S, bounds):
+    return _relabel_search(S, c1, c2, bounds, verify=True)
+
+
+def _relabel_search(S, c1, c2, bounds, verify):
+    """cohomologous_with_relabel; verify=False trusts both cocycles to be valid."""
+    for phi, search in _searches(S, bounds, verify):
         g = search(S, relabel(S, phi, c1), c2, bounds)
         if g is not None:
             return phi, g
@@ -562,7 +632,12 @@ def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
 
 def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
     """Semigroup automorphisms whose relabeling stays in the gauge orbit."""
-    return [phi for phi, search in _searches(S, bounds) if search(S, c, relabel(S, phi, c), bounds) is not None]
+    return _stabilizer(S, c, bounds, verify=True)
+
+
+def _stabilizer(S, c, bounds, verify):
+    """stabilizer; verify=False trusts c to be valid."""
+    return [phi for phi, search in _searches(S, bounds, verify) if search(S, c, relabel(S, phi, c), bounds) is not None]
 
 
 def verify_one_cocycle(S, base, g):
@@ -572,7 +647,7 @@ def verify_one_cocycle(S, base, g):
 
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     """All gauge elements fixing base, in canonical order."""
-    D = base.backend
+    D = _backend(S, base)
     if not D.is_finite:
         raise InfiniteBackend("fixed-point enumeration needs a finite field")
     _valid(S, base)
@@ -592,7 +667,7 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
     element, on eta codes in support order, as nu keeps mu over a field.
     The refusal still estimates the (q-1)^n maps nu.
     """
-    D = base.backend
+    D = _backend(S, base)
     if not D.is_finite:
         raise InfiniteBackend("orbit enumeration needs a finite field")
     total = len(D.units()) ** S.n

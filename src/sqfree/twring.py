@@ -8,6 +8,7 @@ gauge witness, so the stored diagonal idempotents really are idempotent.
 
 from itertools import product
 
+from .coeff import FFElement
 from .cohom import (
     GaugeElement,
     TwoCocycle,
@@ -171,11 +172,20 @@ def check_associativity(R):
     factor d1 alpha_p(d2), nonzero as D is a division ring and alpha_p an
     automorphism, so only d3 runs over the backend generators, d1 = d2 = one:
     a chain's first failure in (d1, d2, d3) order is (one, one, first failing d3).
+    Each chain costs 1 + 3|generators| basis-term products: x y once, then
+    (xy) z, y z and x (yz) per d3. Over a finite field they are code products
+    (_code_sweep), and ring elements are built only to word a failure.
     """
     srep = R.S.validate()
     if not srep.ok:
         raise InvalidInput(f"invalid semigroup {srep.as_json()}", where="semigroup")
     report = ValidationReport()
+    (_code_sweep if R.D.is_finite else _element_sweep)(R, report)
+    return report
+
+
+def _element_sweep(R, report):
+    """check_associativity's chain loop by mul: the quaternions' path, the tests' reference over a field."""
     gens = R.D.generators()
     one = gens[0]
     for p, q, r in R.S.tuples(3):
@@ -187,7 +197,37 @@ def check_associativity(R):
             if lhs != rhs:
                 report.add("associativity", (p, q, r), f"scalars ({one!r}, {one!r}, {d3!r}): {lhs!r} != {rhs!r}")
                 break
-    return report
+
+
+def _term(mul, frob, d, m, e, x):
+    """Code of d frob^m(e) x, the basis-term product (d s_ij)(e s_jl) = d alpha_ij(e) xi(ijl) s_il with alpha_ij = frob^m."""
+    return mul[mul[d][frob[m][e]]][x]
+
+
+def _code_sweep(R, report):
+    """_element_sweep over a finite field, on codes and Frobenius exponents.
+
+    A chain (s_ij, s_jh, s_hl) is composable, so every product of its basis
+    terms is one term and both bracketings land on s_il: the sweep compares
+    two codes. Alpha and xi are read once per call; a value from another
+    backend raises MixedBackends, as mul does.
+    """
+    F, S, c = R.D, R.S, R.c
+    mul, frob = F._mul, F._frob
+    a = {p: F._exponent_of(c.alpha[p], "cocycle automorphism") for p in S.support}
+    x = {t: F._code_of(c.xi[t], "cocycle value") for t in S.comp}
+    gens = F.generators()
+    one = gens[0]
+    for p, q, r in S.tuples(3):
+        (i, j), (_, h), (_, l) = p, q, r
+        xy = _term(mul, frob, 1, a[p], 1, x[i, j, h])
+        for d3 in gens:
+            lhs = _term(mul, frob, xy, a[i, h], d3.code, x[i, h, l])
+            rhs = _term(mul, frob, 1, a[p], _term(mul, frob, 1, a[q], d3.code, x[j, h, l]), x[i, j, l])
+            if lhs != rhs:
+                lhs, rhs = (RingElement(R, {(i, l): FFElement(F, v)}) for v in (lhs, rhs))
+                report.add("associativity", (p, q, r), f"scalars ({one!r}, {one!r}, {d3!r}): {lhs!r} != {rhs!r}")
+                break
 
 
 def _central_sample(D):

@@ -14,7 +14,7 @@ import pytest
 from sqfree import twring
 from sqfree.cohom import TwoCocycle, act, random_gauge, verify_two_cocycle
 from sqfree.common import ValidationReport
-from sqfree.errors import InvalidInput
+from sqfree.errors import InvalidInput, MixedBackends
 from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
 from sqfree.sgrp import SquareFreeSemigroup
 from sqfree.twring import RingElement, TwistedRing, check_associativity, mul
@@ -154,6 +154,22 @@ def test_invalid_semigroup_is_refused():
         check_associativity(TwistedRing(S, F, TwoCocycle.trivial(S, F), check=False))
 
 
+def test_sweep_refuses_values_from_another_backend():
+    # on a check=False ring, an alpha or xi from another field or backend
+    # raises MixedBackends on codes, as it does in the ring products
+    for name, q in (("a3", 4), ("mu2", 9), ("double_t2", 8)):
+        valid = ring(name, q, "valid")
+        S, F, c = valid.S, valid.D, valid.c
+        p, t = list(c.alpha)[-1], list(c.xi)[-1]
+        for other in (gf(8) if q != 8 else gf(4), gf(2), quaternions()):
+            for bad in (c.replace_alpha(p, other.identity_automorphism()), c.replace_xi(t, other.one)):
+                R = TwistedRing(S, F, bad, check=False)
+                with pytest.raises(MixedBackends):
+                    check_associativity(R)
+                with pytest.raises(MixedBackends):
+                    twring._element_sweep(R, ValidationReport())
+
+
 def test_random_rings_pass_exactly_when_valid():
     # the random differential above is only telling if corrupted copies fail;
     # a changed xi can still be a cocycle (a diagonal one over a field), so
@@ -178,15 +194,18 @@ def test_random_rings_pass_exactly_when_valid():
     ids=["quaternion", "mu3-GF3", "random0-GF4", "random1-GF9"],
 )
 def test_sweep_makes_one_plus_three_gens_products_per_chain(monkeypatch, make, per_chain):
-    # x y once per chain, then (xy) z, y z and x (yz) per generator d3
+    # x y once per chain, then (xy) z, y z and x (yz) per generator d3: ring
+    # products over the quaternions, basis-term code products over a field
     R = make()
-    calls = [0]
+    calls = {"mul": 0, "_term": 0}
+    for name in calls:
+        def counted(*args, inner=getattr(twring, name), name=name):
+            calls[name] += 1
+            return inner(*args)
 
-    def counted(*args):
-        calls[0] += 1
-        return mul(*args)
-
-    monkeypatch.setattr(twring, "mul", counted)
+        monkeypatch.setattr(twring, name, counted)
     assert check_associativity(R).ok
     assert per_chain == 1 + 3 * len(R.D.generators())
-    assert calls[0] == len(R.S.tuples(3)) * per_chain
+    counted, unused = ("_term", "mul") if R.D.is_finite else ("mul", "_term")
+    assert calls[counted] == len(R.S.tuples(3)) * per_chain
+    assert calls[unused] == 0

@@ -1,9 +1,13 @@
 import io
 import json
 
-from sqfree import cli, jsonio
+import pytest
+
+from sqfree import cli, cohom, jsonio
 from sqfree.autos import RingAut, check_ring_automorphism
-from sqfree.cohom import TwoCocycle, act, verify_one_cocycle
+from sqfree.cohom import TwoCocycle, act, verify_one_cocycle, verify_two_cocycle
+from sqfree.common import Bounds
+from sqfree.errors import MixedBackends
 from sqfree.fixtures import a3, gf, mu, t2, two_cycle
 from sqfree.twring import TwistedRing, linear_basis, to_vector
 from test_bench_contract import run_bench
@@ -193,6 +197,61 @@ def test_cohomologous_needs_the_relabel(tmp_path, capsys):
     phi = SemigroupAutomorphism(tuple(report["phi"]))
     g = jsonio.decode_gauge(S, F, report["witness"])
     assert act(S, g, relabel(S, phi, c1)) == c2
+
+
+def doubled_two_cycle_job(tmp_path):
+    """test_cohomologous_needs_the_relabel's bundle and --other paths."""
+    bundle = {
+        "semigroup": {
+            "n": 4,
+            "support": [[1, 1], [2, 2], [3, 3], [4, 4], [1, 2], [2, 1], [3, 4], [4, 3]],
+            "comp": [],
+        },
+        "coefficients": {"backend": "finite_field", "p": 2, "k": 2, "modulus": [1, 1, 1]},
+        "cocycle": {"alpha": {"1,2": {"frobenius": 1}}},
+    }
+    other = {"alpha": {"3,4": {"frobenius": 1}}, "xi": {}}
+    return write(tmp_path, "b.json", bundle), write(tmp_path, "other.json", other)
+
+
+def test_each_command_verifies_each_cocycle_once(tmp_path, capsys, monkeypatch):
+    # cohomologous made 4 calls (--phi too) and stab 3 when the library
+    # searches re-verified what the command had already checked
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return verify_two_cocycle(*args)
+
+    monkeypatch.setattr(cohom, "verify_two_cocycle", counted)
+    monkeypatch.setattr(cli, "verify_two_cocycle", counted)
+    b, other = doubled_two_cycle_job(tmp_path)
+    for argv, code, want in (
+        (["cohomologous", b, "--other", other], 1, 2),
+        (["cohomologous", b, "--other", other, "--phi"], 0, 2),
+        (["stab", b], 0, 1),
+    ):
+        calls[0] = 0
+        assert invoke(capsys, argv)[0] == code
+        assert calls[0] == want, argv
+
+
+def test_cohomologous_keeps_its_refusals(tmp_path, capsys):
+    # the unchecked searches still refuse an infinite backend, in the text of
+    # cohomologous, after an invalid cocycle and before any search
+    bundle = {"semigroup": {"n": 2, "support": [[1, 1], [2, 2], [1, 2]], "comp": []},
+              "coefficients": {"backend": "quaternion"}}
+    b, other = write(tmp_path, "b.json", bundle), write(tmp_path, "other.json", {"alpha": {}, "xi": {}})
+    for extra in ([], ["--phi"]):
+        code, report, _ = invoke(capsys, ["cohomologous", b, "--other", other] + extra)
+        assert (code, report) == (2, {"error": "equivalence search needs a finite field", "kind": "InfiniteBackend"})
+    bad = write(tmp_path, "bad.json", {"alpha": {"1,1": {"conj": ["0/1", "1/1", "0/1", "0/1"]}}, "xi": {}})
+    for extra in ([], ["--phi"]):
+        code, report, _ = invoke(capsys, ["cohomologous", b, "--other", bad] + extra)
+        assert (code, report["where"]) == (2, "other")
+        assert report["error"] == "other: second cocycle fails verification (two_chain)"
+    with pytest.raises(MixedBackends, match="cocycles over different backends"):
+        cohom._trusted_cohomologous(t2(), TwoCocycle.trivial(t2(), gf(4)), TwoCocycle.trivial(t2(), gf(8)), Bounds())
 
 
 def test_aut_s(tmp_path, capsys):

@@ -5,11 +5,12 @@ enumeration before the implementation existed; they are frozen here.
 """
 
 import random
+import re
 from itertools import product
 
 import pytest
 
-from sqfree import cohom, jsonio
+from sqfree import cohom, jsonio, twring
 from sqfree.coeff import FFElement, FieldAutomorphism, FiniteField, QuatElement, QuaternionAutomorphism
 from sqfree.cohom import (
     Cochain,
@@ -41,11 +42,15 @@ from sqfree.common import Bounds, ValidationReport
 from sqfree.errors import (
     InfiniteBackend,
     InvalidCocycle,
+    InvalidInput,
+    MixedBackends,
     NonCommutativeCoefficients,
     SearchBoundExceeded,
+    ZeroConjugator,
 )
 from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
 from sqfree.sgrp import SemigroupAutomorphism, SquareFreeSemigroup, automorphisms
+from sqfree.twring import TwistedRing, check_associativity
 from test_fields import FIELDS
 from test_sgrp import random_semigroup
 
@@ -625,6 +630,28 @@ def test_boundary_rejects_quaternions():
         boundary(S, 0, phi)
 
 
+def test_empty_inputs_are_refused_by_name():
+    # each of these read a backend or a sample value off an empty dict and
+    # let a bare StopIteration escape
+    S, F = a3(), gf(4)
+    empty, c = TwoCocycle({}, {}), TwoCocycle.trivial(S, F)
+    want = verify_two_cocycle(S, empty).as_json()
+    for call in (
+        lambda: cohomologous(S, empty, c),
+        lambda: cohomologous(S, c, empty),
+        lambda: cohomologous_with_relabel(S, c, empty),
+        lambda: one_cocycles(S, empty),
+        lambda: first_cohomology(S, empty),
+        lambda: one_coboundaries(S, empty),
+    ):
+        with pytest.raises(InvalidCocycle) as refused:
+            call()
+        assert refused.value.args[0] == want
+    for m in (0, 1, 2):
+        with pytest.raises(InvalidInput, match=re.escape(f"cochain missing value at {chain_keys(S, m)[0]}")):
+            boundary(S, m, Cochain(m, {}))
+
+
 def test_abelian_cocycle_and_coboundary():
     S, F = t2(), gf(4)
     ones = Cochain(2, {chain: F.one for chain in S.tuples(2)})
@@ -1004,6 +1031,95 @@ def test_field_identities_make_no_element_operations(monkeypatch):
     assert calls[FFElement] == calls[FieldAutomorphism] == 0
     assert verify_two_cocycle(T, twisted).ok
     assert calls[QuatElement] > 0 and calls[QuaternionAutomorphism] > 0
+
+
+def act_inputs(S, F, rng):
+    """The differential cocycles and their check=False corruptions, a zero xi among them."""
+    for c in differential_cocycles(S, F, rng):
+        yield c
+        yield from corrupted_copies(S, c, rng)
+        yield c.replace_xi(rng.choice(sorted(S.comp)), F.zero)
+
+
+def test_act_on_codes_matches_the_element_reference():
+    # over a field act runs on codes; its cocycle is the element path's, on
+    # fixtures and random semigroups, for gauges built over an equal but
+    # separate field object
+    rng = random.Random(16)
+    semigroups = [make() for make in DIFFERENTIAL_FIXTURES.values()]
+    semigroups += [random_semigroup(rng, rng.randint(1, 5)) for _ in range(8)]
+    compared = 0
+    for q in (2, 3, 4, 8, 9):
+        F = gf(q)
+        for S in semigroups:
+            for c in act_inputs(S, F, rng):
+                for g in (GaugeElement.identity(S, F), random_gauge(S, F, rng), random_gauge(S, gf(q), rng)):
+                    assert act(S, g, c, check=False) == cohom._element_act(S, g, c, F)
+                    compared += 1
+    assert compared > 1000
+
+
+def test_act_refusals_match_the_element_reference():
+    # a zero eta, and a gauge or cocycle value from another field or backend
+    S, F, H = a3(), gf(4), quaternions()
+    rng = random.Random(17)
+    c = act(S, random_gauge(S, F, rng), difference_twist(S, F, rng), check=False)
+    g = random_gauge(S, F, rng)
+    last_p, last_t = list(c.alpha)[-1], list(c.xi)[-1]
+    cases = [
+        (GaugeElement(g.mu, {**g.eta, (1, 2): F.zero}), c, ZeroConjugator),
+        (GaugeElement(g.mu, {**g.eta, (2, 3): gf(8).gen}), c, MixedBackends),
+        (GaugeElement(g.mu, {**g.eta, (1, 1): H.one}), c, MixedBackends),
+        (GaugeElement({**g.mu, 2: gf(8).frobenius(1)}, g.eta), c, MixedBackends),
+        (GaugeElement({**g.mu, 3: H.identity_automorphism()}, g.eta), c, MixedBackends),
+        (g, c.replace_alpha(last_p, gf(8).frobenius(1)), MixedBackends),
+        (g, c.replace_alpha(last_p, H.identity_automorphism()), MixedBackends),
+        (g, c.replace_xi(last_t, gf(2).one), MixedBackends),
+        (g, c.replace_xi(last_t, H.one), MixedBackends),
+    ]
+    for gauge, cocycle, error in cases:
+        with pytest.raises(error):
+            act(S, gauge, cocycle, check=False)
+        with pytest.raises(error):
+            cohom._element_act(S, gauge, cocycle, F)
+
+
+def test_field_act_and_sweep_make_no_element_operations(monkeypatch):
+    # on a valid field cocycle the gauge action and the associativity sweep
+    # run on codes; the quaternion twist shows the counters see the element paths
+    rng = random.Random(16)
+    S, F = mu(3), gf(4)
+    c = act(S, random_gauge(S, F, rng), difference_twist(S, F, rng), check=False)
+    g, R = random_gauge(S, F, rng), TwistedRing(S, F, c, check=False)
+    T, H = t2(), quaternions()
+    twisted = TwoCocycle.trivial(T, H).replace_alpha((1, 2), H.inner_automorphism(H.element((1, 1, 0, 0))))
+    gq, RH = random_gauge(T, H, rng), TwistedRing(T, H, twisted, check=False)
+    calls = dict.fromkeys((FFElement, FieldAutomorphism, QuatElement, QuaternionAutomorphism, "mul"), 0)
+    ops = {
+        FFElement: ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "__pow__", "inverse"),
+        FieldAutomorphism: ("__call__", "__mul__", "inverse"),
+        QuatElement: ("__mul__",),
+        QuaternionAutomorphism: ("__call__", "__mul__"),
+    }
+    for cls, names in ops.items():
+        for name in names:
+            def wrapped(*args, inner=getattr(cls, name), key=cls):
+                calls[key] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+    def counted_mul(*args, inner=twring.mul):
+        calls["mul"] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(twring, "mul", counted_mul)
+    assert check_associativity(R).ok
+    assert verify_two_cocycle(S, act(S, g, c)).ok
+    assert calls == dict.fromkeys(calls, 0)
+    assert check_associativity(RH).ok
+    act(T, gq, twisted)
+    assert calls[QuatElement] > 0 and calls[QuaternionAutomorphism] > 0 and calls["mul"] > 0
 
 
 def counting(monkeypatch, name):
