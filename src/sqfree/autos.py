@@ -16,8 +16,9 @@ from itertools import product
 
 from .cohom import (
     GaugeElement,
+    TwoCocycle,
+    _relabel_witnesses,
     _valid,
-    _witnesses,
     act,
     first_cohomology,
     relabel,
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce, solve
 from .sgrp import SemigroupAutomorphism, is_automorphism, is_normal_automorphism
-from .sgrp import automorphisms as semigroup_automorphisms
 from .twring import (
     _enumeration_guard,
     _scan,
@@ -301,12 +301,7 @@ def _normal_maps(R, bounds):
     """
     if not R.D.is_finite:
         raise InfiniteBackend("Aut R search needs a finite field")
-    _valid(R.S, R.c)
-    return [
-        (phi, g, _witness_aut(R, R, phi, g))
-        for phi in semigroup_automorphisms(R.S, bounds)
-        for g in _witnesses(R.S, relabel(R.S, phi, R.c), R.c, bounds, all_solutions=True)
-    ]
+    return [(phi, g, _witness_aut(R, R, phi, g)) for phi, g in _relabel_witnesses(R.S, _valid(R.S, R.c), bounds)]
 
 
 def _key(key_of, f):
@@ -434,12 +429,6 @@ class SESReport:
         return asdict(self)
 
 
-def _is_trivial_cocycle(R):
-    return all(a.is_identity() for a in R.c.alpha.values()) and all(
-        v == R.D.one for v in R.c.xi.values()
-    )
-
-
 def verify_ses(R, bounds=DEFAULT_BOUNDS):
     """Compute H^1, the normal stabilizer and Out R, and check the sequence glues.
 
@@ -477,7 +466,7 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     exact = out_order == h1.order * len(W) and lam.ok and kernel_ok and image_ok
 
     split_ok = None
-    if _is_trivial_cocycle(R):
+    if R.c == TwoCocycle.trivial(S, R.D):
         sec = {phi: section_automorphism(R, phi) for phi in W}
         keys = {phi: _key(key_of, sec[phi]) for phi in W}
         split_ok = len(set(keys.values())) == len(W)

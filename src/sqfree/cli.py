@@ -25,16 +25,15 @@ from . import jsonio
 from .autos import out_r, verify_ses
 from .cohom import (
     TwoCocycle,
+    _cohomologous,
     _relabel_search,
     _stabilizer,
-    _trusted_cohomologous,
     boundary,
     first_cohomology,
     normalize,
     trivialize_on_blocks,
     verify_two_cocycle,
 )
-from .common import DEFAULT_BOUNDS
 from .errors import InfiniteBackend, InvalidInput, SearchBoundExceeded, SqfreeError
 from .sgrp import automorphisms as semigroup_automorphisms
 from .twring import (
@@ -153,21 +152,15 @@ def cmd_cohomologous(args):
     c1 = job.valid_cocycle()
     other = jsonio.decode_cocycle(job.S, job.D, _load_json(args.other, args.other), where="other")
     _require(verify_two_cocycle(job.S, other), "second cocycle fails verification ({})", "other")
-    report = {"bounds": asdict(job.bounds)}
     if args.phi:
-        found = _relabel_search(job.S, c1, other, job.bounds, verify=False)
-        if found is None:
-            report["cohomologous"] = False
-            return 1, report
-        phi, g = found
-        report["cohomologous"] = True
-        report["phi"] = list(phi.perm)
-        report["witness"] = jsonio.encode_gauge(g)
-        return 0, report
-    g = _trusted_cohomologous(job.S, c1, other, job.bounds)
-    report["cohomologous"] = g is not None
+        phi, g = _relabel_search(job.S, c1, other, job.bounds) or (None, None)
+    else:
+        phi, g = None, _cohomologous(job.S, c1, other, job.bounds)
+    report = {"bounds": asdict(job.bounds), "cohomologous": g is not None}
     if g is None:
         return 1, report
+    if phi is not None:
+        report["phi"] = list(phi.perm)
     report["witness"] = jsonio.encode_gauge(g)
     return 0, report
 
@@ -192,7 +185,7 @@ def cmd_aut_s(args):
 def cmd_stab(args):
     """semigroup automorphisms whose relabeling stays in the gauge orbit"""
     job = Job(args)
-    return _group_report(job, _stabilizer(job.S, job.valid_cocycle(), job.bounds, verify=False))
+    return _group_report(job, _stabilizer(job.S, job.valid_cocycle(), job.bounds))
 
 
 @command("ring-check")

@@ -321,6 +321,8 @@ class FiniteField:
             return coords
         if isinstance(coords, int):
             return FFElement(self, self._encode([coords]))
+        if len(coords) > self.k:
+            raise ValueError(f"{len(coords)} coordinates for a field of degree {self.k}")
         return FFElement(self, self._encode([c % self.p for c in coords]))
 
     @property

@@ -218,8 +218,7 @@ def _code_identities(S, c, F, rep):
     alpha must be frob^0. Elements are built only to word a failure.
     """
     mul, frob, k = F._mul, F._frob, F.k
-    x = {t: v.code for t, v in c.xi.items()}
-    m = {p: a.m for p, a in c.alpha.items()}
+    m, x = _codes(S, c)
     for chain in S.tuples(3):
         (i, j), (_, h), (_, l) = chain
         lhs = mul[frob[m[i, j]][x[j, h, l]]][x[i, j, l]]
@@ -249,6 +248,17 @@ def _backend(S, c):
     if not c.alpha:
         _valid(S, c)
     return c.backend
+
+
+def _codes(S, c, F=None):
+    """(alpha Frobenius exponents by pair, xi codes by triple) of c over the field F, by default its first alpha's.
+
+    The one reader of field cocycle values: MixedBackends names one from another backend.
+    """
+    F = F or _backend(S, c)
+    exponent, code, alpha, xi = F._exponent_of, F._code_of, c.alpha, c.xi
+    a = {p: exponent(alpha[p], "cocycle automorphism") for p in S.support}
+    return a, {t: code(xi[t], "cocycle value") for t in S.comp}
 
 
 def _aut_key(a):
@@ -321,14 +331,22 @@ def act(S, g, c, check=True):
 
     The new alpha_ij is mu_i^(-1) conj(eta_ij) alpha_ij mu_j, and the new
     xi(ijk) is mu_i^(-1)(eta_ij alpha_ij(eta_jk) xi(ijk) eta_ik^(-1)). Over a
-    finite field this runs on codes and Frobenius exponents (_code_act).
+    finite field this runs on codes and Frobenius exponents (_act_codes).
     A zero eta raises ZeroConjugator; a gauge or cocycle value from another
     backend raises MixedBackends.
     """
     if check:
         _valid(S, c)
-    D = c.backend
-    return (_code_act if D.is_finite else _element_act)(S, g, c, D)
+    D = _backend(S, c)
+    if not D.is_finite:
+        return _element_act(S, g, c, D)
+    mu = [D._exponent_of(g.mu[i], "gauge automorphism") for i in range(1, S.n + 1)]
+    eta = {p: D._code_of(g.eta[p], "conjugator") for p in S.support}
+    if not all(eta.values()):
+        raise ZeroConjugator("conjugation by 0")
+    beta, zeta = _act_codes(S, D, _codes(S, c), mu, eta)
+    auts = D.automorphisms()
+    return TwoCocycle({p: auts[m] for p, m in beta.items()}, {t: FFElement(D, u) for t, u in zeta.items()})
 
 
 def _element_act(S, g, c, D):
@@ -346,30 +364,22 @@ def _element_act(S, g, c, D):
     return TwoCocycle(beta, zeta)
 
 
-def _code_act(S, g, c, F):
-    """_element_act over a finite field F, on codes and Frobenius exponents.
+def _act_codes(S, F, v, mu, eta):
+    """The _codes pair of g . c, for c's _codes pair v and g's mu exponents in index order and eta codes by pair.
 
     A field's inner automorphisms are the identity, so the new alpha_ij is
-    frob^(-mu_i + a_ij + mu_j), and the new xi(ijk) is frob^(-mu_i) of
-    eta_ij frob^(a_ij)(eta_jk) x(ijk) eta_ik^(-1). Only the returned
-    cocycle holds objects.
+    frob^(-mu_i + a_ij + mu_j), and the new xi(ijh) is frob^(-mu_i) of
+    eta_ij frob^(a_ij)(eta_jh) x(ijh) eta_ih^(-1).
     """
+    a, x = v
     mul, inv, frob, k = F._mul, F._inv, F._frob, F.k
-    mu = [0] + [F._exponent_of(g.mu[i], "gauge automorphism") for i in range(1, S.n + 1)]
-    eta = {}
-    for p in S.support:
-        eta[p] = F._code_of(g.eta[p], "conjugator")
-        if not eta[p]:
-            raise ZeroConjugator("conjugation by 0")
-    a = {p: F._exponent_of(c.alpha[p], "cocycle automorphism") for p in S.support}
-    auts = F.automorphisms()
-    beta = {(i, j): auts[(a[i, j] + mu[j] - mu[i]) % k] for i, j in S.support}
+    beta = {p: (m + mu[p[1] - 1] - mu[p[0] - 1]) % k for p, m in a.items()}
     zeta = {}
-    for t in S.comp:
+    for t, xt in x.items():
         i, j, h = t
-        v = mul[mul[mul[eta[i, j]][frob[a[i, j]][eta[j, h]]]][F._code_of(c.xi[t], "cocycle value")]][inv[eta[i, h]]]
-        zeta[t] = FFElement(F, frob[-mu[i] % k][v])
-    return TwoCocycle(beta, zeta)
+        u = mul[mul[mul[eta[i, j]][frob[a[i, j]][eta[j, h]]]][xt]][inv[eta[i, h]]]
+        zeta[t] = frob[-mu[i - 1] % k][u]
+    return beta, zeta
 
 
 def normalize(S, c):
@@ -426,55 +436,47 @@ def relabel(S, phi, c):
     """Pull a cocycle back along a semigroup automorphism (pure reindexing); c must be defined on S's domain."""
     if c.alpha.keys() != S.support or c.xi.keys() != S.comp:
         _valid(S, c)
-    alpha = {p: c.alpha[phi.pair(p)] for p in S.support}
-    xi = {t: c.xi[phi.triple(t)] for t in S.comp}
-    return TwoCocycle(alpha, xi)
+    return TwoCocycle(*_relabeled(S, phi, (c.alpha, c.xi)))
 
 
-def _mu_candidates(S, c1, c2, D):
-    """Yield the idempotent-automorphism maps compatible with the alpha equations.
+def _relabeled(S, phi, v):
+    """relabel on a pair of (alpha, xi) dicts, as _codes gives."""
+    a, x = v
+    return {p: a[phi.pair(p)] for p in S.support}, {t: x[phi.triple(t)] for t in S.comp}
+
+
+def _mu_candidates(S, a1, a2, k):
+    """Yield the mu exponent tuples, in index order, compatible with the alpha equations.
 
     Over a field the support-pair equation reads mu_i - mu_j = a1 - a2 in
-    Frobenius exponents, a difference constraint per pair; solutions are a
-    base assignment per weak component shifted by a free exponent.
+    Frobenius exponents mod k, a difference constraint per pair; solutions
+    are a base assignment per weak component shifted by a free exponent.
     """
-    k = D.k
+    diff = {p: (a1[p] - a2[p]) % k for p in S.support}
     adjacency = {i: [] for i in range(1, S.n + 1)}
-    for i, j in S.support:
+    for (i, j), d in diff.items():
         if i != j:
-            d = (c1.alpha[(i, j)].m - c2.alpha[(i, j)].m) % k
             adjacency[i].append((j, -d))
             adjacency[j].append((i, d))
-    base = {}
-    components = []
+    base, components = {}, []
     for root in range(1, S.n + 1):
-        if root in base:
-            continue
-        component = [root]
-        base[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for w, d in adjacency[v]:
-                if w not in base:
-                    base[w] = (base[v] + d) % k
-                    component.append(w)
-                    queue.append(w)
-        components.append(component)
-    for i, j in S.support:
-        want = (c1.alpha[(i, j)].m - c2.alpha[(i, j)].m) % k
-        if (base[i] - base[j]) % k != want:
-            return
+        if root not in base:
+            base[root], component = 0, [root]
+            for v in component:
+                for w, d in adjacency[v]:
+                    if w not in base:
+                        base[w] = (base[v] + d) % k
+                        component.append(w)
+            components.append(component)
+    if any((base[i] - base[j]) % k != d for (i, j), d in diff.items()):
+        return
+    index = {i: c for c, component in enumerate(components) for i in component}
     for shifts in product(range(k), repeat=len(components)):
-        mu = {}
-        for component, shift in zip(components, shifts):
-            for i in component:
-                mu[i] = D.frobenius((base[i] + shift) % k)
-        yield mu
+        yield tuple((base[i] + shifts[index[i]]) % k for i in range(1, S.n + 1))
 
 
-def _eta_search(S, D, alpha1, targets, all_solutions, budget):
-    """Solve x(ij) * alpha1_ij(x(jk)) * x(ik)^(-1) = target(ijk) over units.
+def _eta_search(S, F, a1, targets, all_solutions, budget):
+    """Solve x(ij) * frob^(a1_ij)(x(jk)) * x(ik)^(-1) = target(ijk) over unit codes.
 
     Worklist propagation, as in arc consistency: the root visits every
     triple, a branch only the triples touching a slot it assigns or forces.
@@ -482,17 +484,17 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
     with a repeated slot scans the units. Forced values are unique, so the
     closure and its failure do not depend on visiting order. Branching on
     the first free slot is deterministic; every leaf is re-checked. It runs
-    on field codes (D's _mul, _inv and _frob tables), units in code order:
-    the tree and node count of the element search; solutions become elements.
+    on F's tables, alpha as exponents and targets as codes, units in code
+    order: the element search's tree and nodes; a solution is an eta code tuple.
     """
-    mul, inv, frob, units = D._mul, D._inv, D._frob, range(1, D.q)
-    support = sorted(S.support)
+    mul, inv, frob, units = F._mul, F._inv, F._frob, range(1, F.q)
+    support = S.elements()
     triples = sorted(S.comp)
     touching = {p: [] for p in support}
     eqs = {}  # triple -> slots (ij), (jk), (ik), the rows of alpha_ij and its inverse, the target code
     for i, j, k in triples:
-        m = alpha1[(i, j)].m
-        eqs[(i, j, k)] = ((i, j), (j, k), (i, k), frob[m], frob[-m % D.k], targets[(i, j, k)].code)
+        m = a1[i, j]
+        eqs[(i, j, k)] = ((i, j), (j, k), (i, k), frob[m], frob[-m % F.k], targets[(i, j, k)])
         for s in {(i, j), (j, k), (i, k)}:
             touching[s].append((i, j, k))
     solutions = []
@@ -559,85 +561,99 @@ def _eta_search(S, D, alpha1, targets, all_solutions, budget):
         return False
 
     search({}, triples)
-    return [{p: FFElement(D, u) for p, u in assign.items()} for assign in solutions]
+    return [tuple(assign[p] for p in support) for assign in solutions]
 
 
-def _witnesses(S, c1, c2, bounds, all_solutions):
-    """Yield GaugeElement(mu, eta) with act(g, c1) = c2, mu in _mu_candidates order.
+def _witnesses(S, F, v1, v2, bounds, all_solutions):
+    """Yield the code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2.
 
-    Each mu gets its own eta search under the max_search node budget; with
+    Each mu, in _mu_candidates order, gets its own eta search on the targets
+    frob^(mu_i)(x2) x1^(-1), under the max_search node budget; with
     all_solutions false, that search stops at its first solution.
     """
-    D = c1.backend
-    for mu in _mu_candidates(S, c1, c2, D):
-        targets = {t: mu[t[0]](c2.xi[t]) * c1.xi[t].inverse() for t in S.comp}
-        for eta in _eta_search(S, D, c1.alpha, targets, all_solutions, budget=bounds.max_search):
-            yield GaugeElement(mu, eta)
+    (a1, x1), (a2, x2) = v1, v2
+    for mu in _mu_candidates(S, a1, a2, F.k):
+        targets = {t: F._mul[F._frob[mu[t[0] - 1]][x2[t]]][F._inv[x1[t]]] for t in S.comp}
+        for eta in _eta_search(S, F, a1, targets, all_solutions, budget=bounds.max_search):
+            yield mu, eta
+
+
+def _gauge(S, F, key):
+    """The GaugeElement of a code pair: mu Frobenius exponents in index order, eta codes in support order."""
+    mu, eta = key
+    eta = {p: FFElement(F, u) for p, u in zip(S.elements(), eta)}
+    return GaugeElement({i: F.frobenius(m) for i, m in enumerate(mu, 1)}, eta)
 
 
 def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
     """A gauge witness g with act(g, c1) = c2, or None after complete search."""
     _refuse_backends(S, c1, c2)
-    for c in (c1, c2):
-        _valid(S, c)
-    return _cohomologous(S, c1, c2, bounds)
-
-
-def _trusted_cohomologous(S, c1, c2, bounds):
-    """cohomologous for two cocycles already verified: its backend refusals, then the search."""
-    _refuse_backends(S, c1, c2)
-    return _cohomologous(S, c1, c2, bounds)
+    return _cohomologous(S, _valid(S, c1), _valid(S, c2), bounds)
 
 
 def _refuse_backends(S, c1, c2):
-    """cohomologous' refusals before any check, in its order: no alpha in c1, an infinite backend, then c2's backend."""
-    D = _backend(S, c1)
-    if not D.is_finite:
+    """cohomologous' refusals in its order, no alpha in c1, an infinite backend, then c2's backend; else their field."""
+    F = _backend(S, c1)
+    if not F.is_finite:
         raise InfiniteBackend("equivalence search needs a finite field")
-    if D != _backend(S, c2):
+    if F != _backend(S, c2):
         raise MixedBackends("cocycles over different backends")
+    return F
+
+
+def _witness(S, F, v1, v2, bounds):
+    """The first _witnesses pair carrying v1 to v2, re-checked by the action on codes, or None."""
+    key = next(_witnesses(S, F, v1, v2, bounds, all_solutions=False), None)
+    if key is not None and _act_codes(S, F, v1, key[0], dict(zip(S.elements(), key[1]))) != v2:
+        raise WitnessRejected("gauge witness does not carry the first cocycle to the second")
+    return key
 
 
 def _cohomologous(S, c1, c2, bounds):
-    g = next(_witnesses(S, c1, c2, bounds, all_solutions=False), None)
-    if g is not None and act(S, g, c1, check=False) != c2:
-        raise WitnessRejected("gauge witness does not carry the first cocycle to the second")
-    return g
-
-
-def _searches(S, bounds, verify):
-    """(phi, gauge search) over Aut S; only the first, the identity, is refused and checked as cohomologous does.
-
-    Relabelling keeps validity. verify=False keeps the refusals but trusts
-    both cocycles to be valid.
-    """
-    first = cohomologous if verify else _trusted_cohomologous
-    for n, phi in enumerate(semigroup_automorphisms(S, bounds)):
-        yield phi, _cohomologous if n else first
+    """cohomologous for two valid cocycles: its backend refusals, then the search."""
+    F = _refuse_backends(S, c1, c2)
+    key = _witness(S, F, _codes(S, c1), _codes(S, c2), bounds)
+    return None if key is None else _gauge(S, F, key)
 
 
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
     """Search Aut S x gauge for act(g, relabel(phi, c1)) = c2."""
-    return _relabel_search(S, c1, c2, bounds, verify=True)
+    _refuse_backends(S, c1, c2)
+    return _relabel_search(S, _valid(S, c1), _valid(S, c2), bounds)
 
 
-def _relabel_search(S, c1, c2, bounds, verify):
-    """cohomologous_with_relabel; verify=False trusts both cocycles to be valid."""
-    for phi, search in _searches(S, bounds, verify):
-        g = search(S, relabel(S, phi, c1), c2, bounds)
-        if g is not None:
-            return phi, g
+def _relabel_search(S, c1, c2, bounds):
+    """cohomologous_with_relabel for two valid cocycles: Aut S, the backend refusals, then a search per phi."""
+    auts = semigroup_automorphisms(S, bounds)
+    F = _refuse_backends(S, c1, c2)
+    v1, v2 = _codes(S, c1), _codes(S, c2)
+    for phi in auts:
+        key = _witness(S, F, _relabeled(S, phi, v1), v2, bounds)
+        if key is not None:
+            return phi, _gauge(S, F, key)
     return None
 
 
 def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
     """Semigroup automorphisms whose relabeling stays in the gauge orbit."""
-    return _stabilizer(S, c, bounds, verify=True)
+    _refuse_backends(S, c, c)
+    return _stabilizer(S, _valid(S, c), bounds)
 
 
-def _stabilizer(S, c, bounds, verify):
-    """stabilizer; verify=False trusts c to be valid."""
-    return [phi for phi, search in _searches(S, bounds, verify) if search(S, c, relabel(S, phi, c), bounds) is not None]
+def _stabilizer(S, c, bounds):
+    """stabilizer of a valid cocycle: Aut S, the backend refusals, then a search per phi."""
+    auts = semigroup_automorphisms(S, bounds)
+    F = _refuse_backends(S, c, c)
+    v = _codes(S, c)
+    return [phi for phi in auts if _witness(S, F, v, _relabeled(S, phi, v), bounds) is not None]
+
+
+def _relabel_witnesses(S, c, bounds):
+    """(phi, g) for each phi of Aut S and each gauge g with act(g, relabel(phi, c)) = c, c valid over a field."""
+    F, v = c.backend, _codes(S, c)
+    for phi in semigroup_automorphisms(S, bounds):
+        for key in _witnesses(S, F, _relabeled(S, phi, v), v, bounds, all_solutions=True):
+            yield phi, _gauge(S, F, key)
 
 
 def verify_one_cocycle(S, base, g):
@@ -647,11 +663,17 @@ def verify_one_cocycle(S, base, g):
 
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     """All gauge elements fixing base, in canonical order."""
-    D = _backend(S, base)
-    if not D.is_finite:
+    F, _, z1 = _one_cocycles(S, base, bounds)
+    return [_gauge(S, F, key) for key in z1]
+
+
+def _one_cocycles(S, base, bounds):
+    """one_cocycles' refusals, then (field, base's _codes pair, the fixing code pairs sorted as canonical_key sorts)."""
+    F = _backend(S, base)
+    if not F.is_finite:
         raise InfiniteBackend("fixed-point enumeration needs a finite field")
-    _valid(S, base)
-    return sorted(_witnesses(S, base, base, bounds, all_solutions=True), key=lambda g: g.canonical_key())
+    v = _codes(S, _valid(S, base))
+    return F, v, sorted(_witnesses(S, F, v, v, bounds, all_solutions=True))
 
 
 def _scale(mul, eta, factors):
@@ -660,24 +682,29 @@ def _scale(mul, eta, factors):
 
 
 def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
-    """Orbit of the identity pair under the diagonal-unit action.
+    """Orbit of the identity pair under the diagonal-unit action."""
+    F = _backend(S, base)
+    if not F.is_finite:
+        raise InfiniteBackend("orbit enumeration needs a finite field")
+    return [_gauge(S, F, key) for key in _one_coboundaries(S, F, _codes(S, base)[0], bounds)]
+
+
+def _one_coboundaries(S, F, a, bounds):
+    """one_coboundaries for alpha exponents a, as sorted code pairs.
 
     D^x is cyclic, so (D^x)^n is generated by the n maps nu = g at one
     index and 1 elsewhere, g primitive: the walk makes n actions per orbit
     element, on eta codes in support order, as nu keeps mu over a field.
     The refusal still estimates the (q-1)^n maps nu.
     """
-    D = _backend(S, base)
-    if not D.is_finite:
-        raise InfiniteBackend("orbit enumeration needs a finite field")
-    total = len(D.units()) ** S.n
+    total = (F.q - 1) ** S.n
     if total > bounds.max_search:
         raise SearchBoundExceeded(f"max_search: orbit estimate {total} above limit {bounds.max_search}")
-    support, mul, one, g = sorted(S.support), D._mul, D.one.code, D.element(D._primitive).code
+    support, mul, g = S.elements(), F._mul, F.element(F._primitive).code
     # nu sends eta(ij) to nu_i eta(ij) alpha_ij(nu_j^-1)
-    factor = {(i, j): D._frob[base.alpha[(i, j)].m][D._inv[g]] for i, j in support}
-    gens = [[mul[g if i == k else one][factor[i, j] if j == k else one] for i, j in support] for k in range(1, S.n + 1)]
-    orbit = [(one,) * len(support)]
+    factor = {(i, j): F._frob[a[i, j]][F._inv[g]] for i, j in support}
+    gens = [[mul[g if i == k else 1][factor[i, j] if j == k else 1] for i, j in support] for k in range(1, S.n + 1)]
+    orbit = [(1,) * len(support)]
     seen = set(orbit)
     for eta in orbit:
         for factors in gens:
@@ -685,18 +712,11 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
             if h not in seen:
                 seen.add(h)
                 orbit.append(h)
-    mu = GaugeElement.identity(S, D).mu
-    return [GaugeElement(mu, {p: FFElement(D, u) for p, u in zip(support, eta)}) for eta in sorted(orbit)]
-
-
-def _code_keys(S, gauges):
-    """Each gauge as (Frobenius exponents of mu in index order, eta codes in support order): canonical_key's order."""
-    indices, support = range(1, S.n + 1), sorted(S.support)
-    return [(tuple(g.mu[i].m for i in indices), tuple(g.eta[p].code for p in support)) for g in gauges]
+    return [((0,) * S.n, eta) for eta in sorted(orbit)]
 
 
 def _code_mul(F, src, a, b):
-    """gauge_mul on _code_keys pairs; src[x] is the mu position of support pair x's first index."""
+    """gauge_mul on code pairs; src[x] is the mu position of support pair x's first index."""
     (am, ae), (bm, be), mul, frob = a, b, F._mul, F._frob
     return tuple((x + y) % F.k for x, y in zip(am, bm)), tuple(mul[frob[am[s]][y]][x] for s, x, y in zip(src, ae, be))
 
@@ -712,25 +732,23 @@ class H1Result:
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     """Fixing pairs modulo the identity orbit, one pass per coset.
 
-    common.cosets partitions Z^1 into cosets of |B^1| keys, each keyed by its
-    least member, the representative; they must cover exactly Z^1. B^1 is a
-    group by construction (an orbit of a group action); normality is checked
-    as x r^-1 in B^1 for each x in r's coset, that is r B^1 r^-1 = B^1 for
-    each representative r, hence for all of Z^1. The 2|Z^1| products are on
-    field codes (_code_keys pairs), with one gauge_inv per representative.
+    Z^1 and B^1 are code pairs from the searches behind one_cocycles and
+    one_coboundaries, refusing in that order. common.cosets partitions Z^1
+    into cosets of |B^1| pairs, each keyed by its least member, the
+    representative; they must cover exactly Z^1. B^1 is a group (an orbit
+    of a group action); normality is checked as B^1 r in r B^1, by the coset
+    key of each b r, r a representative: 2|Z^1| code products, no inverse.
     """
-    z1 = one_cocycles(S, base, bounds)
-    b1 = one_coboundaries(S, base, bounds)
-    F, src = base.backend, [i - 1 for i, _ in sorted(S.support)]
-    z1_keys, b1_keys = dict(zip(_code_keys(S, z1), z1)), _code_keys(S, b1)
-    b1_set = set(b1_keys)
-    if not b1_set <= z1_keys.keys():
+    F, (a, _), z1 = _one_cocycles(S, base, bounds)
+    b1 = _one_coboundaries(S, F, a, bounds)
+    src, z1_set = [i - 1 for i, _ in S.elements()], set(z1)
+    if not z1_set.issuperset(b1):
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
-    key_of = cosets(z1_keys, b1_keys, lambda a, b: _code_mul(F, src, a, b))
-    if key_of.keys() != z1_keys.keys():
+    key_of = cosets(z1, b1, lambda x, h: _code_mul(F, src, x, h))
+    if key_of.keys() != z1_set:
         raise WitnessRejected(f"{len(set(key_of.values()))} cosets of {len(b1)} do not cover {len(z1)} fixing pairs")
-    inv = {key: _code_keys(S, [gauge_inv(S, z)])[0] for key, z in z1_keys.items() if key_of[key] == key}
-    if any(_code_mul(F, src, x, inv[r]) not in b1_set for x, r in key_of.items()):
+    reps = [key for key in z1 if key_of[key] == key]
+    if any(key_of.get(_code_mul(F, src, b, r)) != r for r in reps for b in b1):
         raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-    reps = [z1_keys[key] for key in inv]
-    return H1Result(order=len(reps), reps=reps, z1=z1, b1=b1)
+    gauges = {key: _gauge(S, F, key) for key in z1}
+    return H1Result(order=len(reps), reps=[gauges[r] for r in reps], z1=list(gauges.values()), b1=[gauges[b] for b in b1])

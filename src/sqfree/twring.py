@@ -11,10 +11,11 @@ from itertools import product
 from .coeff import FFElement
 from .cohom import (
     GaugeElement,
-    TwoCocycle,
+    _act_codes,
+    _codes,
     _elem_key,
+    _gauge,
     _mu_candidates,
-    act,
     normalize,
 )
 from .common import DEFAULT_BOUNDS, ValidationReport
@@ -209,13 +210,12 @@ def _code_sweep(R, report):
 
     A chain (s_ij, s_jh, s_hl) is composable, so every product of its basis
     terms is one term and both bracketings land on s_il: the sweep compares
-    two codes. Alpha and xi are read once per call; a value from another
-    backend raises MixedBackends, as mul does.
+    two codes. Alpha and xi are read once, against R's field; a value from
+    another backend raises MixedBackends, as mul does.
     """
-    F, S, c = R.D, R.S, R.c
+    F, S = R.D, R.S
     mul, frob = F._mul, F._frob
-    a = {p: F._exponent_of(c.alpha[p], "cocycle automorphism") for p in S.support}
-    x = {t: F._code_of(c.xi[t], "cocycle value") for t in S.comp}
+    a, x = _codes(S, R.c, F)
     gens = F.generators()
     one = gens[0]
     for p, q, r in S.tuples(3):
@@ -302,17 +302,13 @@ def is_d_algebra(R, bounds=DEFAULT_BOUNDS):
     D = R.D
     if not D.is_finite:
         raise InfiniteBackend("the alpha-splitting search needs a finite field")
-    S = R.S
-    mu = next(_mu_candidates(S, R.c, TwoCocycle.trivial(S, D), D), None)
+    S, v = R.S, _codes(R.S, R.c, D)
+    mu = next(_mu_candidates(S, v[0], dict.fromkeys(S.support, 0), D.k), None)
     if mu is None:
         return None
-    g = GaugeElement(mu, {p: D.one for p in S.support})
-    out = act(S, g, R.c, check=False)
-    if not all(a.is_identity() for a in out.alpha.values()) or not all(
-        v.is_central() for v in out.xi.values()
-    ):
+    if any(_act_codes(S, D, v, mu, dict.fromkeys(S.support, 1))[0].values()):
         raise WitnessRejected("the splitting gauge leaves a twist or a non-central xi")
-    return g
+    return _gauge(S, D, (mu, (1,) * len(S.support)))
 
 
 def linear_basis(R):

@@ -659,7 +659,7 @@ def reference_verify_ses(R, key_of, coset_key):
     kernel_ok = lam_keys == ker_keys and len(lam_keys) == h1.order
     image_ok = set(induced.values()) == set(W)
     split_ok = None
-    if autos._is_trivial_cocycle(R):
+    if R.c == TwoCocycle.trivial(S, R.D):
         sec = {phi: section_automorphism(R, phi) for phi in W}
         keys = {phi: coset_key(sec[phi]) for phi in W}
         split_ok = len(set(keys.values())) == len(W)

@@ -251,7 +251,7 @@ def test_cohomologous_keeps_its_refusals(tmp_path, capsys):
         assert (code, report["where"]) == (2, "other")
         assert report["error"] == "other: second cocycle fails verification (two_chain)"
     with pytest.raises(MixedBackends, match="cocycles over different backends"):
-        cohom._trusted_cohomologous(t2(), TwoCocycle.trivial(t2(), gf(4)), TwoCocycle.trivial(t2(), gf(8)), Bounds())
+        cohom._cohomologous(t2(), TwoCocycle.trivial(t2(), gf(4)), TwoCocycle.trivial(t2(), gf(8)), Bounds())
 
 
 def test_aut_s(tmp_path, capsys):

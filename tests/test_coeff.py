@@ -89,6 +89,15 @@ def test_reducible_modulus_rejected():
         FiniteField(3, 2, (2, 0, 1))  # x^2+2 = (x+1)(x+2) over GF(3)
 
 
+def test_element_refuses_coordinates_beyond_the_degree():
+    # [1, 0, 1] once dropped its x^2 coordinate and read as one
+    F = FiniteField(2, 2, (1, 1, 1))
+    with pytest.raises(ValueError, match="3 coordinates for a field of degree 2"):
+        F.element([1, 0, 1])
+    assert F.element([1]) == F.one and F.element([0, 1]) == F.gen
+    assert F.element([]) == F.zero
+
+
 def test_field_value_equality():
     assert gf(4) == FiniteField(2, 2, (1, 1, 1))
     assert gf(4) != FiniteField(2, 1)

@@ -640,6 +640,8 @@ def test_empty_inputs_are_refused_by_name():
         lambda: cohomologous(S, empty, c),
         lambda: cohomologous(S, c, empty),
         lambda: cohomologous_with_relabel(S, c, empty),
+        lambda: stabilizer(S, empty),
+        lambda: act(S, GaugeElement.identity(S, F), empty, check=False),
         lambda: one_cocycles(S, empty),
         lambda: first_cohomology(S, empty),
         lambda: one_coboundaries(S, empty),
@@ -794,11 +796,23 @@ def reference_eta_search(S, D, alpha1, targets, all_solutions):
     return solutions, nodes[0]
 
 
+def exponents(S, alpha):
+    return {p: alpha[p].m for p in S.support}
+
+
 def fixing_targets(S, c1, c2):
-    """(mu, eta-search targets) per mu candidate of the pair, as cohomologous forms them."""
+    """(mu, eta-search targets) per mu candidate of the pair, as elements, by element products."""
     D = c1.backend
-    for mu in _mu_candidates(S, c1, c2, D):
+    for exps in _mu_candidates(S, exponents(S, c1.alpha), exponents(S, c2.alpha), D.k):
+        mu = {i: D.frobenius(m) for i, m in enumerate(exps, 1)}
         yield mu, {t: mu[t[0]](c2.xi[t]) * c1.xi[t].inverse() for t in S.comp}
+
+
+def eta_search(S, D, alpha, targets, all_solutions, budget):
+    """The library's eta search on element inputs; its solutions as eta dicts of elements."""
+    codes = {t: v.code for t, v in targets.items()}
+    found = _eta_search(S, D, exponents(S, alpha), codes, all_solutions, budget)
+    return [{p: FFElement(D, u) for p, u in zip(S.elements(), eta)} for eta in found]
 
 
 def reference_cohomologous(S, c1, c2):
@@ -868,9 +882,9 @@ def keys(gs):
 
 def assert_nodes(S, D, alpha, targets, all_solutions, want):
     """The library's search visits exactly `want` nodes, read off its max_search refusal."""
-    _eta_search(S, D, alpha, targets, all_solutions, budget=want)
+    eta_search(S, D, alpha, targets, all_solutions, budget=want)
     with pytest.raises(SearchBoundExceeded, match=rf"estimate {want} above limit {want - 1}$"):
-        _eta_search(S, D, alpha, targets, all_solutions, budget=want - 1)
+        eta_search(S, D, alpha, targets, all_solutions, budget=want - 1)
 
 
 def difference_twist(S, F, rng):
@@ -913,7 +927,7 @@ def assert_searches_match_references(S, c, rng):
         for _, targets in fixing_targets(S, c, c2):
             for all_solutions in (True, False):
                 want, nodes = reference_eta_search(S, D, c.alpha, targets, all_solutions)
-                assert _eta_search(S, D, c.alpha, targets, all_solutions, budget=10**9) == want
+                assert eta_search(S, D, c.alpha, targets, all_solutions, budget=10**9) == want
                 assert_nodes(S, D, c.alpha, targets, all_solutions, nodes)
     assert cohomologous(S, c, other).canonical_key() == reference_cohomologous(S, c, other).canonical_key()
 
@@ -1134,6 +1148,38 @@ def counting(monkeypatch, name):
     return calls
 
 
+def test_field_searches_make_no_element_operations(monkeypatch):
+    # over a field the searches take and return codes: gauges are built only
+    # for what they return, and H^1 multiplies and inverts no gauge object
+    rng = random.Random(17)
+    S, F = two_cycle(), gf(8)
+    twist = TwoCocycle({(i, j): F.frobenius(i - j) for i, j in S.support}, {t: F.one for t in S.comp})
+    c = act(S, random_gauge(S, F, rng), twist, check=False)
+    swap = automorphisms(S)[-1]
+    target = act(S, random_gauge(S, F, rng), relabel(S, swap, c), check=False)
+    g = random_gauge(S, F, rng)
+    calls = dict.fromkeys((FFElement, FieldAutomorphism), 0)
+    ops = {
+        FFElement: ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "__pow__", "inverse"),
+        FieldAutomorphism: ("__call__", "__mul__", "inverse"),
+    }
+    for cls, names in ops.items():
+        for name in names:
+            def wrapped(*args, inner=getattr(cls, name), key=cls):
+                calls[key] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(cls, name, wrapped)
+    products, inverses = counting(monkeypatch, "gauge_mul"), counting(monkeypatch, "gauge_inv")
+    assert first_cohomology(S, c).order > 1
+    assert cohomologous(S, c, act(S, g, c, check=False)) is not None
+    assert [phi.perm for phi in stabilizer(S, c)] == [(1, 2), (2, 1)]
+    assert cohomologous_with_relabel(S, c, target) is not None
+    assert (calls, products[0], inverses[0]) == (dict.fromkeys(calls, 0), 0, 0)
+    cohom.gauge_mul(S, g, cohom.gauge_inv(S, g))
+    assert calls[FFElement] > 0 and calls[FieldAutomorphism] > 0 and products[0] == inverses[0] == 1
+
+
 @pytest.mark.parametrize("S, q", [(a3(), 9), (double_t2(), 8)], ids=["a3/GF9", "double_t2/GF8"])
 def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
     # at most 2 code-pair products per fixing pair, n orbit steps per
@@ -1152,8 +1198,9 @@ def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
 def test_relabel_searches_verify_each_cocycle_once(monkeypatch):
     # two disjoint two_cycles; swapping them moves the exponent-sum class,
     # so Stab is half of Aut S and the relabel search passes phis that fail.
-    # Only the first phi, the identity, is verified, as cohomologous verifies
-    # it; a relabelled copy of a valid cocycle stays valid.
+    # Each cocycle is verified once, up front, and no phi re-verifies it: a
+    # relabelled copy of a valid cocycle stays valid. stabilizer has one
+    # cocycle, cohomologous_with_relabel two.
     S = SquareFreeSemigroup.make(4, [(i, i) for i in range(1, 5)] + [(1, 2), (2, 1), (3, 4), (4, 3)], [])
     F = gf(4)
     c = TwoCocycle.trivial(S, F).replace_alpha((1, 2), F.frobenius(1))
@@ -1162,12 +1209,12 @@ def test_relabel_searches_verify_each_cocycle_once(monkeypatch):
     calls = counting(monkeypatch, "verify_two_cocycle")
     assert len(automorphisms(S)) == 8
     assert [phi.perm for phi in stabilizer(S, c)] == [(1, 2, 3, 4), (1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3)]
-    assert calls[0] == 2
+    assert calls[0] == 1
     assert cohomologous_with_relabel(S, c, target)[0].perm == swap.perm
-    assert calls[0] == 4
+    assert calls[0] == 3
     # mu3/GF4 made 12 calls when every phi re-verified both cocycles
     assert len(stabilizer(mu(3), TwoCocycle.trivial(mu(3), F))) == 6
-    assert calls[0] == 6
+    assert calls[0] == 4
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,8 @@ Names that only the tests call move into the tests or gain a caller.
 
 Every private top-level function or class, and every private method, must
 be named somewhere in `src/` outside its own definition, so that a refactor
-leaves no stale helper behind.
+leaves no stale helper behind. Likewise every name a module of `src/sqfree`
+imports must be read in that module, or listed in its `__all__`.
 
 No `assert` statement guards a claim in `src/`: `python -O` strips them, and
 every invariant must still hold there.
@@ -127,6 +128,27 @@ def test_every_allowlisted_name_still_lacks_a_caller():
 
 def test_every_private_helper_is_used_in_src():
     assert unreferenced_private_names() == []
+
+
+def unread_imports():
+    """module.name for each name a src/ module imports and never reads; its __all__ counts as read."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        imported, read = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        out += [f"{path.stem}.{name}" for name in imported if name not in read]
+    return out
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
 
 
 def assert_statements():

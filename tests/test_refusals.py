@@ -91,6 +91,11 @@ g.eta[(1, 1)] = F.gen
 frob = GaugeElement({i: F.frobenius(1) for i in (1, 2)}, {p: F.one for p in S.support})
 
 
+# the searches' code pairs: mu exponents in index order, eta codes in support order
+def codes(gauges):
+    return [(tuple(a.m for _, a in sorted(g.mu.items())), tuple(v.code for _, v in sorted(g.eta.items()))) for g in gauges]
+
+
 def call(name, fn, patch=None):
     if patch is not None:
         module, attr, value = patch
@@ -109,25 +114,25 @@ def call(name, fn, patch=None):
 
 # an eta solution that does not carry base to its rescaled copy
 call("cohomologous", lambda: cohomologous(S, base, act(S, g, base)),
-     (cohom, "_eta_search", lambda S, D, *rest, **kw: [{p: D.one for p in S.support}]))
+     (cohom, "_eta_search", lambda S, *rest, **kw: [(1,) * len(S.support)]))
 # a coboundary outside Z^1, a non-normal subgroup of Z^1 (S_3 here), no coboundaries
 call("first_cohomology outside", lambda: first_cohomology(S, base),
-     (cohom, "one_coboundaries", lambda *a, **kw: [g]))
+     (cohom, "_one_coboundaries", lambda *a, **kw: codes([g])))
 call("first_cohomology normal", lambda: first_cohomology(S, base),
-     (cohom, "one_coboundaries", lambda *a, **kw: [GaugeElement.identity(S, F), frob]))
+     (cohom, "_one_coboundaries", lambda *a, **kw: codes([GaugeElement.identity(S, F), frob])))
 call("first_cohomology index", lambda: first_cohomology(S, base),
-     (cohom, "one_coboundaries", lambda *a, **kw: []))
+     (cohom, "_one_coboundaries", lambda *a, **kw: []))
 # the coset {2, 3} of {1, 4} in GF(5)^x on the arrow: abelian, so normal,
 # and 2 cosets of 2 for 4 fixing pairs, but 1 {2, 3} and 4 {2, 3} are one set
 F5 = gf(5)
 arrow = [GaugeElement.identity(S, F5) for _ in range(2)]
 arrow[0].eta[(1, 2)], arrow[1].eta[(1, 2)] = F5.element(2), F5.element(3)
 call("first_cohomology cover", lambda: first_cohomology(S, TwoCocycle.trivial(S, F5)),
-     (cohom, "one_coboundaries", lambda *a, **kw: arrow))
+     (cohom, "_one_coboundaries", lambda *a, **kw: codes(arrow)))
 # an exponent solution that leaves the Frobenius on the arrow
 R = TwistedRing(S, F, base.replace_alpha((1, 2), F.frobenius(1)))
 call("is_d_algebra", lambda: is_d_algebra(R),
-     (twring, "_mu_candidates", lambda S, *rest: iter([{1: F.frobenius(0), 2: F.frobenius(0)}])))
+     (twring, "_mu_candidates", lambda S, *rest: iter([(0, 0)])))
 # e_1 s_12 = 2 s_12 breaks the unit law, so the ring is no ring and idempotents do not lift
 F3 = gf(3)
 corrupted = TwoCocycle.trivial(a3(), F3).replace_xi((1, 1, 2), F3.element(2))
