@@ -26,10 +26,10 @@ from .autos import out_r, verify_ses
 from .cohom import (
     TwoCocycle,
     _cohomologous,
+    _first_cohomology,
     _relabel_search,
     _stabilizer,
     boundary,
-    first_cohomology,
     normalize,
     trivialize_on_blocks,
     verify_two_cocycle,
@@ -226,7 +226,7 @@ def cmd_d_algebra(args):
 def cmd_h1(args):
     """first cohomology of the bundle cocycle, with representatives"""
     job = Job(args)
-    h1 = first_cohomology(job.S, job.valid_cocycle(), job.bounds)
+    h1 = _first_cohomology(job.S, job.valid_cocycle(), job.bounds)
     return 0, {
         "bounds": asdict(job.bounds),
         "order": h1.order,

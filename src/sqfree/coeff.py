@@ -59,6 +59,16 @@ def _poly_divmod(a, b, p):
     return q, _poly_trim(a)
 
 
+def _poly_pow(a, e, mod, p):
+    """a^e modulo the monic mod, by square-and-multiply."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, a, p), mod, p)[1]
+        a, e = _poly_divmod(_poly_mul(a, a, p), mod, p)[1], e >> 1
+    return out
+
+
 def _monic_polys(p, deg):
     # all monic polynomials of the given degree, as coefficient lists
     coeffs = [0] * deg
@@ -266,26 +276,29 @@ class FiniteField:
     def _build_tables(self):
         # Zech logarithms (Lidl & Niederreiter, Finite Fields): with g
         # primitive, g^a * g^b = g^(a+b) and g^a + g^b = g^(a + Z[b-a]),
-        # Z[m] = log(1 + g^m). Only the walk over the powers of g uses
-        # polynomial arithmetic; every table entry is an integer lookup.
+        # Z[m] = log(1 + g^m). Only the choice of g and the walk over its
+        # powers use polynomial arithmetic; every table row is a gather.
         p, q, mod = self.p, self.q, list(self.modulus)
         n = q - 1
+        # the least candidate of order n: g^(n/r) != 1 for every prime r | n
+        primes = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
         for cand in range(min(2, n), q):
-            gpoly, x, exp = _poly_trim(self._decode(cand)), [1], [1]
-            while True:
-                x = _poly_divmod(_poly_mul(x, gpoly, p), mod, p)[1]
-                code = self._encode(x)
-                if code == 1:
-                    break
-                exp.append(code)
-            if len(exp) == n:
+            gpoly = _poly_trim(self._decode(cand))
+            if all(self._encode(_poly_pow(gpoly, n // r, mod, p)) != 1 for r in primes):
                 break
+        x, exp = [1], [1]
+        for _ in range(n - 1):
+            x = _poly_divmod(_poly_mul(x, gpoly, p), mod, p)[1]
+            exp.append(self._encode(x))
         # coordinates of g, which generates the unit group; cohom walks B^1
         # from it. Not an element: the field must not hold a cycle to itself
         self._primitive = self._decode(exp[1 % n])
         log = [0] * q
         for e, code in enumerate(exp):
             log[code] = e
+        # g^e has code _exp[e] and the unit of code u has log _log[u]; cohom
+        # solves the gauge equations in these logs
+        self._exp, self._log = exp, log
         # 1 + g^m bumps digit 0 of the code; 1 + g^m = 0 gets the sentinel 2n,
         # which lands in the zero tail of ext
         zech = [2 * n] * n
@@ -296,9 +309,11 @@ class FiniteField:
         zech += zech
         ext = exp + exp + [0] * n
         logs = log[1:]
-        self._mul = [[0] * q] + [[0] + [ext[la + lb] for lb in logs] for la in logs]
+        # row a of a table reads ext from log a on, at the columns' logs
+        self._mul = [[0] * q] + [[0, *map(ext[la : la + n].__getitem__, logs)] for la in logs]
         self._add = [list(range(q))] + [
-            [a] + [ext[la + zech[lb - la + n]] for lb in logs] for a, la in zip(range(1, q), logs)
+            [a, *map(ext[la:].__getitem__, map(zech[n - la : 2 * n - la].__getitem__, logs))]
+            for a, la in zip(range(1, q), logs)
         ]
         self._inv = [0] + [exp[-la] for la in logs]
         minus_one = log[p - 1]

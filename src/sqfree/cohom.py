@@ -18,6 +18,8 @@ relabel(psi*phi, c). Both laws are property-tested rather than trusted.
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+from operator import add
 
 from .coeff import FFElement
 from .common import DEFAULT_BOUNDS, ValidationReport, cosets
@@ -32,6 +34,7 @@ from .errors import (
     WitnessRejected,
     ZeroConjugator,
 )
+from .linalg import diagonal_form, kernel_mod, solve_mod, span_mod
 from .sgrp import automorphisms as semigroup_automorphisms
 from .sgrp import sim_classes
 
@@ -662,18 +665,74 @@ def verify_one_cocycle(S, base, g):
 
 
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
-    """All gauge elements fixing base, in canonical order."""
-    F, _, z1 = _one_cocycles(S, base, bounds)
+    """All gauge elements fixing base, in canonical order; over a field, read off one diagonal form (_fixing_pairs)."""
+    _fixing_field(S, base)
+    F, _, z1 = _one_cocycles(S, _valid(S, base), bounds)
     return [_gauge(S, F, key) for key in z1]
 
 
-def _one_cocycles(S, base, bounds):
-    """one_cocycles' refusals, then (field, base's _codes pair, the fixing code pairs sorted as canonical_key sorts)."""
+def _fixing_field(S, base):
+    """The field of base, after one_cocycles' backend refusals."""
     F = _backend(S, base)
     if not F.is_finite:
         raise InfiniteBackend("fixed-point enumeration needs a finite field")
-    v = _codes(S, _valid(S, base))
-    return F, v, sorted(_witnesses(S, F, v, v, bounds, all_solutions=True))
+    return F
+
+
+def _one_cocycles(S, base, bounds):
+    """one_cocycles for a valid base: its backend refusal, then (field, base's _codes pair, the fixing code pairs)."""
+    F = _fixing_field(S, base)
+    v = _codes(S, base)
+    return F, v, _fixing_pairs(S, F, v, bounds)
+
+
+def _fixing_pairs(S, F, v, bounds):
+    """The code pairs (mu, eta) with act(g, c) = c, for c's _codes pair v, sorted as canonical_key sorts.
+
+    D^x is cyclic, so in logs l of eta a mu slice solves, one row per triple,
+    l_ij + p^(a_ij) l_jh - l_ih = (p^(mu_i) - 1) log x(ijh) over Z/(q-1). The
+    matrix depends on alpha alone: one diagonal form gives each slice's
+    particular solution and the kernel K, listed by a mixed-radix walk over
+    K's cyclic generators. Each particular solution and each generator is
+    re-checked on codes against every triple (the eta search's leaf check),
+    so by the group law every listed pair fixes c.
+    """
+    (a, x), n, p = v, F.q - 1, F.p
+    mul, inv, frob, log, ext = F._mul, F._inv, F._frob, F._log, F._exp * 2
+    support, triples = S.elements(), sorted(S.comp)
+    col = {s: c for c, s in enumerate(support)}
+    rows = []
+    for i, j, h in triples:
+        row = [0] * len(support)
+        row[col[i, j]] += 1
+        row[col[j, h]] += p ** a[i, j]
+        row[col[i, h]] -= 1
+        rows.append(row)
+    form = diagonal_form(rows, len(support), n)
+    gens = kernel_mod(form, n)
+    size = prod(order for _, order in gens)
+    if size > bounds.max_search:
+        raise SearchBoundExceeded(f"max_search: fixing-pair slice estimate {size} above limit {bounds.max_search}")
+
+    def check(logs, targets):
+        eta = dict(zip(support, map(ext.__getitem__, logs)))
+        for t in triples:
+            i, j, h = t
+            if mul[mul[eta[i, j]][frob[a[i, j]][eta[j, h]]]][inv[eta[i, h]]] != targets[t]:
+                raise WitnessRejected(f"a fixing-pair solution fails the eta equation at {t}")
+
+    for g, _ in gens:
+        check(g, dict.fromkeys(triples, 1))
+    kernel = span_mod(gens, len(support), n)
+    if len(set(kernel)) != size:
+        raise WitnessRejected(f"{len(set(kernel))} distinct kernel elements, not {size}")
+    z1 = []
+    for mu in _mu_candidates(S, a, a, F.k):
+        l0 = solve_mod(form, [(p ** mu[i - 1] - 1) * log[x[i, j, h]] for i, j, h in triples], n)
+        if l0 is not None:
+            check(l0, {t: mul[frob[mu[t[0] - 1]][x[t]]][inv[x[t]]] for t in triples})
+            z1 += [(mu, tuple(map(ext.__getitem__, map(add, l0, y)))) for y in kernel]
+    return sorted(z1)
 
 
 def _scale(mul, eta, factors):
@@ -732,13 +791,20 @@ class H1Result:
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     """Fixing pairs modulo the identity orbit, one pass per coset.
 
-    Z^1 and B^1 are code pairs from the searches behind one_cocycles and
-    one_coboundaries, refusing in that order. common.cosets partitions Z^1
+    Z^1 and B^1 are code pairs from one_cocycles' diagonal form
+    (_fixing_pairs) and one_coboundaries' orbit walk, refusing in that
+    order. common.cosets partitions Z^1
     into cosets of |B^1| pairs, each keyed by its least member, the
     representative; they must cover exactly Z^1. B^1 is a group (an orbit
     of a group action); normality is checked as B^1 r in r B^1, by the coset
     key of each b r, r a representative: 2|Z^1| code products, no inverse.
     """
+    _fixing_field(S, base)
+    return _first_cohomology(S, _valid(S, base), bounds)
+
+
+def _first_cohomology(S, base, bounds):
+    """first_cohomology of a valid base: one_cocycles' backend refusal, then Z^1, B^1 and the coset pass."""
     F, (a, _), z1 = _one_cocycles(S, base, bounds)
     b1 = _one_coboundaries(S, F, a, bounds)
     src, z1_set = [i - 1 for i, _ in S.elements()], set(z1)

@@ -22,6 +22,7 @@ from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import (
     InfiniteBackend,
     InvalidInput,
+    MixedBackends,
     MixedRings,
     NonCentralXi,
     SearchBoundExceeded,
@@ -36,6 +37,9 @@ class TwistedRing:
     __slots__ = ("S", "D", "c", "normalizer", "_core")
 
     def __init__(self, S, D, c, check=True):
+        # an empty cocycle has no backend; normalize refuses it as invalid
+        if c.alpha and c.backend != D:
+            raise MixedBackends("cocycle over another backend than the ring")
         if check:
             c, witness = normalize(S, c)
         else:

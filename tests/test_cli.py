@@ -215,8 +215,8 @@ def doubled_two_cycle_job(tmp_path):
 
 
 def test_each_command_verifies_each_cocycle_once(tmp_path, capsys, monkeypatch):
-    # cohomologous made 4 calls (--phi too) and stab 3 when the library
-    # searches re-verified what the command had already checked
+    # cohomologous made 4 calls (--phi too), stab 3 and h1 2 when the
+    # library searches re-verified what the command had already checked
     calls = [0]
 
     def counted(*args):
@@ -230,6 +230,7 @@ def test_each_command_verifies_each_cocycle_once(tmp_path, capsys, monkeypatch):
         (["cohomologous", b, "--other", other], 1, 2),
         (["cohomologous", b, "--other", other, "--phi"], 0, 2),
         (["stab", b], 0, 1),
+        (["h1", b], 0, 1),
     ):
         calls[0] = 0
         assert invoke(capsys, argv)[0] == code

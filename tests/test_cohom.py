@@ -916,7 +916,16 @@ def assert_matches_references(S, c, rng):
     assert keys(res.reps) == keys(ref.reps)
     assert keys(res.z1) == keys(ref.z1)
     assert keys(res.b1) == keys(ref.b1)
+    assert_lattice_matches_the_search(S, c)
     assert_searches_match_references(S, c, rng)
+
+
+def assert_lattice_matches_the_search(S, c):
+    """Z^1 read off the diagonal form equals every leaf of the eta search, mu by mu, as code pairs."""
+    F, v = c.backend, cohom._codes(S, c)
+    _, _, z1 = cohom._one_cocycles(S, c, Bounds())
+    assert z1 == sorted(cohom._witnesses(S, F, v, v, Bounds(), all_solutions=True))
+    assert len(set(z1)) == len(z1)
 
 
 def assert_searches_match_references(S, c, rng):
@@ -970,8 +979,8 @@ def test_h1_and_eta_search_match_the_references_on_explicit_moduli(field):
 
 def test_h1_and_eta_search_match_the_references_on_random_semigroups():
     # up to 5 idempotents; the reference sweep is quadratic, so a semigroup
-    # whose trivial cocycle needs over 500 search nodes or has |Z^1||B^1|
-    # over 10^4 is skipped
+    # whose trivial cocycle has a fixing-pair slice (the kernel of its eta
+    # equations) over 500 pairs or |Z^1||B^1| over 10^4 is skipped
     compared = 0
     for seed in range(30):
         rng = random.Random(seed)
@@ -1193,6 +1202,31 @@ def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
     for _, targets in fixing_targets(S, base, base):
         _, nodes = reference_eta_search(S, base.backend, base.alpha, targets, all_solutions=True)
         assert_nodes(S, base.backend, base.alpha, targets, True, nodes)
+
+
+@pytest.mark.parametrize("S, q", [(mu(3), 8), (two_cycle(), 9), (a3(), 4)], ids=["mu3/GF8", "two_cycle/GF9", "a3/GF4"])
+def test_field_z1_is_one_elimination_and_no_eta_search(monkeypatch, S, q):
+    # every fixing pair is read off one diagonal form of the log matrix,
+    # shared by all mu; the eta search serves the witness searches only
+    F = gf(q)
+    c = act(S, random_gauge(S, F, random.Random(q)), difference_twist(S, F, random.Random(S.n)), check=False)
+    searches, eliminations = counting(monkeypatch, "_eta_search"), counting(monkeypatch, "diagonal_form")
+    assert len(one_cocycles(S, c)) > 1
+    assert (searches[0], eliminations[0]) == (0, 1)
+    assert first_cohomology(S, c).order >= 1
+    assert (searches[0], eliminations[0]) == (0, 2)
+    assert cohomologous(S, c, c) is not None
+    assert searches[0] > 0 and eliminations[0] == 2
+
+
+def test_z1_refusal_estimates_the_kernel():
+    # t2 over GF(4): l_11 and l_22 are forced, l_12 is free, so |K| = 3 and
+    # each of the k = 2 mu slices has 3 pairs; a limit of 3 answers
+    S, F = t2(), gf(4)
+    c = TwoCocycle.trivial(S, F)
+    assert len(one_cocycles(S, c, Bounds(max_search=3))) == 6
+    with pytest.raises(SearchBoundExceeded, match=r"^max_search: fixing-pair slice estimate 3 above limit 2$"):
+        one_cocycles(S, c, Bounds(max_search=2))
 
 
 def test_relabel_searches_verify_each_cocycle_once(monkeypatch):

@@ -1,18 +1,20 @@
-"""The Gauss-Jordan eliminator against an oracle that eliminates nothing.
+"""The Gauss-Jordan eliminator and the Z/n diagonal form against an oracle that eliminates nothing.
 
 Invertibility is decided by the cofactor determinant, solutions are checked
 by multiplying back, and row-reduced bases by enumerating both spans. Every
 2x2 and 3x3 matrix over GF(2), every 2x2 over GF(3) and 200 seeded 4x4
-matrices over GF(5) are covered.
+matrices over GF(5) are covered. Over Z/n, solutions and kernels are
+checked against every vector of (Z/n)^m, m <= 3.
 """
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
 from sqfree.errors import NotInvertible
-from sqfree.linalg import mat_inv, row_reduce, solve
+from sqfree.linalg import _gcd_step, diagonal_form, kernel_mod, mat_inv, row_reduce, solve, solve_mod, span_mod
 
 
 def _all_matrices(n, p):
@@ -114,3 +116,63 @@ def test_row_reduce_rank_is_full_exactly_when_the_determinant_is_not_zero(case):
     p, matrices = CASES[case]
     for A in matrices:
         assert (len(row_reduce(A, p)) == len(A)) == (_det(A, p) != 0), A
+
+
+MODULI = (1, 2, 4, 6, 7, 8, 9, 12, 15)
+
+
+def _apply(A, x, n):
+    return tuple(sum(a * y for a, y in zip(row, x)) % n for row in A)
+
+
+def test_gcd_step_is_unimodular_and_keeps_a_dividing_pivot():
+    # diagonal_form's loops end because a pivot that divides an entry is
+    # left as it is (t = 0); any other step makes the pivot smaller
+    for a in range(1, 25):
+        for b in range(0, 50):
+            s, t, u, v = _gcd_step(a, b)
+            assert (s * a + t * b, u * a + v * b, s * v - t * u) == (gcd(a, b), 0, 1), (a, b)
+            if b % a == 0:
+                assert (s, t, v) == (1, 0, 1), (a, b)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_z_mod_n_solutions_and_kernels_match_every_vector(n):
+    # zero to four rows, entries unreduced and negative too; right sides
+    # from the image and at random, so both answers of solve_mod occur
+    rng = random.Random(n)
+    outcomes = set()
+    for m in (1, 2, 3):
+        vectors = list(product(range(n), repeat=m))
+        for _ in range(80 if m < 3 else 30):
+            A = [[rng.randrange(-n, 2 * n) for _ in range(m)] for _ in range(rng.randrange(5))]
+            image = {}
+            for x in vectors:
+                image.setdefault(_apply(A, x, n), []).append(x)
+            kernel = image[(0,) * len(A)]
+            form = diagonal_form(A, m, n)
+            gens = kernel_mod(form, n)
+            listed = span_mod(gens, m, n)
+            assert all(order > 1 for _, order in gens)
+            assert len(listed) == len(set(listed)) == len(kernel), (A, n)
+            assert set(listed) == set(kernel), (A, n)
+            for b in [rng.choice(list(image)), tuple(rng.randrange(n) for _ in A)]:
+                x = solve_mod(form, [y + n * rng.randrange(-1, 2) for y in b], n)
+                assert (x is None) == (b not in image), (A, b, n)
+                if x is not None:
+                    assert len(x) == m and all(0 <= y < n for y in x)
+                    assert _apply(A, x, n) == b, (A, b, n)
+                outcomes.add(x is None)
+    assert outcomes == ({False} if n == 1 else {False, True})
+
+
+def test_z_mod_n_diagonal_form_reads_its_pivots():
+    # 2 x = b over Z/6: 2 is no unit, so the kernel is {0, 3} and b must be even
+    form = diagonal_form([[2]], 1, 6)
+    assert form[1] == [2]
+    assert kernel_mod(form, 6) == [((3,), 2)]
+    assert solve_mod(form, [4], 6) in {(2,), (5,)} and solve_mod(form, [3], 6) is None
+    # a zero matrix and a matrix without rows leave every column free
+    for A in ([[0, 6]], []):
+        assert diagonal_form(A, 2, 6)[1] == []
+        assert sorted(kernel_mod(diagonal_form(A, 2, 6), 6), key=lambda gen: gen[0]) == [((0, 1), 6), ((1, 0), 6)]

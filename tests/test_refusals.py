@@ -12,6 +12,7 @@ from sqfree.cohom import (
     TwoCocycle,
     act,
     cohomologous,
+    first_cohomology,
     one_coboundaries,
 )
 from sqfree.common import Bounds
@@ -49,6 +50,11 @@ BOUND_CASES = {
         lambda: cohomologous(t2(), trivial(3), rescaled(3), Bounds(max_search=0)),
         r"^max_search: witness node estimate 1 above limit 0$",
     ),
+    # l_11 and l_22 forced, l_12 free: 3 fixing pairs per mu slice over GF(4)
+    "fixing_pairs": (
+        lambda: first_cohomology(t2(), trivial(4), Bounds(max_search=2)),
+        r"^max_search: fixing-pair slice estimate 3 above limit 2$",
+    ),
     # one diagonal unit per idempotent: 3^2 over GF(4)
     "one_coboundaries": (
         lambda: one_coboundaries(t2(), trivial(4), Bounds(max_search=8)),
@@ -81,6 +87,7 @@ from sqfree.autos import aut_r_bruteforce
 from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology
 from sqfree.errors import InvalidCocycle, NotAOneCocycle, WitnessRejected
 from sqfree.fixtures import a3, gf, t2
+from sqfree.linalg import kernel_mod
 from sqfree.twring import TwistedRing, is_d_algebra
 
 assert sys.flags.optimize, "run me under python -O"
@@ -115,6 +122,12 @@ def call(name, fn, patch=None):
 # an eta solution that does not carry base to its rescaled copy
 call("cohomologous", lambda: cohomologous(S, base, act(S, g, base)),
      (cohom, "_eta_search", lambda S, *rest, **kw: [(1,) * len(S.support)]))
+# a particular solution of the log system that solves nothing: every log 1
+call("first_cohomology solution", lambda: first_cohomology(S, base),
+     (cohom, "solve_mod", lambda form, b, n: (1,) * len(form[2])))
+# each kernel generator twice: every listed pair solves, but each shows up 3 times
+call("first_cohomology kernel", lambda: first_cohomology(S, base),
+     (cohom, "kernel_mod", lambda form, n: 2 * kernel_mod(form, n)))
 # a coboundary outside Z^1, a non-normal subgroup of Z^1 (S_3 here), no coboundaries
 call("first_cohomology outside", lambda: first_cohomology(S, base),
      (cohom, "_one_coboundaries", lambda *a, **kw: codes([g])))
@@ -149,6 +162,8 @@ def test_corrupted_replays_rejected_under_python_O():
     ).stdout.splitlines()
     assert out == [
         "cohomologous rejected: WitnessRejected",
+        "first_cohomology solution rejected: WitnessRejected",
+        "first_cohomology kernel rejected: WitnessRejected",
         "first_cohomology outside rejected: NotAOneCocycle",
         "first_cohomology normal rejected: WitnessRejected",
         "first_cohomology index rejected: WitnessRejected",

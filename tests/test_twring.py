@@ -17,6 +17,7 @@ from sqfree.errors import (
     InfiniteBackend,
     InvalidCocycle,
     InvalidInput,
+    MixedBackends,
     MixedRings,
     NonCentralXi,
     SearchBoundExceeded,
@@ -140,6 +141,19 @@ def test_construction_rejects_invalid():
     bad = TwoCocycle.trivial(S, F).replace_xi((1, 1, 2), F.gen)
     with pytest.raises(InvalidCocycle):
         TwistedRing(S, F, bad)
+
+
+def test_construction_refuses_a_cocycle_over_another_backend():
+    # with or without the cocycle check; such a ring used to build, and the
+    # mismatch surfaced in whichever operation read the cocycle first
+    S = t2()
+    for D, other in ((gf(4), gf(8)), (gf(4), quaternions()), (quaternions(), gf(4))):
+        for check in (True, False):
+            with pytest.raises(MixedBackends, match="^cocycle over another backend than the ring$"):
+                TwistedRing(S, D, TwoCocycle.trivial(S, other), check=check)
+    # an empty cocycle has no backend, and is still refused as invalid
+    with pytest.raises(InvalidCocycle):
+        TwistedRing(S, gf(4), TwoCocycle({}, {}))
 
 
 def test_associativity_on_valid_fixtures():
