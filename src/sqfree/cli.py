@@ -155,7 +155,7 @@ def cmd_cohomologous(args):
     if args.phi:
         phi, g = _relabel_search(job.S, c1, other, job.bounds) or (None, None)
     else:
-        phi, g = None, _cohomologous(job.S, c1, other, job.bounds)
+        phi, g = None, _cohomologous(job.S, c1, other)
     report = {"bounds": asdict(job.bounds), "cohomologous": g is not None}
     if g is None:
         return 1, report
@@ -291,7 +291,7 @@ def build_parser():
     )
     common.add_argument(
         "--bounds.max-search", dest="max_search", type=int, default=None,
-        help="cap on backtracking search spaces",
+        help="cap on listed solution sets (a fixing-pair slice, the coboundary orbit)",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, fn in COMMANDS.items():

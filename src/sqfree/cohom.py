@@ -18,8 +18,8 @@ relabel(psi*phi, c). Both laws are property-tested rather than trusted.
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
-from operator import add
+from math import gcd, prod
+from operator import add, mul
 
 from .coeff import FFElement
 from .common import DEFAULT_BOUNDS, ValidationReport, cosets
@@ -478,107 +478,103 @@ def _mu_candidates(S, a1, a2, k):
         yield tuple((base[i] + shifts[index[i]]) % k for i in range(1, S.n + 1))
 
 
-def _eta_search(S, F, a1, targets, all_solutions, budget):
-    """Solve x(ij) * frob^(a1_ij)(x(jk)) * x(ik)^(-1) = target(ijk) over unit codes.
+def _log_form(S, F, a):
+    """The diagonal form of the eta equations' log matrix for alpha exponents a, and its kernel generators.
 
-    Worklist propagation, as in arc consistency: the root visits every
-    triple, a branch only the triples touching a slot it assigns or forces.
-    One unknown in three distinct slots is solved for directly; a triple
-    with a repeated slot scans the units. Forced values are unique, so the
-    closure and its failure do not depend on visiting order. Branching on
-    the first free slot is deterministic; every leaf is re-checked. It runs
-    on F's tables, alpha as exponents and targets as codes, units in code
-    order: the element search's tree and nodes; a solution is an eta code tuple.
+    D^x is cyclic, so in logs l of eta the equation
+    x(ij) frob^(a_ij)(x(jh)) x(ih)^(-1) = t(ijh) reads
+    l_ij + p^(a_ij) l_jh - l_ih = log t(ijh) over Z/(q-1), one row per
+    triple and one column per support pair. The matrix depends on alpha
+    alone, so every mu slice shares one diagonal form (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).
     """
-    mul, inv, frob, units = F._mul, F._inv, F._frob, range(1, F.q)
-    support = S.elements()
-    triples = sorted(S.comp)
-    touching = {p: [] for p in support}
-    eqs = {}  # triple -> slots (ij), (jk), (ik), the rows of alpha_ij and its inverse, the target code
-    for i, j, k in triples:
-        m = a1[i, j]
-        eqs[(i, j, k)] = ((i, j), (j, k), (i, k), frob[m], frob[-m % F.k], targets[(i, j, k)])
-        for s in {(i, j), (j, k), (i, k)}:
-            touching[s].append((i, j, k))
-    solutions = []
-    nodes = [0]
-
-    def value(t, assign):
-        a, b, c, alpha, _, _ = eqs[t]
-        return mul[mul[assign[a]][alpha[assign[b]]]][inv[assign[c]]]
-
-    def fits(t, v, assign):
-        a, b, c, alpha, alpha_inv, target = eqs[t]
-        if len({a, b, c}) == 3:
-            # a * alpha(b) * c^-1 = target, solved for the one unknown
-            if v == a:
-                return [mul[mul[target][assign[c]]][inv[alpha[assign[b]]]]]
-            if v == b:
-                return [alpha_inv[mul[mul[inv[assign[a]]][target]][assign[c]]]]
-            return [mul[mul[inv[target]][assign[a]]][alpha[assign[b]]]]
-        out = []
-        for u in units:
-            assign[v] = u
-            if value(t, assign) == target:
-                out.append(u)
-        del assign[v]
-        return out
-
-    def propagate(assign, todo):
-        todo = list(todo)
-        while todo:
-            t = todo.pop()
-            a, b, c = eqs[t][:3]
-            unknown = {a, b, c} - assign.keys()
-            if not unknown:
-                if value(t, assign) != eqs[t][5]:
-                    return False
-            elif len(unknown) == 1:
-                (v,) = unknown
-                found = fits(t, v, assign)
-                if not found:
-                    return False
-                if len(found) == 1:
-                    assign[v] = found[0]
-                    todo.extend(touching[v])
-        return True
-
-    def search(assign, todo):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise SearchBoundExceeded(f"max_search: witness node estimate {nodes[0]} above limit {budget}")
-        assign = dict(assign)
-        if not propagate(assign, todo):
-            return False
-        free = [p for p in support if p not in assign]
-        if not free:
-            if all(value(t, assign) == eqs[t][5] for t in triples):
-                solutions.append(assign)
-                return not all_solutions
-            return False
-        v = free[0]
-        for u in units:
-            assign[v] = u
-            if search(assign, touching[v]):
-                return True
-        return False
-
-    search({}, triples)
-    return [tuple(assign[p] for p in support) for assign in solutions]
+    n, p = F.q - 1, F.p
+    col = {s: c for c, s in enumerate(S.elements())}
+    rows = []
+    for i, j, h in sorted(S.comp):
+        row = [0] * len(col)
+        row[col[i, j]] += 1
+        row[col[j, h]] += p ** a[i, j]
+        row[col[i, h]] -= 1
+        rows.append(row)
+    form = diagonal_form(rows, len(col), n)
+    return form, kernel_mod(form, n)
 
 
-def _witnesses(S, F, v1, v2, bounds, all_solutions):
-    """Yield the code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2.
+def _slices(S, F, v1, v2):
+    """Yield (mu, l0, kernel generators) for each solvable mu slice of act(g, c1) = c2, for _codes pairs v1 and v2.
 
-    Each mu, in _mu_candidates order, gets its own eta search on the targets
-    frob^(mu_i)(x2) x1^(-1), under the max_search node budget; with
-    all_solutions false, that search stops at its first solution.
+    mu runs over _mu_candidates in order, and l0 is one solution in logs for
+    the targets frob^(mu_i)(x2) x1^(-1); every solution is l0 plus the
+    kernel. The log matrix is formed once, when the first mu fits the alphas.
     """
     (a1, x1), (a2, x2) = v1, v2
+    n, p, log, triples, form = F.q - 1, F.p, F._log, sorted(S.comp), None
     for mu in _mu_candidates(S, a1, a2, F.k):
-        targets = {t: F._mul[F._frob[mu[t[0] - 1]][x2[t]]][F._inv[x1[t]]] for t in S.comp}
-        for eta in _eta_search(S, F, a1, targets, all_solutions, budget=bounds.max_search):
-            yield mu, eta
+        if form is None:
+            form, gens = _log_form(S, F, a1)
+        l0 = solve_mod(form, [p ** mu[t[0] - 1] * log[x2[t]] - log[x1[t]] for t in triples], n)
+        if l0 is not None:
+            yield mu, l0, gens
+
+
+def _solutions(S, F, v1, v2, bounds):
+    """The code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2, in canonical_key order.
+
+    Each solvable slice is l0 plus the kernel K, listed once by a
+    mixed-radix walk over K's cyclic generators; a K above max_search is
+    refused before the first slice is listed. Each particular solution, and
+    each generator with mu = 0 as a gauge fixing c1, is re-checked by the
+    action on codes, and K must list exactly the product of its generators'
+    orders, distinct, so by the group law every listed pair carries c1 to c2.
+    """
+    exp, ext, out, kernel = F._exp, F._exp * 2, [], None
+    for mu, l0, gens in _slices(S, F, v1, v2):
+        if kernel is None:
+            size = prod(order for _, order in gens)
+            if size > bounds.max_search:
+                raise SearchBoundExceeded(f"max_search: fixing-pair slice estimate {size} above limit {bounds.max_search}")
+            for g, _ in gens:
+                _checked(S, F, v1, v1, ((0,) * S.n, tuple(map(exp.__getitem__, g))))
+            kernel = span_mod(gens, len(l0), F.q - 1)
+            if len(set(kernel)) != size:
+                raise WitnessRejected(f"{len(set(kernel))} distinct kernel elements, not {size}")
+        _checked(S, F, v1, v2, (mu, tuple(map(exp.__getitem__, l0))))
+        out += [(mu, tuple(map(ext.__getitem__, map(add, l0, y)))) for y in kernel]
+    return sorted(out)
+
+
+def _checked(S, F, v1, v2, key):
+    """The code pair key, once the action on codes carries v1 to v2 by its gauge; else WitnessRejected."""
+    if _act_codes(S, F, v1, key[0], dict(zip(S.elements(), key[1]))) != v2:
+        raise WitnessRejected("a gauge solution does not carry the first cocycle to the second")
+    return key
+
+
+def _least(F, l0, gens):
+    """The least eta code tuple, slot by slot, of the logs l0 + <gens> over Z/(q-1).
+
+    At slot s the reachable logs are l_s + gcd(q-1, K_s) Z, K_s the
+    generators' entries there; the one of least code is taken, the 1 x r row
+    K_s is solved for it, and K shrinks to the image of that row's kernel,
+    the elements that keep slot s.
+    """
+    n, exp = F.q - 1, F._exp
+    logs, gens = list(l0), [g for g, _ in gens]
+    for s in range(len(logs)):
+        if not gens:
+            break
+        columns = list(zip(*gens))
+        d = gcd(n, *columns[s])
+        if d == n:
+            continue
+        want = min(((logs[s] + d * t) % n for t in range(n // d)), key=exp.__getitem__)
+        form = diagonal_form([columns[s]], len(gens), n)
+        shift = solve_mod(form, [want - logs[s]], n)
+        logs = [(x + sum(map(mul, shift, col))) % n for x, col in zip(logs, columns)]
+        images = (tuple(sum(map(mul, k, col)) % n for col in columns) for k, _ in kernel_mod(form, n))
+        gens = [v for v in images if any(v)]
+    return tuple(map(exp.__getitem__, logs))
 
 
 def _gauge(S, F, key):
@@ -589,9 +585,9 @@ def _gauge(S, F, key):
 
 
 def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
-    """A gauge witness g with act(g, c1) = c2, or None after complete search."""
+    """A gauge witness g with act(g, c1) = c2, or None when there is none; the solve spends no bound."""
     _refuse_backends(S, c1, c2)
-    return _cohomologous(S, _valid(S, c1), _valid(S, c2), bounds)
+    return _cohomologous(S, _valid(S, c1), _valid(S, c2))
 
 
 def _refuse_backends(S, c1, c2):
@@ -604,18 +600,19 @@ def _refuse_backends(S, c1, c2):
     return F
 
 
-def _witness(S, F, v1, v2, bounds):
-    """The first _witnesses pair carrying v1 to v2, re-checked by the action on codes, or None."""
-    key = next(_witnesses(S, F, v1, v2, bounds, all_solutions=False), None)
-    if key is not None and _act_codes(S, F, v1, key[0], dict(zip(S.elements(), key[1]))) != v2:
-        raise WitnessRejected("gauge witness does not carry the first cocycle to the second")
-    return key
+def _witness(S, F, v1, v2):
+    """The least eta code tuple of the first solvable mu slice carrying v1 to v2, _checked, or None."""
+    first = next(_slices(S, F, v1, v2), None)
+    if first is None:
+        return None
+    mu, l0, gens = first
+    return _checked(S, F, v1, v2, (mu, _least(F, l0, gens)))
 
 
-def _cohomologous(S, c1, c2, bounds):
-    """cohomologous for two valid cocycles: its backend refusals, then the search."""
+def _cohomologous(S, c1, c2):
+    """cohomologous for two valid cocycles: its backend refusals, then the solve."""
     F = _refuse_backends(S, c1, c2)
-    key = _witness(S, F, _codes(S, c1), _codes(S, c2), bounds)
+    key = _witness(S, F, _codes(S, c1), _codes(S, c2))
     return None if key is None else _gauge(S, F, key)
 
 
@@ -626,12 +623,12 @@ def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
 
 
 def _relabel_search(S, c1, c2, bounds):
-    """cohomologous_with_relabel for two valid cocycles: Aut S, the backend refusals, then a search per phi."""
+    """cohomologous_with_relabel for two valid cocycles: Aut S, the backend refusals, then a solve per phi."""
     auts = semigroup_automorphisms(S, bounds)
     F = _refuse_backends(S, c1, c2)
     v1, v2 = _codes(S, c1), _codes(S, c2)
     for phi in auts:
-        key = _witness(S, F, _relabeled(S, phi, v1), v2, bounds)
+        key = _witness(S, F, _relabeled(S, phi, v1), v2)
         if key is not None:
             return phi, _gauge(S, F, key)
     return None
@@ -644,18 +641,18 @@ def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
 
 
 def _stabilizer(S, c, bounds):
-    """stabilizer of a valid cocycle: Aut S, the backend refusals, then a search per phi."""
+    """stabilizer of a valid cocycle: Aut S, the backend refusals, then a solve per phi."""
     auts = semigroup_automorphisms(S, bounds)
     F = _refuse_backends(S, c, c)
     v = _codes(S, c)
-    return [phi for phi in auts if _witness(S, F, v, _relabeled(S, phi, v), bounds) is not None]
+    return [phi for phi in auts if _witness(S, F, v, _relabeled(S, phi, v)) is not None]
 
 
 def _relabel_witnesses(S, c, bounds):
     """(phi, g) for each phi of Aut S and each gauge g with act(g, relabel(phi, c)) = c, c valid over a field."""
     F, v = c.backend, _codes(S, c)
     for phi in semigroup_automorphisms(S, bounds):
-        for key in _witnesses(S, F, _relabeled(S, phi, v), v, bounds, all_solutions=True):
+        for key in _solutions(S, F, _relabeled(S, phi, v), v, bounds):
             yield phi, _gauge(S, F, key)
 
 
@@ -665,7 +662,7 @@ def verify_one_cocycle(S, base, g):
 
 
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
-    """All gauge elements fixing base, in canonical order; over a field, read off one diagonal form (_fixing_pairs)."""
+    """All gauge elements fixing base, in canonical order; over a field, read off one diagonal form (_solutions)."""
     _fixing_field(S, base)
     F, _, z1 = _one_cocycles(S, _valid(S, base), bounds)
     return [_gauge(S, F, key) for key in z1]
@@ -683,56 +680,7 @@ def _one_cocycles(S, base, bounds):
     """one_cocycles for a valid base: its backend refusal, then (field, base's _codes pair, the fixing code pairs)."""
     F = _fixing_field(S, base)
     v = _codes(S, base)
-    return F, v, _fixing_pairs(S, F, v, bounds)
-
-
-def _fixing_pairs(S, F, v, bounds):
-    """The code pairs (mu, eta) with act(g, c) = c, for c's _codes pair v, sorted as canonical_key sorts.
-
-    D^x is cyclic, so in logs l of eta a mu slice solves, one row per triple,
-    l_ij + p^(a_ij) l_jh - l_ih = (p^(mu_i) - 1) log x(ijh) over Z/(q-1). The
-    matrix depends on alpha alone: one diagonal form gives each slice's
-    particular solution and the kernel K, listed by a mixed-radix walk over
-    K's cyclic generators. Each particular solution and each generator is
-    re-checked on codes against every triple (the eta search's leaf check),
-    so by the group law every listed pair fixes c.
-    """
-    (a, x), n, p = v, F.q - 1, F.p
-    mul, inv, frob, log, ext = F._mul, F._inv, F._frob, F._log, F._exp * 2
-    support, triples = S.elements(), sorted(S.comp)
-    col = {s: c for c, s in enumerate(support)}
-    rows = []
-    for i, j, h in triples:
-        row = [0] * len(support)
-        row[col[i, j]] += 1
-        row[col[j, h]] += p ** a[i, j]
-        row[col[i, h]] -= 1
-        rows.append(row)
-    form = diagonal_form(rows, len(support), n)
-    gens = kernel_mod(form, n)
-    size = prod(order for _, order in gens)
-    if size > bounds.max_search:
-        raise SearchBoundExceeded(f"max_search: fixing-pair slice estimate {size} above limit {bounds.max_search}")
-
-    def check(logs, targets):
-        eta = dict(zip(support, map(ext.__getitem__, logs)))
-        for t in triples:
-            i, j, h = t
-            if mul[mul[eta[i, j]][frob[a[i, j]][eta[j, h]]]][inv[eta[i, h]]] != targets[t]:
-                raise WitnessRejected(f"a fixing-pair solution fails the eta equation at {t}")
-
-    for g, _ in gens:
-        check(g, dict.fromkeys(triples, 1))
-    kernel = span_mod(gens, len(support), n)
-    if len(set(kernel)) != size:
-        raise WitnessRejected(f"{len(set(kernel))} distinct kernel elements, not {size}")
-    z1 = []
-    for mu in _mu_candidates(S, a, a, F.k):
-        l0 = solve_mod(form, [(p ** mu[i - 1] - 1) * log[x[i, j, h]] for i, j, h in triples], n)
-        if l0 is not None:
-            check(l0, {t: mul[frob[mu[t[0] - 1]][x[t]]][inv[x[t]]] for t in triples})
-            z1 += [(mu, tuple(map(ext.__getitem__, map(add, l0, y)))) for y in kernel]
-    return sorted(z1)
+    return F, v, _solutions(S, F, v, v, bounds)
 
 
 def _scale(mul, eta, factors):
@@ -754,12 +702,16 @@ def _one_coboundaries(S, F, a, bounds):
     D^x is cyclic, so (D^x)^n is generated by the n maps nu = g at one
     index and 1 elsewhere, g primitive: the walk makes n actions per orbit
     element, on eta codes in support order, as nu keeps mu over a field.
-    The refusal still estimates the (q-1)^n maps nu.
+    In logs nu sends the identity pair to l_i - p^(a_ij) l_j at each pair
+    ij, so the orbit has (q-1)^n / |ker| elements, ker that map's kernel
+    over Z/(q-1); the refusal estimates this size, and the walk must reach it.
     """
-    total = (F.q - 1) ** S.n
-    if total > bounds.max_search:
-        raise SearchBoundExceeded(f"max_search: orbit estimate {total} above limit {bounds.max_search}")
-    support, mul, g = S.elements(), F._mul, F.element(F._primitive).code
+    support, n = S.elements(), F.q - 1
+    rows = [[(k == i) - (k == j) * F.p ** a[i, j] for k in range(1, S.n + 1)] for i, j in support]
+    size = n**S.n // prod(order for _, order in kernel_mod(diagonal_form(rows, S.n, n), n))
+    if size > bounds.max_search:
+        raise SearchBoundExceeded(f"max_search: orbit estimate {size} above limit {bounds.max_search}")
+    mul, g = F._mul, F.element(F._primitive).code
     # nu sends eta(ij) to nu_i eta(ij) alpha_ij(nu_j^-1)
     factor = {(i, j): F._frob[a[i, j]][F._inv[g]] for i, j in support}
     gens = [[mul[g if i == k else 1][factor[i, j] if j == k else 1] for i, j in support] for k in range(1, S.n + 1)]
@@ -771,6 +723,8 @@ def _one_coboundaries(S, F, a, bounds):
             if h not in seen:
                 seen.add(h)
                 orbit.append(h)
+    if len(orbit) != size:
+        raise WitnessRejected(f"{len(orbit)} coboundaries, not {size}")
     return [((0,) * S.n, eta) for eta in sorted(orbit)]
 
 
@@ -792,7 +746,7 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     """Fixing pairs modulo the identity orbit, one pass per coset.
 
     Z^1 and B^1 are code pairs from one_cocycles' diagonal form
-    (_fixing_pairs) and one_coboundaries' orbit walk, refusing in that
+    (_solutions) and one_coboundaries' orbit walk, refusing in that
     order. common.cosets partitions Z^1
     into cosets of |B^1| pairs, each keyed by its least member, the
     representative; they must cover exactly Z^1. B^1 is a group (an orbit

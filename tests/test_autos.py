@@ -187,8 +187,8 @@ def test_aut_r_bound_messages_name_bound_estimate_and_limit():
     # one idempotent tuple, then two generator roots over GF(4)
     with pytest.raises(SearchBoundExceeded, match=r"^max_search: generator completion estimate 2 above limit 1$"):
         reference_aut_r(trivial_ring(single(), gf(4)), Bounds(max_search=1))
-    # the library's normal maps: the first node of the gauge search is one too many
-    with pytest.raises(SearchBoundExceeded, match=r"^max_search: witness node estimate 1 above limit 0$"):
+    # the library's normal maps: the identity's fixing-pair slice, of 1 pair, is one too many
+    with pytest.raises(SearchBoundExceeded, match=r"^max_search: fixing-pair slice estimate 1 above limit 0$"):
         aut_r_bruteforce(trivial_ring(t2(), gf(2)), Bounds(max_search=0))
 
 

@@ -6,7 +6,6 @@ import pytest
 from sqfree import cli, cohom, jsonio
 from sqfree.autos import RingAut, check_ring_automorphism
 from sqfree.cohom import TwoCocycle, act, verify_one_cocycle, verify_two_cocycle
-from sqfree.common import Bounds
 from sqfree.errors import MixedBackends
 from sqfree.fixtures import a3, gf, mu, t2, two_cycle
 from sqfree.twring import TwistedRing, linear_basis, to_vector
@@ -252,7 +251,7 @@ def test_cohomologous_keeps_its_refusals(tmp_path, capsys):
         assert (code, report["where"]) == (2, "other")
         assert report["error"] == "other: second cocycle fails verification (two_chain)"
     with pytest.raises(MixedBackends, match="cocycles over different backends"):
-        cohom._cohomologous(t2(), TwoCocycle.trivial(t2(), gf(4)), TwoCocycle.trivial(t2(), gf(8)), Bounds())
+        cohom._cohomologous(t2(), TwoCocycle.trivial(t2(), gf(4)), TwoCocycle.trivial(t2(), gf(8)))
 
 
 def test_aut_s(tmp_path, capsys):

@@ -17,7 +17,6 @@ from sqfree.cohom import (
     GaugeElement,
     H1Result,
     TwoCocycle,
-    _eta_search,
     _mu_candidates,
     act,
     boundary,
@@ -732,18 +731,18 @@ def test_one_cocycle_enumeration_excludes_infinite():
 
 
 # ------------------------------------------------ reference algorithms
-# first_cohomology, one_coboundaries and _eta_search as they were before
-# they became one pass per coset, an orbit walk over n generators and
-# worklist propagation. The library must agree with them output for output.
+# first_cohomology, one_coboundaries and the eta equation as they were
+# before they became one pass per coset, an orbit walk over n generators
+# and a linear system over Z/(q-1). The library must agree with them output
+# for output.
 
 
 def reference_eta_search(S, D, alpha1, targets, all_solutions):
-    """Every triple re-scanned until nothing changes; (solutions, node count)."""
+    """Every triple re-scanned until nothing changes; the solutions in leaf order, which is sorted order."""
     units = D.units()
     support = sorted(S.support)
     triples = sorted(S.comp)
     solutions = []
-    nodes = [0]
 
     def value(t, assign):
         i, j, k = t
@@ -775,7 +774,6 @@ def reference_eta_search(S, D, alpha1, targets, all_solutions):
         return True
 
     def search(assign):
-        nodes[0] += 1
         assign = dict(assign)
         if not propagate(assign):
             return False
@@ -793,7 +791,7 @@ def reference_eta_search(S, D, alpha1, targets, all_solutions):
         return False
 
     search({})
-    return solutions, nodes[0]
+    return solutions
 
 
 def exponents(S, alpha):
@@ -808,28 +806,35 @@ def fixing_targets(S, c1, c2):
         yield mu, {t: mu[t[0]](c2.xi[t]) * c1.xi[t].inverse() for t in S.comp}
 
 
-def eta_search(S, D, alpha, targets, all_solutions, budget):
-    """The library's eta search on element inputs; its solutions as eta dicts of elements."""
-    codes = {t: v.code for t, v in targets.items()}
-    found = _eta_search(S, D, exponents(S, alpha), codes, all_solutions, budget)
-    return [{p: FFElement(D, u) for p, u in zip(S.elements(), eta)} for eta in found]
-
-
 def reference_cohomologous(S, c1, c2):
+    """The first leaf of the first mu slice with one."""
     for mu, targets in fixing_targets(S, c1, c2):
-        sols, _ = reference_eta_search(S, c1.backend, c1.alpha, targets, all_solutions=False)
+        sols = reference_eta_search(S, c1.backend, c1.alpha, targets, all_solutions=False)
         if sols:
             return GaugeElement(mu, sols[0])
     return None
 
 
+def reference_solutions(S, c1, c2):
+    """Every leaf of every mu slice, in slice order: the gauges g with act(g, c1) = c2."""
+    return [
+        GaugeElement(mu, eta)
+        for mu, targets in fixing_targets(S, c1, c2)
+        for eta in reference_eta_search(S, c1.backend, c1.alpha, targets, all_solutions=True)
+    ]
+
+
 def reference_one_cocycles(S, base):
-    out = []
-    for mu, targets in fixing_targets(S, base, base):
-        sols, _ = reference_eta_search(S, base.backend, base.alpha, targets, all_solutions=True)
-        out.extend(GaugeElement(mu, eta) for eta in sols)
-    out.sort(key=lambda g: g.canonical_key())
-    return out
+    return sorted(reference_solutions(S, base, base), key=GaugeElement.canonical_key)
+
+
+def reference_relabel_search(S, c1, c2):
+    """(phi, the reference witness) for the first phi of Aut S with one, or None."""
+    for phi in automorphisms(S):
+        g = reference_cohomologous(S, relabel(S, phi, c1), c2)
+        if g is not None:
+            return phi, g
+    return None
 
 
 def coboundary_star(S, base, nu, g):
@@ -880,13 +885,6 @@ def keys(gs):
     return [g.canonical_key() for g in gs]
 
 
-def assert_nodes(S, D, alpha, targets, all_solutions, want):
-    """The library's search visits exactly `want` nodes, read off its max_search refusal."""
-    eta_search(S, D, alpha, targets, all_solutions, budget=want)
-    with pytest.raises(SearchBoundExceeded, match=rf"estimate {want} above limit {want - 1}$"):
-        eta_search(S, D, alpha, targets, all_solutions, budget=want - 1)
-
-
 def difference_twist(S, F, rng):
     """Identity xi and alpha_ij = frob^(m_i - m_j): valid on every semigroup."""
     ms = {i: rng.randrange(F.k) for i in range(1, S.n + 1)}
@@ -916,29 +914,34 @@ def assert_matches_references(S, c, rng):
     assert keys(res.reps) == keys(ref.reps)
     assert keys(res.z1) == keys(ref.z1)
     assert keys(res.b1) == keys(ref.b1)
-    assert_lattice_matches_the_search(S, c)
     assert_searches_match_references(S, c, rng)
 
 
-def assert_lattice_matches_the_search(S, c):
-    """Z^1 read off the diagonal form equals every leaf of the eta search, mu by mu, as code pairs."""
-    F, v = c.backend, cohom._codes(S, c)
-    _, _, z1 = cohom._one_cocycles(S, c, Bounds())
-    assert z1 == sorted(cohom._witnesses(S, F, v, v, Bounds(), all_solutions=True))
-    assert len(set(z1)) == len(z1)
+def relabel_keys(found):
+    return None if found is None else (found[0].perm, found[1].canonical_key())
 
 
 def assert_searches_match_references(S, c, rng):
-    """Eta-search solutions and node counts, and the cohomologous witness, against c and a gauged copy."""
+    """Listings, first witnesses, relabel witnesses and the stabilizer of c against the reference eta search.
+
+    The listing is compared for c itself, a gauged copy and, per phi of
+    Aut S, the relabeled copy that the normal maps of verify_ses solve.
+    """
     D = c.backend
+    auts = automorphisms(S)
     other = act(S, random_gauge(S, D, rng), c, check=False)
+    moved = act(S, random_gauge(S, D, rng), relabel(S, rng.choice(auts), c), check=False)
+    v = cohom._codes(S, c)
     for c2 in (c, other):
-        for _, targets in fixing_targets(S, c, c2):
-            for all_solutions in (True, False):
-                want, nodes = reference_eta_search(S, D, c.alpha, targets, all_solutions)
-                assert eta_search(S, D, c.alpha, targets, all_solutions, budget=10**9) == want
-                assert_nodes(S, D, c.alpha, targets, all_solutions, nodes)
+        got = cohom._solutions(S, D, v, cohom._codes(S, c2), Bounds())
+        assert [cohom._gauge(S, D, key).canonical_key() for key in got] == keys(reference_solutions(S, c, c2))
+    assert [relabel_keys(found) for found in cohom._relabel_witnesses(S, c, Bounds())] == [
+        (phi.perm, g.canonical_key()) for phi in auts for g in reference_solutions(S, relabel(S, phi, c), c)
+    ]
     assert cohomologous(S, c, other).canonical_key() == reference_cohomologous(S, c, other).canonical_key()
+    assert relabel_keys(cohomologous_with_relabel(S, c, moved)) == relabel_keys(reference_relabel_search(S, c, moved))
+    want = [phi.perm for phi in auts if reference_cohomologous(S, c, relabel(S, phi, c)) is not None]
+    assert [phi.perm for phi in stabilizer(S, c)] == want
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FIXTURES))
@@ -1191,32 +1194,31 @@ def test_field_searches_make_no_element_operations(monkeypatch):
 
 @pytest.mark.parametrize("S, q", [(a3(), 9), (double_t2(), 8)], ids=["a3/GF9", "double_t2/GF8"])
 def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
-    # at most 2 code-pair products per fixing pair, n orbit steps per
-    # coboundary, and the eta search tree of the reference
+    # at most 2 code-pair products per fixing pair and n orbit steps per
+    # coboundary
     base = TwoCocycle.trivial(S, gf(q))
     products, stars = counting(monkeypatch, "_code_mul"), counting(monkeypatch, "_scale")
     b1 = one_coboundaries(S, base)
     assert 0 < stars[0] <= S.n * len(b1)
     res = first_cohomology(S, base)
     assert 0 < products[0] <= 2 * len(res.z1)
-    for _, targets in fixing_targets(S, base, base):
-        _, nodes = reference_eta_search(S, base.backend, base.alpha, targets, all_solutions=True)
-        assert_nodes(S, base.backend, base.alpha, targets, True, nodes)
 
 
 @pytest.mark.parametrize("S, q", [(mu(3), 8), (two_cycle(), 9), (a3(), 4)], ids=["mu3/GF8", "two_cycle/GF9", "a3/GF4"])
 def test_field_z1_is_one_elimination_and_no_eta_search(monkeypatch, S, q):
-    # every fixing pair is read off one diagonal form of the log matrix,
-    # shared by all mu; the eta search serves the witness searches only
+    # every solution of the eta equations of one call is read off one
+    # diagonal form of the log matrix, shared by all mu; B^1's size is one
+    # more, and the first witness solves a row per slot it walks
     F = gf(q)
     c = act(S, random_gauge(S, F, random.Random(q)), difference_twist(S, F, random.Random(S.n)), check=False)
-    searches, eliminations = counting(monkeypatch, "_eta_search"), counting(monkeypatch, "diagonal_form")
+    assert not hasattr(cohom, "_eta_search")
+    forms, eliminations = counting(monkeypatch, "_log_form"), counting(monkeypatch, "diagonal_form")
     assert len(one_cocycles(S, c)) > 1
-    assert (searches[0], eliminations[0]) == (0, 1)
+    assert (forms[0], eliminations[0]) == (1, 1)
     assert first_cohomology(S, c).order >= 1
-    assert (searches[0], eliminations[0]) == (0, 2)
+    assert (forms[0], eliminations[0]) == (2, 3)
     assert cohomologous(S, c, c) is not None
-    assert searches[0] > 0 and eliminations[0] == 2
+    assert forms[0] == 3 and eliminations[0] > 3
 
 
 def test_z1_refusal_estimates_the_kernel():
@@ -1227,6 +1229,15 @@ def test_z1_refusal_estimates_the_kernel():
     assert len(one_cocycles(S, c, Bounds(max_search=3))) == 6
     with pytest.raises(SearchBoundExceeded, match=r"^max_search: fixing-pair slice estimate 3 above limit 2$"):
         one_cocycles(S, c, Bounds(max_search=2))
+
+
+def test_b1_refusal_estimates_the_orbit():
+    # eight isolated idempotents over GF(9): every pair is a loop, where nu
+    # moves nothing, so B^1 = {1}; the (q-1)^n estimate refused it at 8^8
+    S, F = SquareFreeSemigroup.make(8, [(i, i) for i in range(1, 9)], []), gf(9)
+    assert keys(one_coboundaries(S, TwoCocycle.trivial(S, F))) == keys([GaugeElement.identity(S, F)])
+    with pytest.raises(SearchBoundExceeded, match=r"^max_search: orbit estimate 1 above limit 0$"):
+        one_coboundaries(S, TwoCocycle.trivial(S, F), Bounds(max_search=0))
 
 
 def test_relabel_searches_verify_each_cocycle_once(monkeypatch):

@@ -6,20 +6,23 @@ import sys
 
 import pytest
 
-from sqfree.autos import RingAut, is_inner
+from sqfree.autos import RingAut, is_inner, out_r
 from sqfree.cohom import (
     GaugeElement,
     TwoCocycle,
     act,
     cohomologous,
+    cohomologous_with_relabel,
     first_cohomology,
     one_coboundaries,
+    stabilizer,
 )
 from sqfree.common import Bounds
 from sqfree.errors import SearchBoundExceeded
 from sqfree.fixtures import gf, t2
 from sqfree.twring import TwistedRing, enumerate_units
 from test_autos import aut_r_linear_filter
+from test_cohom import reference_cohomologous
 
 
 def trivial(q):
@@ -45,20 +48,20 @@ BOUND_CASES = {
         lambda: enumerate_units(TwistedRing(t2(), gf(4), trivial(4)), Bounds(max_units=10)),
         r"^max_units: element estimate 64 above limit 10$",
     ),
-    # the first node of the witness search is already one too many
-    "eta_search": (
-        lambda: cohomologous(t2(), trivial(3), rescaled(3), Bounds(max_search=0)),
-        r"^max_search: witness node estimate 1 above limit 0$",
+    # the normal maps list each phi's slices: over GF(2) the kernel is {0}, 1 pair
+    "normal_maps": (
+        lambda: out_r(TwistedRing(t2(), gf(2), trivial(2)), Bounds(max_search=0)),
+        r"^max_search: fixing-pair slice estimate 1 above limit 0$",
     ),
     # l_11 and l_22 forced, l_12 free: 3 fixing pairs per mu slice over GF(4)
     "fixing_pairs": (
         lambda: first_cohomology(t2(), trivial(4), Bounds(max_search=2)),
         r"^max_search: fixing-pair slice estimate 3 above limit 2$",
     ),
-    # one diagonal unit per idempotent: 3^2 over GF(4)
+    # the image of nu -> (l_1 - l_2 on the arrow, 0 on the loops): 3 over GF(4)
     "one_coboundaries": (
-        lambda: one_coboundaries(t2(), trivial(4), Bounds(max_search=8)),
-        r"^max_search: orbit estimate 9 above limit 8$",
+        lambda: one_coboundaries(t2(), trivial(4), Bounds(max_search=2)),
+        r"^max_search: orbit estimate 3 above limit 2$",
     ),
     # the centre of the t2 ring over GF(2) is GF(2): 2 candidate conjugators
     "inner_kernel": (
@@ -80,11 +83,22 @@ def test_bound_messages_name_bound_estimate_and_limit(case):
         call()
 
 
+def test_first_witness_solves_spend_no_bound():
+    # the first-witness solves list no slice, so max_search 0 refuses none
+    # of them; a node-budgeted search refused all three here
+    S, bounds = t2(), Bounds(max_search=0)
+    want = reference_cohomologous(S, trivial(3), rescaled(3)).canonical_key()
+    assert cohomologous(S, trivial(3), rescaled(3), bounds).canonical_key() == want
+    phi, g = cohomologous_with_relabel(S, trivial(3), rescaled(3), bounds)
+    assert (phi.is_identity(), g.canonical_key()) == (True, want)
+    assert [phi.perm for phi in stabilizer(S, rescaled(3), bounds)] == [(1, 2)]
+
+
 CORRUPTED_REPLAY_SCRIPT = """
 import sys
 from sqfree import cohom, twring
 from sqfree.autos import aut_r_bruteforce
-from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology
+from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology, one_coboundaries
 from sqfree.errors import InvalidCocycle, NotAOneCocycle, WitnessRejected
 from sqfree.fixtures import a3, gf, t2
 from sqfree.linalg import kernel_mod
@@ -119,15 +133,18 @@ def call(name, fn, patch=None):
             setattr(module, attr, saved)
 
 
-# an eta solution that does not carry base to its rescaled copy
+# a least eta tuple that does not carry base to its rescaled copy
 call("cohomologous", lambda: cohomologous(S, base, act(S, g, base)),
-     (cohom, "_eta_search", lambda S, *rest, **kw: [(1,) * len(S.support)]))
+     (cohom, "_least", lambda F, l0, gens: (1,) * len(l0)))
 # a particular solution of the log system that solves nothing: every log 1
 call("first_cohomology solution", lambda: first_cohomology(S, base),
      (cohom, "solve_mod", lambda form, b, n: (1,) * len(form[2])))
 # each kernel generator twice: every listed pair solves, but each shows up 3 times
 call("first_cohomology kernel", lambda: first_cohomology(S, base),
      (cohom, "kernel_mod", lambda form, n: 2 * kernel_mod(form, n)))
+# an orbit walk that never leaves the identity pair: 1 coboundary where the estimate is 3
+call("one_coboundaries", lambda: one_coboundaries(S, base),
+     (cohom, "_scale", lambda mul, eta, factors: eta))
 # a coboundary outside Z^1, a non-normal subgroup of Z^1 (S_3 here), no coboundaries
 call("first_cohomology outside", lambda: first_cohomology(S, base),
      (cohom, "_one_coboundaries", lambda *a, **kw: codes([g])))
@@ -164,6 +181,7 @@ def test_corrupted_replays_rejected_under_python_O():
         "cohomologous rejected: WitnessRejected",
         "first_cohomology solution rejected: WitnessRejected",
         "first_cohomology kernel rejected: WitnessRejected",
+        "one_coboundaries rejected: WitnessRejected",
         "first_cohomology outside rejected: NotAOneCocycle",
         "first_cohomology normal rejected: WitnessRejected",
         "first_cohomology index rejected: WitnessRejected",
