@@ -1,9 +1,10 @@
 """Exact coefficient backends: GF(p^k) and the rational quaternions.
 
-Finite fields are table driven. An element is a code in [0, q) whose base-p
-digits are the coordinates in the power basis 1, g, ..., g^(k-1) of a caller
-supplied monic irreducible modulus, so g*g over GF(4) with modulus x^2+x+1
-comes out as g+1. Automorphisms are the k Frobenius powers x -> x^(p^m).
+An element of a finite field is a code in [0, q) whose base-p digits are the
+coordinates in the power basis 1, g, ..., g^(k-1) of a caller supplied monic
+irreducible modulus, so g*g over GF(4) with modulus x^2+x+1 comes out as g+1.
+A product is one sum of discrete logs and a sum one Zech logarithm lookup, in
+O(kq) lists. Automorphisms are the k Frobenius powers x -> x^(p^m).
 
 Quaternions carry four Fractions. Every automorphism is conjugation by a
 nonzero quaternion (Skolem-Noether); the conjugator is stored canonically as
@@ -137,21 +138,24 @@ class FFElement:
 
     def __add__(self, other):
         self._same(other)
-        f = self.field
-        return FFElement(f, f._add[self.code][other.code])
+        f, a, b = self.field, self.code, other.code
+        if a and b:
+            # g^x + g^y = g^(x + Z(y - x)), Z the Zech logarithm
+            x = f._log[a]
+            return FFElement(f, f._exp[x + f._zech[f._log[b] - x]])
+        return FFElement(f, a or b)
 
     def __sub__(self, other):
         self._same(other)
-        f = self.field
-        return FFElement(f, f._add[self.code][f._neg[other.code]])
+        return self + -other
 
     def __neg__(self):
         return FFElement(self.field, self.field._neg[self.code])
 
     def __mul__(self, other):
         self._same(other)
-        f = self.field
-        return FFElement(f, f._mul[self.code][other.code])
+        f, a, b = self.field, self.code, other.code
+        return FFElement(f, f._exp[f._log[a] + f._log[b]] if a and b else 0)
 
     def inverse(self):
         if self.code == 0:
@@ -224,7 +228,7 @@ class FieldAutomorphism:
 
 
 class FiniteField:
-    """GF(p^k) with modulus-defined power basis and precomputed op tables."""
+    """GF(p^k) with modulus-defined power basis and precomputed log lists."""
 
     def __init__(self, p, k=1, modulus=None):
         if not _is_prime(p):
@@ -239,11 +243,12 @@ class FiniteField:
         modulus = tuple(c % p for c in modulus[:-1]) + (modulus[-1],)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {k}")
-        _check_irreducible(modulus, p, k)
         self.p, self.k, self.modulus = p, k, modulus
         self.q = p**k
+        # before the irreducibility test, which tries all monic polynomials up to degree k/2
         if self.q > _FIELD_TABLE_LIMIT:
             raise ValueError(f"field order {self.q} above table limit {_FIELD_TABLE_LIMIT}")
+        _check_irreducible(modulus, p, k)
         self._build_tables()
 
     # fields compare by defining data so separately built copies interoperate
@@ -275,9 +280,9 @@ class FiniteField:
 
     def _build_tables(self):
         # Zech logarithms (Lidl & Niederreiter, Finite Fields): with g
-        # primitive, g^a * g^b = g^(a+b) and g^a + g^b = g^(a + Z[b-a]),
+        # primitive, g^x * g^y = g^(x+y) and g^x + g^y = g^(x + Z[y-x]),
         # Z[m] = log(1 + g^m). Only the choice of g and the walk over its
-        # powers use polynomial arithmetic; every table row is a gather.
+        # powers use polynomial arithmetic; every list is a gather.
         p, q, mod = self.p, self.q, list(self.modulus)
         n = q - 1
         # the least candidate of order n: g^(n/r) != 1 for every prime r | n
@@ -290,36 +295,25 @@ class FiniteField:
         for _ in range(n - 1):
             x = _poly_divmod(_poly_mul(x, gpoly, p), mod, p)[1]
             exp.append(self._encode(x))
-        # coordinates of g, which generates the unit group; cohom walks B^1
-        # from it. Not an element: the field must not hold a cycle to itself
-        self._primitive = self._decode(exp[1 % n])
-        log = [0] * q
+        log = [None] * q  # a zero has no log
         for e, code in enumerate(exp):
             log[code] = e
-        # g^e has code _exp[e] and the unit of code u has log _log[u]; cohom
-        # solves the gauge equations in these logs
-        self._exp, self._log = exp, log
         # 1 + g^m bumps digit 0 of the code; 1 + g^m = 0 gets the sentinel 2n,
-        # which lands in the zero tail of ext
+        # which lands in the zero tail of _exp
         zech = [2 * n] * n
         for m, code in enumerate(exp):
             bumped = code - code % p + (code + 1) % p
             if bumped:
                 zech[m] = log[bumped]
-        zech += zech
-        ext = exp + exp + [0] * n
+        # g^e has code _exp[e] for e < 2n, a sum of two logs, and 0 from 2n on;
+        # a Zech index, a difference of logs, wraps; frob^m multiplies a log by _powers[m]
+        self._exp, self._log, self._zech = exp + exp + [0] * n, log, zech
+        self._powers = [p**m % n for m in range(self.k)]
         logs = log[1:]
-        # row a of a table reads ext from log a on, at the columns' logs
-        self._mul = [[0] * q] + [[0, *map(ext[la : la + n].__getitem__, logs)] for la in logs]
-        self._add = [list(range(q))] + [
-            [a, *map(ext[la:].__getitem__, map(zech[n - la : 2 * n - la].__getitem__, logs))]
-            for a, la in zip(range(1, q), logs)
-        ]
         self._inv = [0] + [exp[-la] for la in logs]
         minus_one = log[p - 1]
         self._neg = [0] + [exp[(la + minus_one) % n] for la in logs]
-        # frob^m sends g^e to g^(e p^m)
-        self._frob = [[0] + [exp[la * p**m % n] for la in logs] for m in range(self.k)]
+        self._frob = [[0] + [exp[la * power % n] for la in logs] for power in self._powers]
 
     @property
     def is_commutative(self):

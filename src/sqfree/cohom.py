@@ -214,20 +214,21 @@ def _element_identities(S, c, D, rep):
 
 
 def _code_identities(S, c, F, rep):
-    """_element_identities over a finite field F, on codes and Frobenius exponents.
+    """_element_identities over a finite field F, on xi logs and Frobenius exponents.
 
     Every xi is a unit by now and a field's inner automorphisms are the
-    identity, so the 2-chain identity is a sum of exponents and a diagonal
-    alpha must be frob^0. Elements are built only to word a failure.
+    identity, so the 3-chain identity is a sum of logs mod q-1, the 2-chain
+    identity a sum of exponents mod k, and a diagonal alpha must be frob^0.
+    Elements are built only to word a failure.
     """
-    mul, frob, k = F._mul, F._frob, F.k
+    power, exp, n, k = F._powers, F._exp, F.q - 1, F.k
     m, x = _codes(S, c)
     for chain in S.tuples(3):
         (i, j), (_, h), (_, l) = chain
-        lhs = mul[frob[m[i, j]][x[j, h, l]]][x[i, j, l]]
-        rhs = mul[x[i, j, h]][x[i, h, l]]
-        if lhs != rhs:
-            rep.add("three_chain", chain, f"lhs={FFElement(F, lhs)!r} rhs={FFElement(F, rhs)!r}")
+        lhs = power[m[i, j]] * x[j, h, l] + x[i, j, l]
+        rhs = x[i, j, h] + x[i, h, l]
+        if (lhs - rhs) % n:
+            rep.add("three_chain", chain, f"lhs={FFElement(F, exp[lhs % n])!r} rhs={FFElement(F, exp[rhs % n])!r}")
     for chain in S.tuples(2):
         (i, j), (_, h) = chain
         lhs = (m[i, j] + m[j, h]) % k
@@ -254,14 +255,14 @@ def _backend(S, c):
 
 
 def _codes(S, c, F=None):
-    """(alpha Frobenius exponents by pair, xi codes by triple) of c over the field F, by default its first alpha's.
+    """(alpha Frobenius exponents by pair, xi logs by triple) of c over the field F, by default its first alpha's.
 
-    The one reader of field cocycle values: MixedBackends names one from another backend.
+    The one reader of field cocycle values: MixedBackends names one from another backend. A zero xi reads None.
     """
     F = F or _backend(S, c)
-    exponent, code, alpha, xi = F._exponent_of, F._code_of, c.alpha, c.xi
+    exponent, code, log, alpha, xi = F._exponent_of, F._code_of, F._log, c.alpha, c.xi
     a = {p: exponent(alpha[p], "cocycle automorphism") for p in S.support}
-    return a, {t: code(xi[t], "cocycle value") for t in S.comp}
+    return a, {t: log[code(xi[t], "cocycle value")] for t in S.comp}
 
 
 def _aut_key(a):
@@ -334,9 +335,9 @@ def act(S, g, c, check=True):
 
     The new alpha_ij is mu_i^(-1) conj(eta_ij) alpha_ij mu_j, and the new
     xi(ijk) is mu_i^(-1)(eta_ij alpha_ij(eta_jk) xi(ijk) eta_ik^(-1)). Over a
-    finite field this runs on codes and Frobenius exponents (_act_codes).
-    A zero eta raises ZeroConjugator; a gauge or cocycle value from another
-    backend raises MixedBackends.
+    finite field this runs on logs and Frobenius exponents (_act_codes) unless
+    a check=False cocycle has a zero xi. A zero eta raises ZeroConjugator; a
+    gauge or cocycle value from another backend raises MixedBackends.
     """
     if check:
         _valid(S, c)
@@ -344,12 +345,15 @@ def act(S, g, c, check=True):
     if not D.is_finite:
         return _element_act(S, g, c, D)
     mu = [D._exponent_of(g.mu[i], "gauge automorphism") for i in range(1, S.n + 1)]
-    eta = {p: D._code_of(g.eta[p], "conjugator") for p in S.support}
-    if not all(eta.values()):
+    eta = {p: D._log[D._code_of(g.eta[p], "conjugator")] for p in S.support}
+    if None in eta.values():
         raise ZeroConjugator("conjugation by 0")
-    beta, zeta = _act_codes(S, D, _codes(S, c), mu, eta)
-    auts = D.automorphisms()
-    return TwoCocycle({p: auts[m] for p, m in beta.items()}, {t: FFElement(D, u) for t, u in zeta.items()})
+    v = _codes(S, c)
+    if None in v[1].values():
+        return _element_act(S, g, c, D)
+    beta, zeta = _act_codes(S, D, v, mu, eta)
+    auts, exp = D.automorphisms(), D._exp
+    return TwoCocycle({p: auts[m] for p, m in beta.items()}, {t: FFElement(D, exp[u]) for t, u in zeta.items()})
 
 
 def _element_act(S, g, c, D):
@@ -368,20 +372,19 @@ def _element_act(S, g, c, D):
 
 
 def _act_codes(S, F, v, mu, eta):
-    """The _codes pair of g . c, for c's _codes pair v and g's mu exponents in index order and eta codes by pair.
+    """The _codes pair of g . c, for c's _codes pair v and g's mu exponents in index order and eta logs by pair.
 
     A field's inner automorphisms are the identity, so the new alpha_ij is
-    frob^(-mu_i + a_ij + mu_j), and the new xi(ijh) is frob^(-mu_i) of
-    eta_ij frob^(a_ij)(eta_jh) x(ijh) eta_ih^(-1).
+    frob^(-mu_i + a_ij + mu_j), and frob^m multiplies a log by p^m, so the
+    new xi(ijh) has log p^(-mu_i) (e_ij + p^(a_ij) e_jh + x(ijh) - e_ih).
     """
     a, x = v
-    mul, inv, frob, k = F._mul, F._inv, F._frob, F.k
+    power, n, k = F._powers, F.q - 1, F.k
     beta = {p: (m + mu[p[1] - 1] - mu[p[0] - 1]) % k for p, m in a.items()}
     zeta = {}
     for t, xt in x.items():
         i, j, h = t
-        u = mul[mul[mul[eta[i, j]][frob[a[i, j]][eta[j, h]]]][xt]][inv[eta[i, h]]]
-        zeta[t] = frob[-mu[i - 1] % k][u]
+        zeta[t] = power[-mu[i - 1] % k] * (eta[i, j] + power[a[i, j]] * eta[j, h] + xt - eta[i, h]) % n
     return beta, zeta
 
 
@@ -488,71 +491,75 @@ def _log_form(S, F, a):
     alone, so every mu slice shares one diagonal form (Cohen, A Course in
     Computational Algebraic Number Theory, 2.4).
     """
-    n, p = F.q - 1, F.p
+    n, power = F.q - 1, F._powers
     col = {s: c for c, s in enumerate(S.elements())}
     rows = []
     for i, j, h in sorted(S.comp):
         row = [0] * len(col)
         row[col[i, j]] += 1
-        row[col[j, h]] += p ** a[i, j]
+        row[col[j, h]] += power[a[i, j]]
         row[col[i, h]] -= 1
         rows.append(row)
     form = diagonal_form(rows, len(col), n)
     return form, kernel_mod(form, n)
 
 
-def _slices(S, F, v1, v2):
+def _slices(S, F, v1, v2, forms):
     """Yield (mu, l0, kernel generators) for each solvable mu slice of act(g, c1) = c2, for _codes pairs v1 and v2.
 
     mu runs over _mu_candidates in order, and l0 is one solution in logs for
     the targets frob^(mu_i)(x2) x1^(-1); every solution is l0 plus the
-    kernel. The log matrix is formed once, when the first mu fits the alphas.
+    kernel. c1's log form comes from forms, a dict that one public call
+    shares across its solves, keyed by the alpha exponents in support order.
     """
     (a1, x1), (a2, x2) = v1, v2
-    n, p, log, triples, form = F.q - 1, F.p, F._log, sorted(S.comp), None
+    n, power, triples, form = F.q - 1, F._powers, sorted(S.comp), None
     for mu in _mu_candidates(S, a1, a2, F.k):
         if form is None:
-            form, gens = _log_form(S, F, a1)
-        l0 = solve_mod(form, [p ** mu[t[0] - 1] * log[x2[t]] - log[x1[t]] for t in triples], n)
+            key = tuple(map(a1.__getitem__, S.elements()))
+            if key not in forms:
+                forms[key] = _log_form(S, F, a1)
+            form, gens = forms[key]
+        l0 = solve_mod(form, [power[mu[t[0] - 1]] * x2[t] - x1[t] for t in triples], n)
         if l0 is not None:
             yield mu, l0, gens
 
 
-def _solutions(S, F, v1, v2, bounds):
+def _solutions(S, F, v1, v2, bounds, forms):
     """The code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2, in canonical_key order.
 
     Each solvable slice is l0 plus the kernel K, listed once by a
     mixed-radix walk over K's cyclic generators; a K above max_search is
     refused before the first slice is listed. Each particular solution, and
     each generator with mu = 0 as a gauge fixing c1, is re-checked by the
-    action on codes, and K must list exactly the product of its generators'
+    action on logs, and K must list exactly the product of its generators'
     orders, distinct, so by the group law every listed pair carries c1 to c2.
     """
-    exp, ext, out, kernel = F._exp, F._exp * 2, [], None
-    for mu, l0, gens in _slices(S, F, v1, v2):
+    exp, out, kernel = F._exp, [], None
+    for mu, l0, gens in _slices(S, F, v1, v2, forms):
         if kernel is None:
             size = prod(order for _, order in gens)
             if size > bounds.max_search:
                 raise SearchBoundExceeded(f"max_search: fixing-pair slice estimate {size} above limit {bounds.max_search}")
             for g, _ in gens:
-                _checked(S, F, v1, v1, ((0,) * S.n, tuple(map(exp.__getitem__, g))))
+                _checked(S, F, v1, v1, (0,) * S.n, g)
             kernel = span_mod(gens, len(l0), F.q - 1)
             if len(set(kernel)) != size:
                 raise WitnessRejected(f"{len(set(kernel))} distinct kernel elements, not {size}")
-        _checked(S, F, v1, v2, (mu, tuple(map(exp.__getitem__, l0))))
-        out += [(mu, tuple(map(ext.__getitem__, map(add, l0, y)))) for y in kernel]
+        _checked(S, F, v1, v2, mu, l0)
+        out += [(mu, tuple(map(exp.__getitem__, map(add, l0, y)))) for y in kernel]
     return sorted(out)
 
 
-def _checked(S, F, v1, v2, key):
-    """The code pair key, once the action on codes carries v1 to v2 by its gauge; else WitnessRejected."""
-    if _act_codes(S, F, v1, key[0], dict(zip(S.elements(), key[1]))) != v2:
+def _checked(S, F, v1, v2, mu, logs):
+    """The code pair of the gauge (mu, eta logs in support order) once it carries v1 to v2; else WitnessRejected."""
+    if _act_codes(S, F, v1, mu, dict(zip(S.elements(), logs))) != v2:
         raise WitnessRejected("a gauge solution does not carry the first cocycle to the second")
-    return key
+    return mu, tuple(map(F._exp.__getitem__, logs))
 
 
 def _least(F, l0, gens):
-    """The least eta code tuple, slot by slot, of the logs l0 + <gens> over Z/(q-1).
+    """The eta logs in l0 + <gens> over Z/(q-1) whose code tuple is least, slot by slot.
 
     At slot s the reachable logs are l_s + gcd(q-1, K_s) Z, K_s the
     generators' entries there; the one of least code is taken, the 1 x r row
@@ -574,7 +581,7 @@ def _least(F, l0, gens):
         logs = [(x + sum(map(mul, shift, col))) % n for x, col in zip(logs, columns)]
         images = (tuple(sum(map(mul, k, col)) % n for col in columns) for k, _ in kernel_mod(form, n))
         gens = [v for v in images if any(v)]
-    return tuple(map(exp.__getitem__, logs))
+    return logs
 
 
 def _gauge(S, F, key):
@@ -600,19 +607,19 @@ def _refuse_backends(S, c1, c2):
     return F
 
 
-def _witness(S, F, v1, v2):
-    """The least eta code tuple of the first solvable mu slice carrying v1 to v2, _checked, or None."""
-    first = next(_slices(S, F, v1, v2), None)
+def _witness(S, F, v1, v2, forms):
+    """The code pair with the least eta code tuple of the first solvable mu slice carrying v1 to v2, _checked, or None."""
+    first = next(_slices(S, F, v1, v2, forms), None)
     if first is None:
         return None
     mu, l0, gens = first
-    return _checked(S, F, v1, v2, (mu, _least(F, l0, gens)))
+    return _checked(S, F, v1, v2, mu, _least(F, l0, gens))
 
 
 def _cohomologous(S, c1, c2):
     """cohomologous for two valid cocycles: its backend refusals, then the solve."""
     F = _refuse_backends(S, c1, c2)
-    key = _witness(S, F, _codes(S, c1), _codes(S, c2))
+    key = _witness(S, F, _codes(S, c1), _codes(S, c2), {})
     return None if key is None else _gauge(S, F, key)
 
 
@@ -626,9 +633,9 @@ def _relabel_search(S, c1, c2, bounds):
     """cohomologous_with_relabel for two valid cocycles: Aut S, the backend refusals, then a solve per phi."""
     auts = semigroup_automorphisms(S, bounds)
     F = _refuse_backends(S, c1, c2)
-    v1, v2 = _codes(S, c1), _codes(S, c2)
+    v1, v2, forms = _codes(S, c1), _codes(S, c2), {}
     for phi in auts:
-        key = _witness(S, F, _relabeled(S, phi, v1), v2)
+        key = _witness(S, F, _relabeled(S, phi, v1), v2, forms)
         if key is not None:
             return phi, _gauge(S, F, key)
     return None
@@ -641,18 +648,24 @@ def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
 
 
 def _stabilizer(S, c, bounds):
-    """stabilizer of a valid cocycle: Aut S, the backend refusals, then a solve per phi."""
+    """stabilizer of a valid cocycle: Aut S, the backend refusals, then per phi whether a first slice solves, _checked."""
     auts = semigroup_automorphisms(S, bounds)
     F = _refuse_backends(S, c, c)
-    v = _codes(S, c)
-    return [phi for phi in auts if _witness(S, F, v, _relabeled(S, phi, v)) is not None]
+    v, forms, out = _codes(S, c), {}, []
+    for phi in auts:
+        w = _relabeled(S, phi, v)
+        first = next(_slices(S, F, v, w, forms), None)
+        if first is not None:
+            _checked(S, F, v, w, *first[:2])
+            out.append(phi)
+    return out
 
 
 def _relabel_witnesses(S, c, bounds):
     """(phi, g) for each phi of Aut S and each gauge g with act(g, relabel(phi, c)) = c, c valid over a field."""
-    F, v = c.backend, _codes(S, c)
+    F, v, forms = c.backend, _codes(S, c), {}
     for phi in semigroup_automorphisms(S, bounds):
-        for key in _solutions(S, F, _relabeled(S, phi, v), v, bounds):
+        for key in _solutions(S, F, _relabeled(S, phi, v), v, bounds, forms):
             yield phi, _gauge(S, F, key)
 
 
@@ -680,12 +693,7 @@ def _one_cocycles(S, base, bounds):
     """one_cocycles for a valid base: its backend refusal, then (field, base's _codes pair, the fixing code pairs)."""
     F = _fixing_field(S, base)
     v = _codes(S, base)
-    return F, v, _solutions(S, F, v, v, bounds)
-
-
-def _scale(mul, eta, factors):
-    """One orbit step of one_coboundaries: eta codes times a generator's factors, slot by slot."""
-    return tuple(mul[u][f] for u, f in zip(eta, factors))
+    return F, v, _solutions(S, F, v, v, bounds, {})
 
 
 def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
@@ -699,39 +707,32 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
 def _one_coboundaries(S, F, a, bounds):
     """one_coboundaries for alpha exponents a, as sorted code pairs.
 
-    D^x is cyclic, so (D^x)^n is generated by the n maps nu = g at one
-    index and 1 elsewhere, g primitive: the walk makes n actions per orbit
-    element, on eta codes in support order, as nu keeps mu over a field.
-    In logs nu sends the identity pair to l_i - p^(a_ij) l_j at each pair
-    ij, so the orbit has (q-1)^n / |ker| elements, ker that map's kernel
-    over Z/(q-1); the refusal estimates this size, and the walk must reach it.
+    The diagonal units nu keep mu over a field and send the identity pair to
+    eta(ij) = nu_i alpha_ij(nu_j)^(-1), in logs l_i - p^(a_ij) l_j: B^1 is
+    the image of that map M over Z/(q-1). With steps(M) V = diag(d) from
+    one diagonal_form, the columns M V_i, of orders (q-1)/gcd(d_i, q-1),
+    sum directly to the image, so span_mod lists it once; the refusal
+    estimates its size, and the listing must hold that many distinct pairs.
     """
-    support, n = S.elements(), F.q - 1
-    rows = [[(k == i) - (k == j) * F.p ** a[i, j] for k in range(1, S.n + 1)] for i, j in support]
-    size = n**S.n // prod(order for _, order in kernel_mod(diagonal_form(rows, S.n, n), n))
+    support, n, power = S.elements(), F.q - 1, F._powers
+    rows = [[(k == i) - (k == j) * power[a[i, j]] for k in range(1, S.n + 1)] for i, j in support]
+    _, d, V = diagonal_form(rows, S.n, n)
+    images = (tuple(sum(map(mul, row, column)) % n for row in rows) for column in V)
+    gens = [(image, n // gcd(di, n)) for di, image in zip(d, images)]
+    size = prod(order for _, order in gens)
     if size > bounds.max_search:
         raise SearchBoundExceeded(f"max_search: orbit estimate {size} above limit {bounds.max_search}")
-    mul, g = F._mul, F.element(F._primitive).code
-    # nu sends eta(ij) to nu_i eta(ij) alpha_ij(nu_j^-1)
-    factor = {(i, j): F._frob[a[i, j]][F._inv[g]] for i, j in support}
-    gens = [[mul[g if i == k else 1][factor[i, j] if j == k else 1] for i, j in support] for k in range(1, S.n + 1)]
-    orbit = [(1,) * len(support)]
-    seen = set(orbit)
-    for eta in orbit:
-        for factors in gens:
-            h = _scale(mul, eta, factors)
-            if h not in seen:
-                seen.add(h)
-                orbit.append(h)
-    if len(orbit) != size:
-        raise WitnessRejected(f"{len(orbit)} coboundaries, not {size}")
-    return [((0,) * S.n, eta) for eta in sorted(orbit)]
+    image = set(span_mod(gens, len(support), n))
+    if len(image) != size:
+        raise WitnessRejected(f"{len(image)} coboundaries, not {size}")
+    return sorted(((0,) * S.n, tuple(map(F._exp.__getitem__, logs))) for logs in image)
 
 
 def _code_mul(F, src, a, b):
-    """gauge_mul on code pairs; src[x] is the mu position of support pair x's first index."""
-    (am, ae), (bm, be), mul, frob = a, b, F._mul, F._frob
-    return tuple((x + y) % F.k for x, y in zip(am, bm)), tuple(mul[frob[am[s]][y]][x] for s, x, y in zip(src, ae, be))
+    """gauge_mul on code pairs, its eta products in logs; src[x] is the mu position of support pair x's first index."""
+    (am, ae), (bm, be), exp, log, power, n = a, b, F._exp, F._log, F._powers, F.q - 1
+    eta = tuple([exp[(log[x] + power[am[s]] * log[y]) % n] for s, x, y in zip(src, ae, be)])
+    return tuple((x + y) % F.k for x, y in zip(am, bm)), eta
 
 
 @dataclass
@@ -746,11 +747,11 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     """Fixing pairs modulo the identity orbit, one pass per coset.
 
     Z^1 and B^1 are code pairs from one_cocycles' diagonal form
-    (_solutions) and one_coboundaries' orbit walk, refusing in that
+    (_solutions) and one_coboundaries' image listing, refusing in that
     order. common.cosets partitions Z^1
     into cosets of |B^1| pairs, each keyed by its least member, the
-    representative; they must cover exactly Z^1. B^1 is a group (an orbit
-    of a group action); normality is checked as B^1 r in r B^1, by the coset
+    representative; they must cover exactly Z^1. B^1 is a group (the image
+    of a homomorphism); normality is checked as B^1 r in r B^1, by the coset
     key of each b r, r a representative: 2|Z^1| code products, no inverse.
     """
     _fixing_field(S, base)

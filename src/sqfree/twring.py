@@ -178,7 +178,7 @@ def check_associativity(R):
     automorphism, so only d3 runs over the backend generators, d1 = d2 = one:
     a chain's first failure in (d1, d2, d3) order is (one, one, first failing d3).
     Each chain costs 1 + 3|generators| basis-term products: x y once, then
-    (xy) z, y z and x (yz) per d3. Over a finite field they are code products
+    (xy) z, y z and x (yz) per d3. Over a finite field they are sums of logs
     (_code_sweep), and ring elements are built only to word a failure.
     """
     srep = R.S.validate()
@@ -204,32 +204,36 @@ def _element_sweep(R, report):
                 break
 
 
-def _term(mul, frob, d, m, e, x):
-    """Code of d frob^m(e) x, the basis-term product (d s_ij)(e s_jl) = d alpha_ij(e) xi(ijl) s_il with alpha_ij = frob^m."""
-    return mul[mul[d][frob[m][e]]][x]
+def _term(power, d, m, e, x):
+    """Log of d frob^m(e) x for logs d, e and x, the basis-term product (d s_ij)(e s_jl) with alpha_ij = frob^m."""
+    return d + power[m] * e + x
 
 
 def _code_sweep(R, report):
-    """_element_sweep over a finite field, on codes and Frobenius exponents.
+    """_element_sweep over a finite field, on xi logs and Frobenius exponents.
 
     A chain (s_ij, s_jh, s_hl) is composable, so every product of its basis
     terms is one term and both bracketings land on s_il: the sweep compares
-    two codes. Alpha and xi are read once, against R's field; a value from
-    another backend raises MixedBackends, as mul does.
+    two sums of logs (_term) mod q-1. Alpha and xi are read once, against
+    R's field; a value from another backend raises MixedBackends, as mul
+    does. A check=False ring with a zero xi, which has no log, takes _element_sweep.
     """
     F, S = R.D, R.S
-    mul, frob = F._mul, F._frob
     a, x = _codes(S, R.c, F)
+    if None in x.values():
+        return _element_sweep(R, report)
+    power, exp, log, n = F._powers, F._exp, F._log, F.q - 1
     gens = F.generators()
     one = gens[0]
     for p, q, r in S.tuples(3):
         (i, j), (_, h), (_, l) = p, q, r
-        xy = _term(mul, frob, 1, a[p], 1, x[i, j, h])
+        xy = _term(power, 0, a[p], 0, x[i, j, h])
         for d3 in gens:
-            lhs = _term(mul, frob, xy, a[i, h], d3.code, x[i, h, l])
-            rhs = _term(mul, frob, 1, a[p], _term(mul, frob, 1, a[q], d3.code, x[j, h, l]), x[i, j, l])
-            if lhs != rhs:
-                lhs, rhs = (RingElement(R, {(i, l): FFElement(F, v)}) for v in (lhs, rhs))
+            e = log[d3.code]
+            lhs = _term(power, xy, a[i, h], e, x[i, h, l])
+            rhs = _term(power, 0, a[p], _term(power, 0, a[q], e, x[j, h, l]), x[i, j, l])
+            if (lhs - rhs) % n:
+                lhs, rhs = (RingElement(R, {(i, l): FFElement(F, exp[v % n])}) for v in (lhs, rhs))
                 report.add("associativity", (p, q, r), f"scalars ({one!r}, {one!r}, {d3!r}): {lhs!r} != {rhs!r}")
                 break
 
@@ -306,11 +310,11 @@ def is_d_algebra(R, bounds=DEFAULT_BOUNDS):
     D = R.D
     if not D.is_finite:
         raise InfiniteBackend("the alpha-splitting search needs a finite field")
-    S, v = R.S, _codes(R.S, R.c, D)
-    mu = next(_mu_candidates(S, v[0], dict.fromkeys(S.support, 0), D.k), None)
+    S, a = R.S, _codes(R.S, R.c, D)[0]
+    mu = next(_mu_candidates(S, a, dict.fromkeys(S.support, 0), D.k), None)
     if mu is None:
         return None
-    if any(_act_codes(S, D, v, mu, dict.fromkeys(S.support, 1))[0].values()):
+    if any(_act_codes(S, D, (a, {}), mu, dict.fromkeys(S.support, 0))[0].values()):
         raise WitnessRejected("the splitting gauge leaves a twist or a non-central xi")
     return _gauge(S, D, (mu, (1,) * len(S.support)))
 

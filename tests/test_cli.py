@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -80,6 +81,18 @@ def test_wire_format_violation_names_path(tmp_path, capsys):
     code, report, _ = invoke(capsys, ["validate", write(tmp_path, "b.json", bundle)])
     assert code == 2
     assert report["where"] == "cocycle.xi.2,2,1"
+
+
+def test_oversized_field_is_refused_before_the_irreducibility_search(tmp_path, capsys):
+    # GF(2^41): the irreducibility test would try every monic polynomial up
+    # to degree 20 before the order bound spoke
+    bundle = t2_bundle()
+    bundle["coefficients"] = {"backend": "finite_field", "p": 2, "k": 41, "modulus": [1, 0, 0, 1] + [0] * 37 + [1]}
+    started = time.perf_counter()
+    code, report, _ = invoke(capsys, ["validate", write(tmp_path, "b.json", bundle)])
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert report == {"error": "coefficients: field order 2199023255552 above table limit 4096", "where": "coefficients"}
 
 
 def test_stdin_default(capsys, monkeypatch):

@@ -933,7 +933,7 @@ def assert_searches_match_references(S, c, rng):
     moved = act(S, random_gauge(S, D, rng), relabel(S, rng.choice(auts), c), check=False)
     v = cohom._codes(S, c)
     for c2 in (c, other):
-        got = cohom._solutions(S, D, v, cohom._codes(S, c2), Bounds())
+        got = cohom._solutions(S, D, v, cohom._codes(S, c2), Bounds(), {})
         assert [cohom._gauge(S, D, key).canonical_key() for key in got] == keys(reference_solutions(S, c, c2))
     assert [relabel_keys(found) for found in cohom._relabel_witnesses(S, c, Bounds())] == [
         (phi.perm, g.canonical_key()) for phi in auts for g in reference_solutions(S, relabel(S, phi, c), c)
@@ -1194,12 +1194,18 @@ def test_field_searches_make_no_element_operations(monkeypatch):
 
 @pytest.mark.parametrize("S, q", [(a3(), 9), (double_t2(), 8)], ids=["a3/GF9", "double_t2/GF8"])
 def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
-    # at most 2 code-pair products per fixing pair and n orbit steps per
-    # coboundary
+    # at most 2 code-pair products per fixing pair, and B^1 is listed once,
+    # each coboundary one sum of its image generators' multiples
     base = TwoCocycle.trivial(S, gf(q))
-    products, stars = counting(monkeypatch, "_code_mul"), counting(monkeypatch, "_scale")
+    products, listed = counting(monkeypatch, "_code_mul"), []
+
+    def span(*args, inner=cohom.span_mod):
+        listed.append(inner(*args))
+        return listed[-1]
+
+    monkeypatch.setattr(cohom, "span_mod", span)
     b1 = one_coboundaries(S, base)
-    assert 0 < stars[0] <= S.n * len(b1)
+    assert [len(out) for out in listed] == [len(b1)] and len(b1) > 1
     res = first_cohomology(S, base)
     assert 0 < products[0] <= 2 * len(res.z1)
 
@@ -1221,6 +1227,17 @@ def test_field_z1_is_one_elimination_and_no_eta_search(monkeypatch, S, q):
     assert forms[0] == 3 and eliminations[0] > 3
 
 
+def test_stab_forms_one_log_form_per_alpha(monkeypatch):
+    # the 6 relabelings of trivial mu3 share one alpha, and so one log form
+    # within the call; a second call forms its own
+    S, F = mu(3), gf(9)
+    forms = counting(monkeypatch, "_log_form")
+    assert len(stabilizer(S, TwoCocycle.trivial(S, F))) == len(automorphisms(S)) == 6
+    assert forms[0] == 1
+    stabilizer(S, TwoCocycle.trivial(S, F))
+    assert forms[0] == 2
+
+
 def test_z1_refusal_estimates_the_kernel():
     # t2 over GF(4): l_11 and l_22 are forced, l_12 is free, so |K| = 3 and
     # each of the k = 2 mu slices has 3 pairs; a limit of 3 answers
@@ -1229,6 +1246,57 @@ def test_z1_refusal_estimates_the_kernel():
     assert len(one_cocycles(S, c, Bounds(max_search=3))) == 6
     with pytest.raises(SearchBoundExceeded, match=r"^max_search: fixing-pair slice estimate 3 above limit 2$"):
         one_cocycles(S, c, Bounds(max_search=2))
+
+
+def reference_orbit_walk(S, F, a):
+    """B^1 as eta code tuples, by the orbit walk: n actions of the maps nu = g at one index per orbit element, g primitive."""
+    g = F._exp[1 % (F.q - 1)]
+    support = S.elements()
+
+    def times(u, v):
+        return (FFElement(F, u) * FFElement(F, v)).code
+
+    # nu sends eta(ij) to nu_i eta(ij) alpha_ij(nu_j^-1)
+    factor = {(i, j): F.frobenius(a[i, j])(FFElement(F, g).inverse()).code for i, j in support}
+    gens = [[times(g if i == k else 1, factor[i, j] if j == k else 1) for i, j in support] for k in range(1, S.n + 1)]
+    orbit = [(1,) * len(support)]
+    seen = set(orbit)
+    for eta in orbit:
+        for factors in gens:
+            h = tuple(map(times, eta, factors))
+            if h not in seen:
+                seen.add(h)
+                orbit.append(h)
+    return sorted(orbit)
+
+
+def assert_b1_matches_the_orbit_walk(S, c):
+    F, a = c.backend, cohom._codes(S, c)[0]
+    assert [eta for _, eta in cohom._one_coboundaries(S, F, a, Bounds())] == reference_orbit_walk(S, F, a)
+
+
+def test_b1_image_listing_matches_the_orbit_walk():
+    # B^1 is listed from the image basis of one diagonal form; the orbit walk
+    # is the reference, on the fixtures over GF(2..27), the random
+    # semigroups and eight isolated idempotents over GF(9)
+    rng = random.Random(20)
+    fields = [gf(q) for q in (2, 3, 4, 8, 9)] + [FiniteField(*spec) for spec, _ in EXPLICIT_MODULUS_CASES.values()]
+    compared = 0
+    for make in DIFFERENTIAL_FIXTURES.values():
+        for F in fields:
+            for c in differential_cocycles(make(), F, rng):
+                assert_b1_matches_the_orbit_walk(make(), c)
+                compared += 1
+    for seed in range(30):
+        S = random_semigroup(random.Random(seed), random.Random(seed).randint(1, 5))
+        F = gf((2, 3, 4)[seed % 3])
+        for c in differential_cocycles(S, F, rng):
+            assert_b1_matches_the_orbit_walk(S, c)
+            compared += 1
+    S, F = SquareFreeSemigroup.make(8, [(i, i) for i in range(1, 9)], []), gf(9)
+    assert reference_orbit_walk(S, F, dict.fromkeys(S.support, 0)) == [(1,) * 8]
+    assert_b1_matches_the_orbit_walk(S, TwoCocycle.trivial(S, F))
+    assert compared > 200
 
 
 def test_b1_refusal_estimates_the_orbit():

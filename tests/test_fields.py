@@ -1,17 +1,19 @@
-"""GF(p^k) tables against a per-pair polynomial construction.
+"""GF(p^k) arithmetic against a per-pair polynomial construction.
 
-The library builds its tables from the powers of a primitive element and
-Zech logarithms. The reference below builds every entry the direct way,
-with one polynomial multiply and reduction per pair, and the public
-operations must agree with it on every pair.
+The library keeps the powers of a primitive element, their logs and Zech
+logarithms, and multiplies and adds through them. The reference below
+builds every entry the direct way, with one polynomial multiply and
+reduction per pair, and the public operations must agree with it on every
+pair.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
 
-from sqfree.coeff import FiniteField
+from sqfree.coeff import FFElement, FiniteField
 from sqfree.fixtures import gf
 
 # (p, k, monic modulus, low degree first)
@@ -99,7 +101,7 @@ def cycle_walk_tables(p, k, modulus):
             exp.append(code)
         if len(exp) == n:
             break
-    log = [0] * q
+    log = [None] * q
     for e, code in enumerate(exp):
         log[code] = e
     zech = [2 * n] * n
@@ -107,16 +109,12 @@ def cycle_walk_tables(p, k, modulus):
         bumped = code - code % p + (code + 1) % p
         if bumped:
             zech[m] = log[bumped]
-    zech += zech
-    ext = exp + exp + [0] * n
     logs = log[1:]
     return {
-        "_primitive": _decode(exp[1 % n], p, k),
-        "_exp": exp,
+        "_exp": exp + exp + [0] * n,
         "_log": log,
-        "_mul": [[0] * q] + [[0] + [ext[la + lb] for lb in logs] for la in logs],
-        "_add": [list(range(q))]
-        + [[a] + [ext[la + zech[lb - la + n]] for lb in logs] for a, la in zip(range(1, q), logs)],
+        "_zech": zech,
+        "_powers": [p**m % n for m in range(k)],
         "_inv": [0] + [exp[-la] for la in logs],
         "_neg": [0] + [exp[(la + log[p - 1]) % n] for la in logs],
         "_frob": [[0] + [exp[la * p**m % n] for la in logs] for m in range(k)],
@@ -127,7 +125,7 @@ def cycle_walk_tables(p, k, modulus):
 def test_tables_match_the_cycle_walk_build(name):
     # the least primitive candidate is now found by the order test
     # g^((q-1)/r) != 1, r a prime divisor of q - 1, and only its cycle is
-    # walked; every table, g and the log tables must come out the same
+    # walked; every list the field keeps must come out the same
     F = FiniteField(*FIELDS[name])
     for table, want in cycle_walk_tables(*FIELDS[name]).items():
         assert getattr(F, table) == want, table
@@ -153,8 +151,9 @@ def test_public_operations_match_the_per_pair_build(name):
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_kept_primitive_element_generates_the_unit_group(name):
+    # g is the element of log 1
     F = FiniteField(*FIELDS[name])
-    g = F.element(F._primitive)
+    g = FFElement(F, cycle_walk_tables(*FIELDS[name])["_exp"][1 % (F.q - 1)])
     assert len({(g**e).code for e in range(F.q - 1)}) == F.q - 1
 
 
@@ -170,8 +169,8 @@ def test_one_gen_power_basis_and_coords_follow_the_code_layout(name):
 
 
 def test_a_dropped_field_is_freed_without_the_cycle_collector():
-    # the q x q tables go with the last reference, not at the next
-    # collection, which would hold several large fields at once
+    # the field's lists go with the last reference, not at the next
+    # collection, which would hold several fields at once
     gc.disable()
     try:
         F = FiniteField(*FIELDS["GF343"])
@@ -180,6 +179,19 @@ def test_a_dropped_field_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_the_largest_field_builds_in_linear_memory():
+    # GF(4096), the table limit, keeps O(kq) lists, about 1 MB at peak;
+    # q x q product and sum tables would take over 250 MB
+    tracemalloc.start()
+    try:
+        F = FiniteField(2, 12, (1, 0, 0, 1) + (0,) * 8 + (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.q == 4096 and F.gen**4095 == F.one
+    assert peak < 8 * 2**20, peak
 
 
 def test_separately_built_copies_compare_equal_and_interoperate():

@@ -142,9 +142,9 @@ call("first_cohomology solution", lambda: first_cohomology(S, base),
 # each kernel generator twice: every listed pair solves, but each shows up 3 times
 call("first_cohomology kernel", lambda: first_cohomology(S, base),
      (cohom, "kernel_mod", lambda form, n: 2 * kernel_mod(form, n)))
-# an orbit walk that never leaves the identity pair: 1 coboundary where the estimate is 3
+# an image listing that never leaves the identity pair: 1 coboundary where the estimate is 3
 call("one_coboundaries", lambda: one_coboundaries(S, base),
-     (cohom, "_scale", lambda mul, eta, factors: eta))
+     (cohom, "span_mod", lambda gens, cols, n: [(0,) * cols]))
 # a coboundary outside Z^1, a non-normal subgroup of Z^1 (S_3 here), no coboundaries
 call("first_cohomology outside", lambda: first_cohomology(S, base),
      (cohom, "_one_coboundaries", lambda *a, **kw: codes([g])))
