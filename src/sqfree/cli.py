@@ -25,12 +25,12 @@ from . import jsonio
 from .autos import out_r, verify_ses
 from .cohom import (
     TwoCocycle,
-    _cohomologous,
-    _first_cohomology,
-    _relabel_search,
-    _stabilizer,
     boundary,
+    cohomologous,
+    cohomologous_with_relabel,
+    first_cohomology,
     normalize,
+    stabilizer,
     trivialize_on_blocks,
     verify_two_cocycle,
 )
@@ -147,15 +147,15 @@ def cmd_trivialize_blocks(args):
 @command("cohomologous")
 def cmd_cohomologous(args):
     """search for a gauge witness between the bundle cocycle and --other"""
-    # both cocycles pass _require once; the searches keep only their backend refusals
+    # both cocycles pass _require once, and the searches do not verify them again
     job = Job(args)
     c1 = job.valid_cocycle()
     other = jsonio.decode_cocycle(job.S, job.D, _load_json(args.other, args.other), where="other")
     _require(verify_two_cocycle(job.S, other), "second cocycle fails verification ({})", "other")
     if args.phi:
-        phi, g = _relabel_search(job.S, c1, other, job.bounds) or (None, None)
+        phi, g = cohomologous_with_relabel(job.S, c1, other, job.bounds) or (None, None)
     else:
-        phi, g = None, _cohomologous(job.S, c1, other)
+        phi, g = None, cohomologous(job.S, c1, other)
     report = {"bounds": asdict(job.bounds), "cohomologous": g is not None}
     if g is None:
         return 1, report
@@ -185,7 +185,7 @@ def cmd_aut_s(args):
 def cmd_stab(args):
     """semigroup automorphisms whose relabeling stays in the gauge orbit"""
     job = Job(args)
-    return _group_report(job, _stabilizer(job.S, job.valid_cocycle(), job.bounds))
+    return _group_report(job, stabilizer(job.S, job.valid_cocycle(), job.bounds))
 
 
 @command("ring-check")
@@ -226,7 +226,7 @@ def cmd_d_algebra(args):
 def cmd_h1(args):
     """first cohomology of the bundle cocycle, with representatives"""
     job = Job(args)
-    h1 = _first_cohomology(job.S, job.valid_cocycle(), job.bounds)
+    h1 = first_cohomology(job.S, job.valid_cocycle(), job.bounds)
     return 0, {
         "bounds": asdict(job.bounds),
         "order": h1.order,

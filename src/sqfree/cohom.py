@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, prod
 from operator import add, mul
+from types import MappingProxyType
 
 from .coeff import FFElement
 from .common import DEFAULT_BOUNDS, ValidationReport, cosets
@@ -118,13 +119,19 @@ def boundary(S, m, phi):
 
 
 class TwoCocycle:
-    """Pair (alpha, xi): automorphisms on support, units on comp triples."""
+    """Pair (alpha, xi): automorphisms on support, units on comp triples.
 
-    __slots__ = ("alpha", "xi")
+    alpha and xi are read-only views of private copies, so a cocycle never
+    changes; _verified is the semigroup it passed verify_two_cocycle
+    against, which _valid trusts. Every derived cocycle is a new object.
+    """
+
+    __slots__ = ("alpha", "xi", "_verified")
 
     def __init__(self, alpha, xi):
-        self.alpha = dict(alpha)
-        self.xi = dict(xi)
+        self.alpha = MappingProxyType(dict(alpha))
+        self.xi = MappingProxyType(dict(xi))
+        self._verified = None
 
     @classmethod
     def trivial(cls, S, D):
@@ -142,24 +149,20 @@ class TwoCocycle:
         return all(v == one for t, v in self.xi.items() if t[0] == t[1] == t[2])
 
     def replace_xi(self, t, value):
-        xi = dict(self.xi)
-        xi[t] = value
-        return TwoCocycle(self.alpha, xi)
+        return TwoCocycle(self.alpha, {**self.xi, t: value})
 
     def replace_alpha(self, p, value):
-        alpha = dict(self.alpha)
-        alpha[p] = value
-        return TwoCocycle(alpha, self.xi)
+        return TwoCocycle({**self.alpha, p: value}, self.xi)
 
     def __eq__(self, other):
         return isinstance(other, TwoCocycle) and (other.alpha, other.xi) == (self.alpha, self.xi)
 
     def __repr__(self):
-        return f"TwoCocycle(alpha={self.alpha!r}, xi={self.xi!r})"
+        return f"TwoCocycle(alpha={dict(self.alpha)!r}, xi={dict(self.xi)!r})"
 
 
 def verify_two_cocycle(S, c):
-    """Report every domain defect and identity failure; empty report = valid."""
+    """Report every domain defect and identity failure; empty report = valid, and c records S as verified."""
     rep = ValidationReport()
     for p in sorted(S.support):
         if p not in c.alpha:
@@ -184,6 +187,8 @@ def verify_two_cocycle(S, c):
     if not rep.ok:
         return rep
     (_code_identities if D.is_finite else _element_identities)(S, c, D, rep)
+    if rep.ok:
+        c._verified = S
     return rep
 
 
@@ -240,10 +245,18 @@ def _code_identities(S, c, F, rep):
 
 
 def _valid(S, c):
-    """c itself, or InvalidCocycle carrying verify_two_cocycle's report."""
-    rep = verify_two_cocycle(S, c)
-    if not rep.ok:
-        raise InvalidCocycle(rep.as_json())
+    """c itself once it has passed verify_two_cocycle against S, now or before; else InvalidCocycle carrying the report."""
+    if c._verified != S:
+        rep = verify_two_cocycle(S, c)
+        if not rep.ok:
+            raise InvalidCocycle(rep.as_json())
+    return c
+
+
+def _on_domain(S, c):
+    """c, when alpha and xi are defined exactly on S's support pairs and triples; else refused as _valid refuses it."""
+    if c.alpha.keys() != S.support or c.xi.keys() != S.comp:
+        _valid(S, c)
     return c
 
 
@@ -254,12 +267,12 @@ def _backend(S, c):
     return c.backend
 
 
-def _codes(S, c, F=None):
-    """(alpha Frobenius exponents by pair, xi logs by triple) of c over the field F, by default its first alpha's.
+def _codes(S, c):
+    """(alpha Frobenius exponents by pair, xi logs by triple) of c over the field of its first alpha.
 
     The one reader of field cocycle values: MixedBackends names one from another backend. A zero xi reads None.
     """
-    F = F or _backend(S, c)
+    F = _backend(S, _on_domain(S, c))
     exponent, code, log, alpha, xi = F._exponent_of, F._code_of, F._log, c.alpha, c.xi
     a = {p: exponent(alpha[p], "cocycle automorphism") for p in S.support}
     return a, {t: log[code(xi[t], "cocycle value")] for t in S.comp}
@@ -275,13 +288,17 @@ def _elem_key(v):
 
 
 class GaugeElement:
-    """Acting pair: an automorphism per idempotent, a unit per support pair."""
+    """Acting pair: an automorphism per idempotent, a unit per support pair.
+
+    mu and eta are read-only views of private copies: a gauge is hashed by
+    its canonical_key, so it must not change once built.
+    """
 
     __slots__ = ("mu", "eta")
 
     def __init__(self, mu, eta):
-        self.mu = dict(mu)
-        self.eta = dict(eta)
+        self.mu = MappingProxyType(dict(mu))
+        self.eta = MappingProxyType(dict(eta))
 
     @classmethod
     def identity(cls, S, D):
@@ -307,7 +324,7 @@ class GaugeElement:
         return hash(self.canonical_key())
 
     def __repr__(self):
-        return f"GaugeElement(mu={self.mu!r}, eta={self.eta!r})"
+        return f"GaugeElement(mu={dict(self.mu)!r}, eta={dict(self.eta)!r})"
 
 
 def gauge_mul(S, a, b):
@@ -398,8 +415,8 @@ def normalize(S, c):
     witness = GaugeElement.identity(S, _valid(S, c).backend)
     if c.is_normal():
         return c, witness
-    for i in range(1, S.n + 1):
-        witness.eta[(i, i)] = c.xi[(i, i, i)].inverse()
+    scale = {(i, i): c.xi[(i, i, i)].inverse() for i in range(1, S.n + 1)}
+    witness = GaugeElement(witness.mu, {**witness.eta, **scale})
     out = act(S, witness, c, check=False)
     if not out.is_normal():
         raise InvalidCocycle("diagonal xi values did not reach 1")
@@ -416,8 +433,8 @@ def trivialize_on_blocks(S, c):
     if not _valid(S, c).is_normal():
         raise InvalidCocycle("block trivialization expects a normal cocycle")
     D = c.backend
-    witness = GaugeElement.identity(S, D)
-    mu, eta = witness.mu, witness.eta
+    mu = {i: D.identity_automorphism() for i in range(1, S.n + 1)}
+    eta = {p: D.one for p in S.support}
     classes = [cls for cls in sim_classes(S) if len(cls) > 1]
     for cls in classes:
         b = cls[0]
@@ -426,6 +443,7 @@ def trivialize_on_blocks(S, c):
         for j in cls:
             for k in cls:
                 eta[(j, k)] = mu[j](c.xi[(b, j, k)].inverse())
+    witness = GaugeElement(mu, eta)
     out = act(S, witness, c, check=False)
     for cls in classes:
         members = set(cls)
@@ -440,9 +458,7 @@ def trivialize_on_blocks(S, c):
 
 def relabel(S, phi, c):
     """Pull a cocycle back along a semigroup automorphism (pure reindexing); c must be defined on S's domain."""
-    if c.alpha.keys() != S.support or c.xi.keys() != S.comp:
-        _valid(S, c)
-    return TwoCocycle(*_relabeled(S, phi, (c.alpha, c.xi)))
+    return TwoCocycle(*_relabeled(S, phi, (_on_domain(S, c).alpha, c.xi)))
 
 
 def _relabeled(S, phi, v):
@@ -593,12 +609,13 @@ def _gauge(S, F, key):
 
 def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
     """A gauge witness g with act(g, c1) = c2, or None when there is none; the solve spends no bound."""
-    _refuse_backends(S, c1, c2)
-    return _cohomologous(S, _valid(S, c1), _valid(S, c2))
+    F = _refuse_backends(S, c1, c2)
+    key = _witness(S, F, _codes(S, _valid(S, c1)), _codes(S, _valid(S, c2)), {})
+    return None if key is None else _gauge(S, F, key)
 
 
 def _refuse_backends(S, c1, c2):
-    """cohomologous' refusals in its order, no alpha in c1, an infinite backend, then c2's backend; else their field."""
+    """The searches' backend refusals in order, no alpha in c1, an infinite backend, then c2's backend; else their field."""
     F = _backend(S, c1)
     if not F.is_finite:
         raise InfiniteBackend("equivalence search needs a finite field")
@@ -616,25 +633,11 @@ def _witness(S, F, v1, v2, forms):
     return _checked(S, F, v1, v2, mu, _least(F, l0, gens))
 
 
-def _cohomologous(S, c1, c2):
-    """cohomologous for two valid cocycles: its backend refusals, then the solve."""
-    F = _refuse_backends(S, c1, c2)
-    key = _witness(S, F, _codes(S, c1), _codes(S, c2), {})
-    return None if key is None else _gauge(S, F, key)
-
-
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
-    """Search Aut S x gauge for act(g, relabel(phi, c1)) = c2."""
-    _refuse_backends(S, c1, c2)
-    return _relabel_search(S, _valid(S, c1), _valid(S, c2), bounds)
-
-
-def _relabel_search(S, c1, c2, bounds):
-    """cohomologous_with_relabel for two valid cocycles: Aut S, the backend refusals, then a solve per phi."""
-    auts = semigroup_automorphisms(S, bounds)
+    """Search Aut S x gauge for act(g, relabel(phi, c1)) = c2: backend refusals, validity, Aut S, then a solve per phi."""
     F = _refuse_backends(S, c1, c2)
-    v1, v2, forms = _codes(S, c1), _codes(S, c2), {}
-    for phi in auts:
+    v1, v2, forms = _codes(S, _valid(S, c1)), _codes(S, _valid(S, c2)), {}
+    for phi in semigroup_automorphisms(S, bounds):
         key = _witness(S, F, _relabeled(S, phi, v1), v2, forms)
         if key is not None:
             return phi, _gauge(S, F, key)
@@ -642,17 +645,10 @@ def _relabel_search(S, c1, c2, bounds):
 
 
 def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
-    """Semigroup automorphisms whose relabeling stays in the gauge orbit."""
-    _refuse_backends(S, c, c)
-    return _stabilizer(S, _valid(S, c), bounds)
-
-
-def _stabilizer(S, c, bounds):
-    """stabilizer of a valid cocycle: Aut S, the backend refusals, then per phi whether a first slice solves, _checked."""
-    auts = semigroup_automorphisms(S, bounds)
+    """Semigroup automorphisms whose relabeling stays in the gauge orbit: per phi, whether a first slice solves, _checked."""
     F = _refuse_backends(S, c, c)
-    v, forms, out = _codes(S, c), {}, []
-    for phi in auts:
+    v, forms, out = _codes(S, _valid(S, c)), {}, []
+    for phi in semigroup_automorphisms(S, bounds):
         w = _relabeled(S, phi, v)
         first = next(_slices(S, F, v, w, forms), None)
         if first is not None:
@@ -676,23 +672,16 @@ def verify_one_cocycle(S, base, g):
 
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     """All gauge elements fixing base, in canonical order; over a field, read off one diagonal form (_solutions)."""
-    _fixing_field(S, base)
-    F, _, z1 = _one_cocycles(S, _valid(S, base), bounds)
+    F, _, z1 = _one_cocycles(S, base, bounds)
     return [_gauge(S, F, key) for key in z1]
 
 
-def _fixing_field(S, base):
-    """The field of base, after one_cocycles' backend refusals."""
+def _one_cocycles(S, base, bounds):
+    """one_cocycles' backend refusal, then validity, then (field, base's _codes pair, the fixing code pairs)."""
     F = _backend(S, base)
     if not F.is_finite:
         raise InfiniteBackend("fixed-point enumeration needs a finite field")
-    return F
-
-
-def _one_cocycles(S, base, bounds):
-    """one_cocycles for a valid base: its backend refusal, then (field, base's _codes pair, the fixing code pairs)."""
-    F = _fixing_field(S, base)
-    v = _codes(S, base)
+    v = _codes(S, _valid(S, base))
     return F, v, _solutions(S, F, v, v, bounds, {})
 
 
@@ -754,12 +743,6 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     of a homomorphism); normality is checked as B^1 r in r B^1, by the coset
     key of each b r, r a representative: 2|Z^1| code products, no inverse.
     """
-    _fixing_field(S, base)
-    return _first_cohomology(S, _valid(S, base), bounds)
-
-
-def _first_cohomology(S, base, bounds):
-    """first_cohomology of a valid base: one_cocycles' backend refusal, then Z^1, B^1 and the coset pass."""
     F, (a, _), z1 = _one_cocycles(S, base, bounds)
     b1 = _one_coboundaries(S, F, a, bounds)
     src, z1_set = [i - 1 for i, _ in S.elements()], set(z1)

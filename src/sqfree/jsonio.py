@@ -173,20 +173,21 @@ def encode_cocycle(c):
 
 def decode_cocycle(S, D, obj, where="cocycle"):
     obj = _as_dict(obj, where)
-    c = TwoCocycle.trivial(S, D)
+    alpha = {p: D.identity_automorphism() for p in S.support}
+    xi = {t: D.one for t in S.comp}
     for key, enc in _as_dict(obj.get("alpha", {}), f"{where}.alpha").items():
         path = f"{where}.alpha.{key}"
         p = _indices(key, path)
         _expect(len(p) == 2 and p in S.support, f"{key!r} is not a support pair", path)
-        c.alpha[p] = decode_automorphism(D, enc, path)
+        alpha[p] = decode_automorphism(D, enc, path)
     for key, enc in _as_dict(obj.get("xi", {}), f"{where}.xi").items():
         path = f"{where}.xi.{key}"
         t = _indices(key, path)
         _expect(len(t) == 3 and t in S.comp, f"{key!r} is not a composable triple", path)
         v = decode_element(D, enc, path)
         _expect(not v.is_zero(), "xi values must be units", path)
-        c.xi[t] = v
-    return c
+        xi[t] = v
+    return TwoCocycle(alpha, xi)
 
 
 def encode_gauge(g):
@@ -197,20 +198,21 @@ def encode_gauge(g):
 
 def decode_gauge(S, D, obj, where="gauge"):
     obj = _as_dict(obj, where)
-    g = GaugeElement.identity(S, D)
+    mu = {i: D.identity_automorphism() for i in range(1, S.n + 1)}
+    eta = {p: D.one for p in S.support}
     for key, enc in _as_dict(obj.get("mu", {}), f"{where}.mu").items():
         path = f"{where}.mu.{key}"
         idx = _indices(key, path)
         _expect(len(idx) == 1 and 1 <= idx[0] <= S.n, f"{key!r} is not an idempotent index", path)
-        g.mu[idx[0]] = decode_automorphism(D, enc, path)
+        mu[idx[0]] = decode_automorphism(D, enc, path)
     for key, enc in _as_dict(obj.get("eta", {}), f"{where}.eta").items():
         path = f"{where}.eta.{key}"
         p = _indices(key, path)
         _expect(len(p) == 2 and p in S.support, f"{key!r} is not a support pair", path)
         v = decode_element(D, enc, path)
         _expect(not v.is_zero(), "eta values must be units", path)
-        g.eta[p] = v
-    return g
+        eta[p] = v
+    return GaugeElement(mu, eta)
 
 
 # ----------------------------------------------------------------- cochain

@@ -16,6 +16,7 @@ from .cohom import (
     _elem_key,
     _gauge,
     _mu_candidates,
+    _on_domain,
     normalize,
 )
 from .common import DEFAULT_BOUNDS, ValidationReport
@@ -184,6 +185,7 @@ def check_associativity(R):
     srep = R.S.validate()
     if not srep.ok:
         raise InvalidInput(f"invalid semigroup {srep.as_json()}", where="semigroup")
+    _on_domain(R.S, R.c)
     report = ValidationReport()
     (_code_sweep if R.D.is_finite else _element_sweep)(R, report)
     return report
@@ -214,12 +216,12 @@ def _code_sweep(R, report):
 
     A chain (s_ij, s_jh, s_hl) is composable, so every product of its basis
     terms is one term and both bracketings land on s_il: the sweep compares
-    two sums of logs (_term) mod q-1. Alpha and xi are read once, against
-    R's field; a value from another backend raises MixedBackends, as mul
+    two sums of logs (_term) mod q-1. Alpha and xi are read once, by
+    _codes; a value from another backend raises MixedBackends, as mul
     does. A check=False ring with a zero xi, which has no log, takes _element_sweep.
     """
     F, S = R.D, R.S
-    a, x = _codes(S, R.c, F)
+    a, x = _codes(S, R.c)
     if None in x.values():
         return _element_sweep(R, report)
     power, exp, log, n = F._powers, F._exp, F._log, F.q - 1
@@ -310,7 +312,7 @@ def is_d_algebra(R, bounds=DEFAULT_BOUNDS):
     D = R.D
     if not D.is_finite:
         raise InfiniteBackend("the alpha-splitting search needs a finite field")
-    S, a = R.S, _codes(R.S, R.c, D)[0]
+    S, a = R.S, _codes(R.S, R.c)[0]
     mu = next(_mu_candidates(S, a, dict.fromkeys(S.support, 0), D.k), None)
     if mu is None:
         return None

@@ -7,7 +7,7 @@ import pytest
 from sqfree import cli, cohom, jsonio
 from sqfree.autos import RingAut, check_ring_automorphism
 from sqfree.cohom import TwoCocycle, act, verify_one_cocycle, verify_two_cocycle
-from sqfree.errors import MixedBackends
+from sqfree.errors import InfiniteBackend, MixedBackends
 from sqfree.fixtures import a3, gf, mu, t2, two_cycle
 from sqfree.twring import TwistedRing, linear_basis, to_vector
 from test_bench_contract import run_bench
@@ -227,8 +227,8 @@ def doubled_two_cycle_job(tmp_path):
 
 
 def test_each_command_verifies_each_cocycle_once(tmp_path, capsys, monkeypatch):
-    # cohomologous made 4 calls (--phi too), stab 3 and h1 2 when the
-    # library searches re-verified what the command had already checked
+    # a cocycle records the semigroup it passed verify_two_cocycle against,
+    # so the library does not verify again what the command has checked
     calls = [0]
 
     def counted(*args):
@@ -238,20 +238,57 @@ def test_each_command_verifies_each_cocycle_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cohom, "verify_two_cocycle", counted)
     monkeypatch.setattr(cli, "verify_two_cocycle", counted)
     b, other = doubled_two_cycle_job(tmp_path)
+    frob = write(tmp_path, "frob.json", frob_bundle())
+    # xi(e1, e1) = xi(e1, s12) = g: valid, not normal, so the ring holds a new, normal cocycle
+    scaled = write(tmp_path, "scaled.json", {**frob_bundle(), "cocycle": {"xi": {"1,1,1": [0, 1], "1,1,2": [0, 1]}}})
     for argv, code, want in (
         (["cohomologous", b, "--other", other], 1, 2),
         (["cohomologous", b, "--other", other, "--phi"], 0, 2),
         (["stab", b], 0, 1),
         (["h1", b], 0, 1),
+        (["validate", frob], 0, 1),
+        (["verify-cocycle", frob], 0, 1),
+        (["normalize", frob], 0, 1),
+        (["trivialize-blocks", frob], 0, 1),
+        (["d-algebra", frob], 0, 1),
+        (["stab", frob], 0, 1),
+        (["h1", frob], 0, 1),
+        (["out-r", frob], 0, 1),
+        (["verify-ses", frob], 0, 1),
+        (["ring-check", frob], 0, 0),
+        (["normalize", scaled], 0, 1),
+        (["out-r", scaled], 0, 2),
+        (["verify-ses", scaled], 0, 2),
     ):
         calls[0] = 0
-        assert invoke(capsys, argv)[0] == code
+        assert invoke(capsys, argv)[0] == code, argv
         assert calls[0] == want, argv
 
 
+def test_double_fault_refused_for_the_backend_first(tmp_path, capsys):
+    # 9 isolated idempotents over the quaternions: Aut S is above the
+    # automorphism bound and the searches need a finite field. Every search
+    # refuses the backend before it lists Aut S, in the CLI as in the library
+    n = 9
+    S = {"n": n, "support": [[i, i] for i in range(1, n + 1)], "comp": []}
+    b = write(tmp_path, "b.json", {"semigroup": S, "coefficients": {"backend": "quaternion"}})
+    other = write(tmp_path, "other.json", {"alpha": {}, "xi": {}})
+    refused = {"error": "equivalence search needs a finite field", "kind": "InfiniteBackend"}
+    for argv in (["stab", b], ["cohomologous", b, "--other", other], ["cohomologous", b, "--other", other, "--phi"]):
+        code, report, _ = invoke(capsys, argv)
+        assert (code, report) == (2, refused), argv
+    semigroup = jsonio.decode_semigroup(S)
+    c = TwoCocycle.trivial(semigroup, jsonio.decode_coefficients({"backend": "quaternion"}))
+    with pytest.raises(InfiniteBackend, match="^equivalence search needs a finite field$"):
+        cohom.stabilizer(semigroup, c)
+    for search in (cohom.cohomologous, cohom.cohomologous_with_relabel):
+        with pytest.raises(InfiniteBackend, match="^equivalence search needs a finite field$"):
+            search(semigroup, c, c)
+
+
 def test_cohomologous_keeps_its_refusals(tmp_path, capsys):
-    # the unchecked searches still refuse an infinite backend, in the text of
-    # cohomologous, after an invalid cocycle and before any search
+    # the searches refuse an infinite backend, in the text of cohomologous,
+    # after an invalid cocycle and before any search
     bundle = {"semigroup": {"n": 2, "support": [[1, 1], [2, 2], [1, 2]], "comp": []},
               "coefficients": {"backend": "quaternion"}}
     b, other = write(tmp_path, "b.json", bundle), write(tmp_path, "other.json", {"alpha": {}, "xi": {}})
@@ -264,7 +301,7 @@ def test_cohomologous_keeps_its_refusals(tmp_path, capsys):
         assert (code, report["where"]) == (2, "other")
         assert report["error"] == "other: second cocycle fails verification (two_chain)"
     with pytest.raises(MixedBackends, match="cocycles over different backends"):
-        cohom._cohomologous(t2(), TwoCocycle.trivial(t2(), gf(4)), TwoCocycle.trivial(t2(), gf(8)))
+        cohom.cohomologous(t2(), TwoCocycle.trivial(t2(), gf(4)), TwoCocycle.trivial(t2(), gf(8)))
 
 
 def test_aut_s(tmp_path, capsys):

@@ -1311,9 +1311,9 @@ def test_b1_refusal_estimates_the_orbit():
 def test_relabel_searches_verify_each_cocycle_once(monkeypatch):
     # two disjoint two_cycles; swapping them moves the exponent-sum class,
     # so Stab is half of Aut S and the relabel search passes phis that fail.
-    # Each cocycle is verified once, up front, and no phi re-verifies it: a
-    # relabelled copy of a valid cocycle stays valid. stabilizer has one
-    # cocycle, cohomologous_with_relabel two.
+    # Each cocycle is verified once, and no phi re-verifies it: a relabelled
+    # copy of a valid cocycle stays valid. c keeps the record of its check,
+    # so cohomologous_with_relabel verifies only target.
     S = SquareFreeSemigroup.make(4, [(i, i) for i in range(1, 5)] + [(1, 2), (2, 1), (3, 4), (4, 3)], [])
     F = gf(4)
     c = TwoCocycle.trivial(S, F).replace_alpha((1, 2), F.frobenius(1))
@@ -1324,10 +1324,49 @@ def test_relabel_searches_verify_each_cocycle_once(monkeypatch):
     assert [phi.perm for phi in stabilizer(S, c)] == [(1, 2, 3, 4), (1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3)]
     assert calls[0] == 1
     assert cohomologous_with_relabel(S, c, target)[0].perm == swap.perm
-    assert calls[0] == 3
+    assert calls[0] == 2
     # mu3/GF4 made 12 calls when every phi re-verified both cocycles
     assert len(stabilizer(mu(3), TwoCocycle.trivial(mu(3), F))) == 6
-    assert calls[0] == 4
+    assert calls[0] == 3
+
+
+def test_a_verified_cocycle_vouches_for_no_copy(monkeypatch):
+    # the record of a passed check sits on the cocycle, for its semigroup:
+    # a replace_* copy with a wrong value is a new object, verified on its own
+    S, F = t2(), gf(4)
+    c = TwoCocycle.trivial(S, F)
+    assert verify_two_cocycle(S, c).ok
+    calls = counting(monkeypatch, "verify_two_cocycle")
+    assert normalize(S, c)[0] is c and calls[0] == 0
+    for bad in (c.replace_xi((1, 1, 2), F.gen), c.replace_alpha((1, 1), F.frobenius(1))):
+        for search in (normalize, first_cohomology, lambda S, x: act(S, GaugeElement.identity(S, F), x)):
+            with pytest.raises(InvalidCocycle):
+                search(S, bad)
+    # verified against t2, c is checked again, and refused, on another semigroup
+    with pytest.raises(InvalidCocycle, match="missing_alpha"):
+        normalize(mu(2), c)
+
+
+def test_cocycles_and_gauges_are_read_only():
+    # a gauge is hashed by its canonical_key and a cocycle keeps the record
+    # of its check, so neither may change once built
+    S, F = t2(), gf(4)
+    c, g = TwoCocycle.trivial(S, F), GaugeElement.identity(S, F)
+    for values, key, value in (
+        (c.alpha, (1, 2), F.frobenius(1)),
+        (c.xi, (1, 1, 2), F.gen),
+        (g.mu, 1, F.frobenius(1)),
+        (g.eta, (1, 2), F.gen),
+    ):
+        with pytest.raises(TypeError):
+            values[key] = value
+        with pytest.raises(TypeError):
+            del values[key]
+    # the constructors copy what they are given
+    alpha, eta = dict(c.alpha), dict(g.eta)
+    c2, g2 = TwoCocycle(alpha, c.xi), GaugeElement(g.mu, eta)
+    alpha[(1, 2)], eta[(1, 2)] = F.frobenius(1), F.gen
+    assert (c2, g2) == (c, g) and hash(g2) == hash(g)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,9 @@ be named somewhere in `src/` outside its own definition, so that a refactor
 leaves no stale helper behind. Likewise every name a module of `src/sqfree`
 imports must be read in that module, or listed in its `__all__`.
 
+The CLI imports only public names from the library, so every command
+passes through the public functions' refusals.
+
 No `assert` statement guards a claim in `src/`: `python -O` strips them, and
 every invariant must still hold there.
 """
@@ -163,3 +166,18 @@ def assert_statements():
 
 def test_no_library_claim_rests_on_an_assert():
     assert assert_statements() == []
+
+
+def cli_private_imports():
+    """Each `_`-prefixed name that src/sqfree/cli.py imports from sqfree."""
+    return [
+        alias.name
+        for node in ast.walk(_parse(SRC / "cli.py"))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").partition(".")[0] == "sqfree")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_cli_imports_no_private_library_name():
+    assert cli_private_imports() == []

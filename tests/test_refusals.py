@@ -33,8 +33,7 @@ def rescaled(q):
     # eta(s11) = 2 moves xi(e1, e1) and xi(e1, s12) off 1
     S, F = t2(), gf(q)
     g = GaugeElement.identity(S, F)
-    g.eta[(1, 1)] = F.element(2)
-    return act(S, g, trivial(q))
+    return act(S, GaugeElement(g.mu, {**g.eta, (1, 1): F.element(2)}), trivial(q))
 
 
 def identity_is_inner(q, bounds):
@@ -107,8 +106,8 @@ from sqfree.twring import TwistedRing, is_d_algebra
 assert sys.flags.optimize, "run me under python -O"
 S, F = t2(), gf(4)
 base = TwoCocycle.trivial(S, F)
-g = GaugeElement.identity(S, F)
-g.eta[(1, 1)] = F.gen
+one = GaugeElement.identity(S, F)
+g = GaugeElement(one.mu, {**one.eta, (1, 1): F.gen})
 frob = GaugeElement({i: F.frobenius(1) for i in (1, 2)}, {p: F.one for p in S.support})
 
 
@@ -155,8 +154,8 @@ call("first_cohomology index", lambda: first_cohomology(S, base),
 # the coset {2, 3} of {1, 4} in GF(5)^x on the arrow: abelian, so normal,
 # and 2 cosets of 2 for 4 fixing pairs, but 1 {2, 3} and 4 {2, 3} are one set
 F5 = gf(5)
-arrow = [GaugeElement.identity(S, F5) for _ in range(2)]
-arrow[0].eta[(1, 2)], arrow[1].eta[(1, 2)] = F5.element(2), F5.element(3)
+one = GaugeElement.identity(S, F5)
+arrow = [GaugeElement(one.mu, {**one.eta, (1, 2): F5.element(u)}) for u in (2, 3)]
 call("first_cohomology cover", lambda: first_cohomology(S, TwoCocycle.trivial(S, F5)),
      (cohom, "_one_coboundaries", lambda *a, **kw: codes(arrow)))
 # an exponent solution that leaves the Frobenius on the arrow

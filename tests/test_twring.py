@@ -177,6 +177,22 @@ def test_associativity_detects_corruption():
     assert any((1, 2) in v.where for v in report.violations)
 
 
+@pytest.mark.parametrize(
+    "probe, backend",
+    [(check_associativity, "GF4"), (is_d_algebra, "GF4"), (check_associativity, "quaternions")],
+)
+def test_unchecked_ring_refuses_a_cocycle_off_the_domain(probe, backend):
+    # an empty or a partial cocycle is refused as verify_two_cocycle reports
+    # it, not as a KeyError from reading its values
+    S, D = t2(), gf(4) if backend == "GF4" else quaternions()
+    trivial = TwoCocycle.trivial(S, D)
+    missing = TwoCocycle({p: a for p, a in trivial.alpha.items() if p != (1, 2)}, trivial.xi)
+    for c in (TwoCocycle({}, {}), missing):
+        with pytest.raises(InvalidCocycle) as refused:
+            probe(TwistedRing(S, D, c, check=False))
+        assert refused.value.args[0] == verify_two_cocycle(S, c).as_json()
+
+
 def test_validity_matches_associativity_on_xi_edits():
     # single-entry xi edits break Eq-2 style chain identities exactly when
     # they break reassociation of decorated basis triples
@@ -330,8 +346,7 @@ def test_iso_wrong_witness_rejected(name):
     R1, R2, phi, g = random_witness_pair(S, F, rng)
     # rescaling eta(ii) moves xi(iii), which both normalized cocycles keep at 1
     for i in range(1, S.n + 1):
-        bad = GaugeElement(g.mu, dict(g.eta))
-        bad.eta[(i, i)] = bad.eta[(i, i)] * F.gen
+        bad = GaugeElement(g.mu, {**g.eta, (i, i): g.eta[(i, i)] * F.gen})
         with pytest.raises(WitnessRejected, match="does not carry"):
             iso_from_witness(R1, R2, (phi, bad))
 
