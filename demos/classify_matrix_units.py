@@ -42,7 +42,7 @@ print("after block trivialization every alpha is identity:",
       all(a.is_identity() for a in flat.alpha.values()))
 
 h1 = first_cohomology(S, TwoCocycle.trivial(S, F))
-print("H1 order:", h1.order, " Z1:", len(h1.z1), " B1:", len(h1.b1))
+print("H1 order:", h1.order, " Z1:", h1.z1_order, " B1:", h1.b1_order)
 print("Aut S:", len(automorphisms(S)), " stabilizer:", len(stabilizer(S, TwoCocycle.trivial(S, F))))
 
 R = TwistedRing(mu(2), gf(2), TwoCocycle.trivial(mu(2), gf(2)))

@@ -21,6 +21,7 @@ from .cohom import (
     _valid,
     act,
     first_cohomology,
+    one_coboundaries,
     relabel,
     verify_one_cocycle,
 )
@@ -354,19 +355,18 @@ def lambda_map(R, h1, bounds=DEFAULT_BOUNDS):
 
     sigma(g) is g's phi = id normal map, so its coset key comes from
     _normal_cosets, and it is inner when that key is the identity's. Runs
-    over the whole enumerated Z^1, so a passing report certifies the induced
-    map on classes is well defined and injective. A g with no normal map
-    goes through sigma(g) and its coset lookup, which refuse it: g -> sigma(g)
-    is injective (sigma(g) sends 1 s_ij to eta(ij) s_ij and d s_ii to
-    mu_i(d) eta(ii) s_ii), and a normal map with phi != id moves some s_ii,
-    so sigma(g) of a g missing from sigma_key is never in key_of.
+    over the Z^1 of that witness pass, which must have h1's order of Z^1,
+    so a passing report certifies the induced map on classes is well
+    defined and injective.
     """
     report = ValidationReport()
     key_of, _, sigma_key = _normal_cosets(R, bounds)
+    if len(sigma_key) != h1.z1_order:
+        # some fixing pair's sigma is outside the search, as _key words it
+        raise WitnessRejected("map outside every coset of the Aut R search")
     inner = _key(key_of, RingAut.identity(R))
-    b1 = set(h1.b1)
-    for g in h1.z1:
-        key = sigma_key[g] if g in sigma_key else _key(key_of, sigma(R, g))
+    b1 = set(one_coboundaries(R.S, R.c, bounds))
+    for g, key in sigma_key.items():
         if (key == inner) != (g in b1):
             report.add(
                 "lambda_monomorphism",

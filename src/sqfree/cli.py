@@ -230,8 +230,8 @@ def cmd_h1(args):
     return 0, {
         "bounds": asdict(job.bounds),
         "order": h1.order,
-        "z1_order": len(h1.z1),
-        "b1_order": len(h1.b1),
+        "z1_order": h1.z1_order,
+        "b1_order": h1.b1_order,
         "representatives": [jsonio.encode_gauge(g) for g in h1.reps],
     }
 
@@ -267,8 +267,7 @@ def cmd_boundary(args):
     if "cochain" not in job.raw:
         raise InvalidInput("boundary needs a cochain entry in the bundle", where="bundle.cochain")
     phi = jsonio.decode_cochain(job.S, job.D, job.raw["cochain"], where="bundle.cochain")
-    out = boundary(job.S, phi.m, phi)
-    return 0, jsonio.encode_cochain(out)
+    return 0, jsonio.encode_cochain(boundary(job.S, phi))
 
 
 @functools.cache

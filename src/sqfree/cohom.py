@@ -82,20 +82,19 @@ def _require_total(S, m, phi):
         raise InvalidInput(f"cochain has stray keys {sorted(extra)!r}")
 
 
-def boundary(S, m, phi):
-    """Multiplicative boundary of an m-cochain, m in {0, 1, 2, 3}.
+def boundary(S, phi):
+    """Multiplicative boundary of an m-cochain, m = phi.m in {0, 1, 2, 3}.
 
     Commutative coefficients only; the alternating-product formula has no
     unambiguous factor order otherwise.
     """
+    m = phi.m
     if not phi.data:
         # refused as missing its first value; S has at least one m-chain
         _require_total(S, m, phi)
     sample = next(iter(phi.data.values()))
     if not sample.field.is_commutative:
         raise NonCommutativeCoefficients("boundary maps need commutative coefficients")
-    if m != phi.m:
-        raise InvalidInput(f"cochain has degree {phi.m}, expected {m}")
     _require_total(S, m, phi)
     out = {}
     if m == 0:
@@ -726,10 +725,12 @@ def _code_mul(F, src, a, b):
 
 @dataclass
 class H1Result:
+    """|H^1| and its representatives, with the orders of Z^1 and B^1; one_cocycles and one_coboundaries list those."""
+
     order: int
     reps: list
-    z1: list
-    b1: list
+    z1_order: int
+    b1_order: int
 
 
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
@@ -742,6 +743,7 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     representative; they must cover exactly Z^1. B^1 is a group (the image
     of a homomorphism); normality is checked as B^1 r in r B^1, by the coset
     key of each b r, r a representative: 2|Z^1| code products, no inverse.
+    Only the representatives become GaugeElements.
     """
     F, (a, _), z1 = _one_cocycles(S, base, bounds)
     b1 = _one_coboundaries(S, F, a, bounds)
@@ -754,5 +756,4 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     reps = [key for key in z1 if key_of[key] == key]
     if any(key_of.get(_code_mul(F, src, b, r)) != r for r in reps for b in b1):
         raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-    gauges = {key: _gauge(S, F, key) for key in z1}
-    return H1Result(order=len(reps), reps=[gauges[r] for r in reps], z1=list(gauges.values()), b1=[gauges[b] for b in b1])
+    return H1Result(len(reps), [_gauge(S, F, r) for r in reps], len(z1), len(b1))

@@ -171,22 +171,29 @@ def encode_cocycle(c):
     return {"alpha": alpha, "xi": xi}
 
 
+def _entries(D, decode, obj, where, domain, what, units=None):
+    """{index tuple: decode(D, value, JSON path)} for an object keyed by comma-separated indices.
+
+    Each key must name a member of domain, else "<key> is not <what>"; with
+    units named, a zero value is refused as "<units> values must be units".
+    """
+    out = {}
+    for key, enc in _as_dict(obj, where).items():
+        path = f"{where}.{key}"
+        idx = _indices(key, path)
+        _expect(idx in domain, f"{key!r} is not {what}", path)
+        out[idx] = v = decode(D, enc, path)
+        if units:
+            _expect(not v.is_zero(), f"{units} values must be units", path)
+    return out
+
+
 def decode_cocycle(S, D, obj, where="cocycle"):
     obj = _as_dict(obj, where)
     alpha = {p: D.identity_automorphism() for p in S.support}
     xi = {t: D.one for t in S.comp}
-    for key, enc in _as_dict(obj.get("alpha", {}), f"{where}.alpha").items():
-        path = f"{where}.alpha.{key}"
-        p = _indices(key, path)
-        _expect(len(p) == 2 and p in S.support, f"{key!r} is not a support pair", path)
-        alpha[p] = decode_automorphism(D, enc, path)
-    for key, enc in _as_dict(obj.get("xi", {}), f"{where}.xi").items():
-        path = f"{where}.xi.{key}"
-        t = _indices(key, path)
-        _expect(len(t) == 3 and t in S.comp, f"{key!r} is not a composable triple", path)
-        v = decode_element(D, enc, path)
-        _expect(not v.is_zero(), "xi values must be units", path)
-        xi[t] = v
+    alpha.update(_entries(D, decode_automorphism, obj.get("alpha", {}), f"{where}.alpha", S.support, "a support pair"))
+    xi.update(_entries(D, decode_element, obj.get("xi", {}), f"{where}.xi", S.comp, "a composable triple", "xi"))
     return TwoCocycle(alpha, xi)
 
 
@@ -200,18 +207,9 @@ def decode_gauge(S, D, obj, where="gauge"):
     obj = _as_dict(obj, where)
     mu = {i: D.identity_automorphism() for i in range(1, S.n + 1)}
     eta = {p: D.one for p in S.support}
-    for key, enc in _as_dict(obj.get("mu", {}), f"{where}.mu").items():
-        path = f"{where}.mu.{key}"
-        idx = _indices(key, path)
-        _expect(len(idx) == 1 and 1 <= idx[0] <= S.n, f"{key!r} is not an idempotent index", path)
-        mu[idx[0]] = decode_automorphism(D, enc, path)
-    for key, enc in _as_dict(obj.get("eta", {}), f"{where}.eta").items():
-        path = f"{where}.eta.{key}"
-        p = _indices(key, path)
-        _expect(len(p) == 2 and p in S.support, f"{key!r} is not a support pair", path)
-        v = decode_element(D, enc, path)
-        _expect(not v.is_zero(), "eta values must be units", path)
-        eta[p] = v
+    given = _entries(D, decode_automorphism, obj.get("mu", {}), f"{where}.mu", {(i,) for i in mu}, "an idempotent index")
+    mu.update((i, a) for (i,), a in given.items())
+    eta.update(_entries(D, decode_element, obj.get("eta", {}), f"{where}.eta", S.support, "a support pair", "eta"))
     return GaugeElement(mu, eta)
 
 
@@ -257,14 +255,7 @@ def encode_ring_aut(f):
 
 
 def decode_ring_element(R, obj, where="element"):
-    obj = _as_dict(obj, where)
-    coeffs = {}
-    for key, enc in obj.items():
-        path = f"{where}.{key}"
-        p = _indices(key, path)
-        _expect(len(p) == 2 and p in R.S.support, f"{key!r} is not a support pair", path)
-        coeffs[p] = decode_element(R.D, enc, path)
-    return R.element(coeffs)
+    return R.element(_entries(R.D, decode_element, obj, where, R.S.support, "a support pair"))
 
 
 # ------------------------------------------------------------------ bundle

@@ -38,14 +38,15 @@ class TwistedRing:
     __slots__ = ("S", "D", "c", "normalizer", "_core")
 
     def __init__(self, S, D, c, check=True):
-        # an empty cocycle has no backend; normalize refuses it as invalid
+        # an empty cocycle has no backend; normalize or _on_domain refuses it as invalid
         if c.alpha and c.backend != D:
             raise MixedBackends("cocycle over another backend than the ring")
         if check:
             c, witness = normalize(S, c)
         else:
-            # corrupted-cocycle experiments construct the raw product table
-            witness = GaugeElement.identity(S, D)
+            # corrupted-cocycle experiments construct the raw product table,
+            # which reads alpha and xi at every support pair and triple
+            c, witness = _on_domain(S, c), GaugeElement.identity(S, D)
         self.S = S
         self.D = D
         self.c = c
@@ -185,7 +186,6 @@ def check_associativity(R):
     srep = R.S.validate()
     if not srep.ok:
         raise InvalidInput(f"invalid semigroup {srep.as_json()}", where="semigroup")
-    _on_domain(R.S, R.c)
     report = ValidationReport()
     (_code_sweep if R.D.is_finite else _element_sweep)(R, report)
     return report

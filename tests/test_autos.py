@@ -32,10 +32,10 @@ from sqfree.cohom import (
     act,
     first_cohomology,
     gauge_mul,
+    one_coboundaries,
     one_cocycles,
     random_gauge,
     stabilizer,
-    verify_one_cocycle,
 )
 from sqfree.errors import InvalidInput, NotAOneCocycle, NotInvertible, SearchBoundExceeded, WitnessRejected
 from sqfree.common import DEFAULT_BOUNDS, Bounds
@@ -262,11 +262,16 @@ def test_lambda_monomorphism():
     assert lambda_map(R, h1).ok
     R2 = frob_ring()
     assert lambda_map(R2, first_cohomology(t2(), R2.c)).ok
-    # a gauge that moves the cocycle has no sigma, so lambda_map refuses it as sigma does
-    moving = GaugeElement({1: F.frobenius(1), 2: F.identity_automorphism()}, {p: F.one for p in S.support})
-    assert not verify_one_cocycle(S, R.c, moving)
-    with pytest.raises(NotAOneCocycle, match="^the pair does not fix the ring's cocycle$"):
-        lambda_map(R, replace(h1, z1=h1.z1 + [moving]))
+
+
+def test_lambda_checks_the_z1_of_its_witness_pass():
+    # lambda_map walks the phi = id witnesses of the Aut R search, never
+    # sigma, and refuses an H^1 whose Z^1 order that search does not hold
+    assert "sigma" not in autos.lambda_map.__code__.co_names
+    R = trivial_ring(t2(), gf(4))
+    h1 = first_cohomology(R.S, R.c)
+    with pytest.raises(WitnessRejected, match="^map outside every coset of the Aut R search$"):
+        lambda_map(R, replace(h1, z1_order=h1.z1_order + 1))
 
 
 def test_phi_map_basics():
@@ -646,9 +651,9 @@ def reference_verify_ses(R, key_of, coset_key):
     W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
     out_keys = sorted(set(key_of.values()))
     inner = autos._inner(R, DEFAULT_BOUNDS)
-    b1, reps = set(h1.b1), set(h1.reps)
+    b1, reps = set(one_coboundaries(S, R.c)), set(h1.reps)
     lambda_ok, lam_keys = True, set()
-    for g in h1.z1:
+    for g in one_cocycles(S, R.c):
         f = sigma(R, g)
         if g in reps:
             lam_keys.add(coset_key(f))

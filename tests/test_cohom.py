@@ -58,13 +58,13 @@ def is_constant_one(cochain):
     return all(v == v.field.one for v in cochain.data.values())
 
 
-def is_abelian_cocycle(S, m, phi):
-    return is_constant_one(boundary(S, m, phi))
+def is_abelian_cocycle(S, phi):
+    return is_constant_one(boundary(S, phi))
 
 
-def is_abelian_coboundary(S, m, phi, bounds=Bounds()):
-    """Exhaustive preimage search over all (m-1)-cochains, or None."""
-    D = next(iter(phi.data.values())).field
+def is_abelian_coboundary(S, phi, bounds=Bounds()):
+    """Exhaustive preimage search over all (m-1)-cochains, m = phi.m, or None."""
+    m, D = phi.m, next(iter(phi.data.values())).field
     if not D.is_finite:
         raise InfiniteBackend("coboundary search needs a finite field")
     keys = chain_keys(S, m - 1)
@@ -74,7 +74,7 @@ def is_abelian_coboundary(S, m, phi, bounds=Bounds()):
         raise SearchBoundExceeded(f"max_search: preimage estimate {total} above limit {bounds.max_search}")
     for values in product(units, repeat=len(keys)):
         candidate = Cochain(m - 1, dict(zip(keys, values)))
-        if boundary(S, m - 1, candidate) == phi:
+        if boundary(S, candidate) == phi:
             return candidate
     return None
 
@@ -526,13 +526,13 @@ def test_one_cocycle_matches_the_two_equation_reference(case):
 def test_z1_b1_h1_t2_gf4():
     S, F = t2(), gf(4)
     base = TwoCocycle.trivial(S, F)
-    res = first_cohomology(S, base)
-    assert len(res.z1) == 6 and len(res.b1) == 3 and res.order == 2
-    for g in res.z1:
+    res, z1 = first_cohomology(S, base), one_cocycles(S, base)
+    assert (res.z1_order, res.b1_order, res.order) == (len(z1), len(one_coboundaries(S, base)), 2) == (6, 3, 2)
+    for g in z1:
         assert verify_one_cocycle(S, base, g)
-    keys = {g.canonical_key() for g in res.z1}
-    for a in res.z1:
-        for b in res.z1:
+    keys = {g.canonical_key() for g in z1}
+    for a in z1:
+        for b in z1:
             assert gauge_mul(S, a, b).canonical_key() in keys
 
 
@@ -555,15 +555,17 @@ def test_z1_matches_naive_enumeration():
 def test_h1_single_idempotent():
     for q, want in ((2, 1), (4, 2), (8, 3)):
         S, F = single(), gf(q)
-        res = first_cohomology(S, TwoCocycle.trivial(S, F))
+        base = TwoCocycle.trivial(S, F)
+        res = first_cohomology(S, base)
         assert res.order == want
-        assert len(res.b1) == 1  # conjugation is trivial over a field
+        assert res.b1_order == len(one_coboundaries(S, base)) == 1  # conjugation is trivial over a field
 
 
 def test_h1_gf2_everywhere_trivial():
     for S in (t2(), a3(), mu(2)):
-        res = first_cohomology(S, TwoCocycle.trivial(S, gf(2)))
-        assert res.order == 1 and len(res.z1) == 1
+        base = TwoCocycle.trivial(S, gf(2))
+        res = first_cohomology(S, base)
+        assert res.order == 1 and res.z1_order == len(one_cocycles(S, base)) == 1
 
 
 def test_b1_elements_are_cocycles():
@@ -586,13 +588,14 @@ def test_h1_counts_multiply():
     for S, q in ((t2(), 4), (a3(), 4), (mu(2), 3)):
         base = TwoCocycle.trivial(S, gf(q))
         res = first_cohomology(S, base)
-        assert res.order * len(res.b1) == len(res.z1)
+        assert res.order * res.b1_order == res.z1_order
+        assert (res.z1_order, res.b1_order) == (len(one_cocycles(S, base)), len(one_coboundaries(S, base)))
 
 
 def test_boundary_example():
     S, F = t2(), gf(4)
     phi = Cochain(0, {1: F.gen, 2: F.gen ** 2})
-    out = boundary(S, 0, phi)
+    out = boundary(S, phi)
     assert out[(1, 2)] == F.gen  # g^2 * g^{-1}
     assert out[(1, 1)] == F.one and out[(2, 2)] == F.one
 
@@ -605,7 +608,7 @@ def test_boundary_nilpotence():
             for m in (0, 1, 2):
                 for _ in range(10):
                     phi = random_cochain(S, m, F, rng)
-                    assert is_constant_one(boundary(S, m + 1, boundary(S, m, phi)))
+                    assert is_constant_one(boundary(S, boundary(S, phi)))
 
 
 def test_boundary_one_satisfies_product_identity():
@@ -615,7 +618,7 @@ def test_boundary_one_satisfies_product_identity():
     rng = random.Random(15)
     for _ in range(20):
         phi = random_cochain(S, 1, F, rng)
-        d = boundary(S, 1, phi)
+        d = boundary(S, phi)
         for p, q, r in S.tuples(3):
             lhs = d[(q, r)] * d[(p, S.mul(q, r))]
             rhs = d[(p, q)] * d[(S.mul(p, q), r)]
@@ -626,7 +629,7 @@ def test_boundary_rejects_quaternions():
     S, H = t2(), quaternions()
     phi = Cochain(0, {1: H.i, 2: H.one})
     with pytest.raises(NonCommutativeCoefficients):
-        boundary(S, 0, phi)
+        boundary(S, phi)
 
 
 def test_empty_inputs_are_refused_by_name():
@@ -650,20 +653,20 @@ def test_empty_inputs_are_refused_by_name():
         assert refused.value.args[0] == want
     for m in (0, 1, 2):
         with pytest.raises(InvalidInput, match=re.escape(f"cochain missing value at {chain_keys(S, m)[0]}")):
-            boundary(S, m, Cochain(m, {}))
+            boundary(S, Cochain(m, {}))
 
 
 def test_abelian_cocycle_and_coboundary():
     S, F = t2(), gf(4)
     ones = Cochain(2, {chain: F.one for chain in S.tuples(2)})
-    assert is_abelian_cocycle(S, 2, ones)
-    assert is_abelian_coboundary(S, 2, ones) is not None
+    assert is_abelian_cocycle(S, ones)
+    assert is_abelian_coboundary(S, ones) is not None
 
     phi = Cochain(0, {1: F.gen, 2: F.gen ** 2})
-    d0 = boundary(S, 0, phi)
-    assert is_abelian_cocycle(S, 1, d0)
-    pre = is_abelian_coboundary(S, 1, d0)
-    assert pre is not None and boundary(S, 0, pre) == d0
+    d0 = boundary(S, phi)
+    assert is_abelian_cocycle(S, d0)
+    pre = is_abelian_coboundary(S, d0)
+    assert pre is not None and boundary(S, pre) == d0
 
 
 def test_abelian_coboundary_none():
@@ -672,19 +675,19 @@ def test_abelian_coboundary_none():
     # d(psi)(s12) = psi(2)/psi(1) pairs off against d(psi)(s21) = psi(1)/psi(2)
     S, F = two_cycle(), gf(4)
     phi = Cochain(1, {(1, 1): F.one, (2, 2): F.one, (1, 2): F.gen, (2, 1): F.one})
-    assert is_abelian_cocycle(S, 1, phi)
-    assert is_abelian_coboundary(S, 1, phi) is None
+    assert is_abelian_cocycle(S, phi)
+    assert is_abelian_coboundary(S, phi) is None
     # while the balanced variant is hit by psi = (1, g)
     bal = Cochain(1, {(1, 1): F.one, (2, 2): F.one, (1, 2): F.gen, (2, 1): F.gen ** 2})
-    psi = is_abelian_coboundary(S, 1, bal)
-    assert psi is not None and boundary(S, 0, psi) == bal
+    psi = is_abelian_coboundary(S, bal)
+    assert psi is not None and boundary(S, psi) == bal
 
 
 def test_abelian_coboundary_bound():
     S, F = mu(3), gf(9)
     phi = Cochain(2, {chain: F.one for chain in S.tuples(2)})
     with pytest.raises(SearchBoundExceeded):
-        is_abelian_coboundary(S, 2, phi, Bounds(max_search=100))
+        is_abelian_coboundary(S, phi, Bounds(max_search=100))
 
 
 def test_verify_reduces_to_abelian_identity():
@@ -696,7 +699,7 @@ def test_verify_reduces_to_abelian_identity():
         xi = {t: F.random_unit(rng) for t in S.comp}
         c = TwoCocycle({p: F.identity_automorphism() for p in S.support}, xi)
         as_cochain = Cochain(2, {((i, j), (j, k)): xi[(i, j, k)] for (i, j, k) in S.comp})
-        assert verify_two_cocycle(S, c).ok == is_abelian_cocycle(S, 2, as_cochain)
+        assert verify_two_cocycle(S, c).ok == is_abelian_cocycle(S, as_cochain)
 
 
 def test_quaternion_star_hand_values():
@@ -860,7 +863,7 @@ def reference_one_coboundaries(S, base):
 
 
 def reference_first_cohomology(S, base):
-    """The Z^1 x B^1 sweep: every coset formed from every pair, normality per pair."""
+    """The Z^1 x B^1 sweep: every coset formed from every pair, normality per pair; (H1Result, Z^1, B^1)."""
     z1 = reference_one_cocycles(S, base)
     b1 = reference_one_coboundaries(S, base)
     b1_keys = {g.canonical_key() for g in b1}
@@ -878,7 +881,7 @@ def reference_first_cohomology(S, base):
             seen.add(coset)
             reps.append(z)
     assert len(reps) * len(b1) == len(z1)
-    return H1Result(order=len(reps), reps=reps, z1=z1, b1=b1)
+    return H1Result(len(reps), reps, len(z1), len(b1)), z1, b1
 
 
 def keys(gs):
@@ -909,11 +912,11 @@ DIFFERENTIAL_FIELDS = (2, 3, 4, 5, 8, 9)
 
 
 def assert_matches_references(S, c, rng):
-    res, ref = first_cohomology(S, c), reference_first_cohomology(S, c)
-    assert res.order == ref.order
+    res, (ref, z1, b1) = first_cohomology(S, c), reference_first_cohomology(S, c)
+    assert (res.order, res.z1_order, res.b1_order) == (ref.order, ref.z1_order, ref.b1_order)
     assert keys(res.reps) == keys(ref.reps)
-    assert keys(res.z1) == keys(ref.z1)
-    assert keys(res.b1) == keys(ref.b1)
+    assert keys(one_cocycles(S, c)) == keys(z1)
+    assert keys(one_coboundaries(S, c)) == keys(b1)
     assert_searches_match_references(S, c, rng)
 
 
@@ -993,7 +996,7 @@ def test_h1_and_eta_search_match_the_references_on_random_semigroups():
             res = first_cohomology(S, TwoCocycle.trivial(S, F), Bounds(max_search=500))
         except SearchBoundExceeded:
             continue
-        if len(res.z1) * len(res.b1) > 10**4:
+        if res.z1_order * res.b1_order > 10**4:
             continue
         for c in differential_cocycles(S, F, rng):
             assert_matches_references(S, c, rng)
@@ -1207,7 +1210,16 @@ def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
     b1 = one_coboundaries(S, base)
     assert [len(out) for out in listed] == [len(b1)] and len(b1) > 1
     res = first_cohomology(S, base)
-    assert 0 < products[0] <= 2 * len(res.z1)
+    assert 0 < products[0] <= 2 * res.z1_order
+    assert res.z1_order == len(one_cocycles(S, base))
+
+
+@pytest.mark.parametrize("S, q", [(mu(3), 8), (a3(), 9)], ids=["mu3/GF8", "a3/GF9"])
+def test_h1_builds_a_gauge_per_class_only(monkeypatch, S, q):
+    # Z^1 and B^1 stay code pairs; only the representatives become gauges
+    built = counting(monkeypatch, "_gauge")
+    res = first_cohomology(S, TwoCocycle.trivial(S, gf(q)))
+    assert built[0] == res.order < res.z1_order
 
 
 @pytest.mark.parametrize("S, q", [(mu(3), 8), (two_cycle(), 9), (a3(), 4)], ids=["mu3/GF8", "two_cycle/GF9", "a3/GF4"])
@@ -1399,5 +1411,7 @@ def test_h1_of_large_trivial_cocycles():
         (mu(4), gf(9), (2, 1024, 512)),
         (a3(), FiniteField(2, 4, (1, 1, 0, 0, 1)), (4, 900, 225)),
     ):
-        res = first_cohomology(S, TwoCocycle.trivial(S, F))
-        assert (res.order, len(res.z1), len(res.b1)) == want
+        base = TwoCocycle.trivial(S, F)
+        res = first_cohomology(S, base)
+        assert (res.order, res.z1_order, res.b1_order) == want
+        assert (len(one_cocycles(S, base)), len(one_coboundaries(S, base))) == want[1:]

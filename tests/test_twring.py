@@ -177,9 +177,20 @@ def test_associativity_detects_corruption():
     assert any((1, 2) in v.where for v in report.violations)
 
 
+def basis_product(R):
+    return R.basis(1, 1) * R.basis(1, 2)
+
+
 @pytest.mark.parametrize(
     "probe, backend",
-    [(check_associativity, "GF4"), (is_d_algebra, "GF4"), (check_associativity, "quaternions")],
+    [
+        (check_associativity, "GF4"),
+        (is_d_algebra, "GF4"),
+        (check_associativity, "quaternions"),
+        (basis_product, "GF4"),
+        (basis_product, "quaternions"),
+        (enumerate_units, "GF4"),
+    ],
 )
 def test_unchecked_ring_refuses_a_cocycle_off_the_domain(probe, backend):
     # an empty or a partial cocycle is refused as verify_two_cocycle reports
