@@ -214,7 +214,7 @@ def cmd_ring_check(args):
 def cmd_d_algebra(args):
     """search for a gauge witness trivializing all coefficient twists"""
     job = Job(args)
-    witness = is_d_algebra(job.ring(), job.bounds)
+    witness = is_d_algebra(job.ring())
     report = {"bounds": asdict(job.bounds), "is_d_algebra": witness is not None}
     if witness is None:
         return 1, report

@@ -23,7 +23,7 @@ from operator import add, mul
 from types import MappingProxyType
 
 from .coeff import FFElement
-from .common import DEFAULT_BOUNDS, ValidationReport, cosets
+from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import (
     InfiniteBackend,
     InvalidCocycle,
@@ -543,27 +543,30 @@ def _slices(S, F, v1, v2, forms):
 def _solutions(S, F, v1, v2, bounds, forms):
     """The code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2, in canonical_key order.
 
-    Each solvable slice is l0 plus the kernel K, listed once by a
-    mixed-radix walk over K's cyclic generators; a K above max_search is
-    refused before the first slice is listed. Each particular solution, and
-    each generator with mu = 0 as a gauge fixing c1, is re-checked by the
-    action on logs, and K must list exactly the product of its generators'
-    orders, distinct, so by the group law every listed pair carries c1 to c2.
+    Each solvable slice is l0 plus the kernel K, listed once by a mixed-radix
+    walk over K's cyclic generators, which must give |K| (_kernel_order)
+    distinct pairs; with l0 _checked, by the group law every one solves.
     """
     exp, out, kernel = F._exp, [], None
     for mu, l0, gens in _slices(S, F, v1, v2, forms):
         if kernel is None:
-            size = prod(order for _, order in gens)
-            if size > bounds.max_search:
-                raise SearchBoundExceeded(f"max_search: fixing-pair slice estimate {size} above limit {bounds.max_search}")
-            for g, _ in gens:
-                _checked(S, F, v1, v1, (0,) * S.n, g)
+            size = _kernel_order(S, F, v1, gens, bounds)
             kernel = span_mod(gens, len(l0), F.q - 1)
             if len(set(kernel)) != size:
                 raise WitnessRejected(f"{len(set(kernel))} distinct kernel elements, not {size}")
         _checked(S, F, v1, v2, mu, l0)
         out += [(mu, tuple(map(exp.__getitem__, map(add, l0, y)))) for y in kernel]
     return sorted(out)
+
+
+def _kernel_order(S, F, v, gens, bounds):
+    """|K| from the kernel generators' orders, refused above max_search; each generator, with mu = 0, must fix v (_checked)."""
+    size = prod(order for _, order in gens)
+    if size > bounds.max_search:
+        raise SearchBoundExceeded(f"max_search: fixing-pair slice estimate {size} above limit {bounds.max_search}")
+    for g, _ in gens:
+        _checked(S, F, v, v, (0,) * S.n, g)
+    return size
 
 
 def _checked(S, F, v1, v2, mu, logs):
@@ -606,8 +609,8 @@ def _gauge(S, F, key):
     return GaugeElement({i: F.frobenius(m) for i, m in enumerate(mu, 1)}, eta)
 
 
-def cohomologous(S, c1, c2, bounds=DEFAULT_BOUNDS):
-    """A gauge witness g with act(g, c1) = c2, or None when there is none; the solve spends no bound."""
+def cohomologous(S, c1, c2):
+    """A gauge witness g with act(g, c1) = c2, or None when there is none; the solve takes no bound, as it lists nothing."""
     F = _refuse_backends(S, c1, c2)
     key = _witness(S, F, _codes(S, _valid(S, c1)), _codes(S, _valid(S, c2)), {})
     return None if key is None else _gauge(S, F, key)
@@ -671,56 +674,45 @@ def verify_one_cocycle(S, base, g):
 
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     """All gauge elements fixing base, in canonical order; over a field, read off one diagonal form (_solutions)."""
-    F, _, z1 = _one_cocycles(S, base, bounds)
-    return [_gauge(S, F, key) for key in z1]
+    F, v = _fixed_codes(S, base)
+    return [_gauge(S, F, key) for key in _solutions(S, F, v, v, bounds, {})]
 
 
-def _one_cocycles(S, base, bounds):
-    """one_cocycles' backend refusal, then validity, then (field, base's _codes pair, the fixing code pairs)."""
+def _fixed_codes(S, base):
+    """The fixed-point searches' backend refusal, then validity; then (field, base's _codes pair)."""
     F = _backend(S, base)
     if not F.is_finite:
         raise InfiniteBackend("fixed-point enumeration needs a finite field")
-    v = _codes(S, _valid(S, base))
-    return F, v, _solutions(S, F, v, v, bounds, {})
+    return F, _codes(S, _valid(S, base))
 
 
 def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
-    """Orbit of the identity pair under the diagonal-unit action."""
+    """Orbit of the identity pair under the diagonal-unit action: the span of _coboundary_gens, of the size estimated."""
     F = _backend(S, base)
     if not F.is_finite:
         raise InfiniteBackend("orbit enumeration needs a finite field")
-    return [_gauge(S, F, key) for key in _one_coboundaries(S, F, _codes(S, base)[0], bounds)]
-
-
-def _one_coboundaries(S, F, a, bounds):
-    """one_coboundaries for alpha exponents a, as sorted code pairs.
-
-    The diagonal units nu keep mu over a field and send the identity pair to
-    eta(ij) = nu_i alpha_ij(nu_j)^(-1), in logs l_i - p^(a_ij) l_j: B^1 is
-    the image of that map M over Z/(q-1). With steps(M) V = diag(d) from
-    one diagonal_form, the columns M V_i, of orders (q-1)/gcd(d_i, q-1),
-    sum directly to the image, so span_mod lists it once; the refusal
-    estimates its size, and the listing must hold that many distinct pairs.
-    """
-    support, n, power = S.elements(), F.q - 1, F._powers
-    rows = [[(k == i) - (k == j) * power[a[i, j]] for k in range(1, S.n + 1)] for i, j in support]
-    _, d, V = diagonal_form(rows, S.n, n)
-    images = (tuple(sum(map(mul, row, column)) % n for row in rows) for column in V)
-    gens = [(image, n // gcd(di, n)) for di, image in zip(d, images)]
+    gens = _coboundary_gens(S, F, _codes(S, base)[0])
     size = prod(order for _, order in gens)
     if size > bounds.max_search:
         raise SearchBoundExceeded(f"max_search: orbit estimate {size} above limit {bounds.max_search}")
-    image = set(span_mod(gens, len(support), n))
+    image = set(span_mod(gens, len(S.support), F.q - 1))
     if len(image) != size:
         raise WitnessRejected(f"{len(image)} coboundaries, not {size}")
-    return sorted(((0,) * S.n, tuple(map(F._exp.__getitem__, logs))) for logs in image)
+    return [_gauge(S, F, key) for key in sorted(((0,) * S.n, tuple(map(F._exp.__getitem__, logs))) for logs in image)]
 
 
-def _code_mul(F, src, a, b):
-    """gauge_mul on code pairs, its eta products in logs; src[x] is the mu position of support pair x's first index."""
-    (am, ae), (bm, be), exp, log, power, n = a, b, F._exp, F._log, F._powers, F.q - 1
-    eta = tuple([exp[(log[x] + power[am[s]] * log[y]) % n] for s, x, y in zip(src, ae, be)])
-    return tuple((x + y) % F.k for x, y in zip(am, bm)), eta
+def _coboundary_gens(S, F, a):
+    """(eta logs in support order, order) pairs whose cyclic groups sum directly to B^1, for alpha exponents a.
+
+    The diagonal units nu keep mu and send the identity pair to logs
+    l_i - p^(a_ij) l_j, a map M over Z/(q-1); with steps(M) V = diag(d), the
+    columns M V_i, of orders (q-1)/gcd(d_i, q-1), sum directly to its image.
+    """
+    n, power = F.q - 1, F._powers
+    rows = [[(k == i) - (k == j) * power[a[i, j]] for k in range(1, S.n + 1)] for i, j in S.elements()]
+    _, d, V = diagonal_form(rows, S.n, n)
+    images = (tuple(sum(map(mul, row, column)) % n for row in rows) for column in V)
+    return [(image, n // gcd(di, n)) for di, image in zip(d, images)]
 
 
 @dataclass
@@ -734,26 +726,33 @@ class H1Result:
 
 
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
-    """Fixing pairs modulo the identity orbit, one pass per coset.
+    """Fixing pairs modulo the identity orbit, read off the lattices of Z^1 and B^1 in eta logs; nothing is listed.
 
-    Z^1 and B^1 are code pairs from one_cocycles' diagonal form
-    (_solutions) and one_coboundaries' image listing, refusing in that
-    order. common.cosets partitions Z^1
-    into cosets of |B^1| pairs, each keyed by its least member, the
-    representative; they must cover exactly Z^1. B^1 is a group (the image
-    of a homomorphism); normality is checked as B^1 r in r B^1, by the coset
-    key of each b r, r a representative: 2|Z^1| code products, no inverse.
-    Only the representatives become GaugeElements.
+    A slice of Z^1 is l0 + K (_slices), B^1 the span of _coboundary_gens,
+    which must fix base. x B^1 is l_x + D_mu(B^1), D_mu scaling slot (i, j)
+    by p^(mu_i), so B^1 is normal when each D_mu(b) has the identity as its
+    least member (_least). The classes of a slice are then the l + B^1 in
+    l0 + K, keyed by _least and walked one K generator at a step; there must
+    be |K| / |B^1| of them. Only the representatives become GaugeElements.
     """
-    F, (a, _), z1 = _one_cocycles(S, base, bounds)
-    b1 = _one_coboundaries(S, F, a, bounds)
-    src, z1_set = [i - 1 for i, _ in S.elements()], set(z1)
-    if not z1_set.issuperset(b1):
+    F, v = _fixed_codes(S, base)
+    slices, n, power, support = list(_slices(S, F, v, v, {})), F.q - 1, F._powers, S.elements()
+    # the identity fixes base, so the slice mu = 0 is always there
+    size = _kernel_order(S, F, v, slices[0][2], bounds)
+    for mu, l0, _ in slices:
+        _checked(S, F, v, v, mu, l0)
+    b1 = _coboundary_gens(S, F, v[0])
+    if any(_act_codes(S, F, v, (0,) * S.n, dict(zip(support, b))) != v for b, _ in b1):
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
-    key_of = cosets(z1, b1, lambda x, h: _code_mul(F, src, x, h))
-    if key_of.keys() != z1_set:
-        raise WitnessRejected(f"{len(set(key_of.values()))} cosets of {len(b1)} do not cover {len(z1)} fixing pairs")
-    reps = [key for key in z1 if key_of[key] == key]
-    if any(key_of.get(_code_mul(F, src, b, r)) != r for r in reps for b in b1):
-        raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-    return H1Result(len(reps), [_gauge(S, F, r) for r in reps], len(z1), len(b1))
+    b1_order, reps = prod(order for _, order in b1), []
+    for mu, l0, kernel in slices:
+        if any(any(_least(F, [x * power[mu[i - 1]] % n for x, (i, _) in zip(b, support)], b1)) for b, _ in b1):
+            raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
+        keys, new = set(), {tuple(_least(F, l0, b1))}
+        while new:
+            keys |= new
+            new = {tuple(_least(F, [(x + y) % n for x, y in zip(l, g)], b1)) for l in new for g, _ in kernel} - keys
+        if len(keys) * b1_order != size:
+            raise WitnessRejected(f"{len(keys)} cosets of {b1_order} do not cover {size} fixing pairs")
+        reps += [(mu, tuple(map(F._exp.__getitem__, logs))) for logs in keys]
+    return H1Result(len(reps), [_gauge(S, F, r) for r in sorted(reps)], len(slices) * size, b1_order)

@@ -302,7 +302,7 @@ def tensor_ring(S, D, zeta):
     return ring, TensorComparison(ring)
 
 
-def is_d_algebra(R, bounds=DEFAULT_BOUNDS):
+def is_d_algebra(R):
     """A gauge carrying the cocycle to identity alphas and central xi, or None.
 
     Over a finite field the twist exponents must split as differences

@@ -37,7 +37,7 @@ from sqfree.cohom import (
     trivialize_on_blocks,
     verify_two_cocycle,
 )
-from sqfree.common import Bounds, ValidationReport
+from sqfree.common import Bounds, ValidationReport, cosets
 from sqfree.errors import (
     InfiniteBackend,
     InvalidCocycle,
@@ -735,9 +735,9 @@ def test_one_cocycle_enumeration_excludes_infinite():
 
 # ------------------------------------------------ reference algorithms
 # first_cohomology, one_coboundaries and the eta equation as they were
-# before they became one pass per coset, an orbit walk over n generators
-# and a linear system over Z/(q-1). The library must agree with them output
-# for output.
+# before they became a walk over lattice cosets, an image listing and a
+# linear system over Z/(q-1). The library must agree with them output for
+# output.
 
 
 def reference_eta_search(S, D, alpha1, targets, all_solutions):
@@ -888,6 +888,51 @@ def keys(gs):
     return [g.canonical_key() for g in gs]
 
 
+def code_pair(g):
+    """The searches' code pair of a gauge over a field: mu exponents in index order, eta codes in support order."""
+    mu, eta = g.canonical_key()
+    return tuple(m for _, m in mu), tuple(u for _, u in eta)
+
+
+def reference_coset_pass(S, base, bounds=Bounds()):
+    """(order, z1_order, b1_order, representative keys) of H^1 from the listings, as first_cohomology ran before it read the lattices.
+
+    Z^1 (one_cocycles' _solutions) and B^1 are listed as code pairs and
+    partitioned by common.cosets under gauge_mul on codes: 2|Z^1| products,
+    B^1 in Z^1, the cosets covering Z^1, and B^1 r in r B^1 for each
+    representative r.
+    """
+    F, v = base.backend, cohom._codes(S, base)
+    z1 = cohom._solutions(S, F, v, v, bounds, {})
+    b1 = [code_pair(g) for g in one_coboundaries(S, base, bounds)]
+    src, exp, log, power, n = [i - 1 for i, _ in S.elements()], F._exp, F._log, F._powers, F.q - 1
+
+    def mul(a, b):
+        (am, ae), (bm, be) = a, b
+        eta = tuple(exp[(log[x] + power[am[s]] * log[y]) % n] for s, x, y in zip(src, ae, be))
+        return tuple((x + y) % F.k for x, y in zip(am, bm)), eta
+
+    assert set(z1).issuperset(b1)
+    key_of = cosets(z1, b1, mul)
+    assert key_of.keys() == set(z1)
+    reps = [key for key in z1 if key_of[key] == key]
+    assert all(key_of[mul(b, r)] == r for r in reps for b in b1)
+    return len(reps), len(z1), len(b1), [cohom._gauge(S, F, r).canonical_key() for r in reps]
+
+
+def assert_matches_the_coset_pass(S, c, bounds):
+    """first_cohomology against reference_coset_pass, a refusal against the same refusal; whether c was compared."""
+    try:
+        want = reference_coset_pass(S, c, bounds)
+    except SearchBoundExceeded as refused:
+        with pytest.raises(SearchBoundExceeded, match=f"^{re.escape(str(refused))}$"):
+            first_cohomology(S, c, bounds)
+        return False
+    res = first_cohomology(S, c, bounds)
+    assert (res.order, res.z1_order, res.b1_order, keys(res.reps)) == want
+    return True
+
+
 def difference_twist(S, F, rng):
     """Identity xi and alpha_ij = frob^(m_i - m_j): valid on every semigroup."""
     ms = {i: rng.randrange(F.k) for i in range(1, S.n + 1)}
@@ -984,24 +1029,28 @@ def test_h1_and_eta_search_match_the_references_on_explicit_moduli(field):
 
 
 def test_h1_and_eta_search_match_the_references_on_random_semigroups():
-    # up to 5 idempotents; the reference sweep is quadratic, so a semigroup
+    # up to 5 idempotents. The reference sweep is quadratic, so a semigroup
     # whose trivial cocycle has a fixing-pair slice (the kernel of its eta
-    # equations) over 500 pairs or |Z^1||B^1| over 10^4 is skipped
-    compared = 0
+    # equations) over 500 pairs or |Z^1||B^1| over 10^4 skips it; the coset
+    # pass answers all 90 cocycles under max_search 20000, the skipped too
+    compared, skipped, passes = 0, 0, 0
     for seed in range(30):
         rng = random.Random(seed)
         S = random_semigroup(rng, rng.randint(1, 5))
         F = gf((2, 3, 4)[seed % 3])
+        for c in differential_cocycles(S, F, random.Random(seed)):
+            passes += assert_matches_the_coset_pass(S, c, Bounds(max_search=20000))
         try:
             res = first_cohomology(S, TwoCocycle.trivial(S, F), Bounds(max_search=500))
         except SearchBoundExceeded:
-            continue
-        if res.z1_order * res.b1_order > 10**4:
+            res = None
+        if res is None or res.z1_order * res.b1_order > 10**4:
+            skipped += 1
             continue
         for c in differential_cocycles(S, F, rng):
             assert_matches_references(S, c, rng)
         compared += 1
-    assert compared >= 20
+    assert (compared + skipped, passes) == (30, 90) and compared >= 20 and skipped > 0
 
 
 def corrupted_copies(S, c, rng):
@@ -1195,23 +1244,17 @@ def test_field_searches_make_no_element_operations(monkeypatch):
     assert calls[FFElement] > 0 and calls[FieldAutomorphism] > 0 and products[0] == inverses[0] == 1
 
 
-@pytest.mark.parametrize("S, q", [(a3(), 9), (double_t2(), 8)], ids=["a3/GF9", "double_t2/GF8"])
-def test_h1_work_is_linear_in_z1(monkeypatch, S, q):
-    # at most 2 code-pair products per fixing pair, and B^1 is listed once,
-    # each coboundary one sum of its image generators' multiples
+@pytest.mark.parametrize("S, q, want", [(a3(), 9, 10), (double_t2(), 8, 45)], ids=["a3/GF9", "double_t2/GF8"])
+def test_h1_lists_nothing_and_keys_each_class_by_step(monkeypatch, S, q, want):
+    # no listing; per slice one _least per B^1 generator (normality) and one
+    # for l0's class, and per class one per K generator: 2 generators each
+    # here, so slices * 3 + |H^1| * 2, with 2 slices and |H^1| = 2 on
+    # a3/GF9 and 9 and 9 on double_t2/GF8
     base = TwoCocycle.trivial(S, gf(q))
-    products, listed = counting(monkeypatch, "_code_mul"), []
-
-    def span(*args, inner=cohom.span_mod):
-        listed.append(inner(*args))
-        return listed[-1]
-
-    monkeypatch.setattr(cohom, "span_mod", span)
-    b1 = one_coboundaries(S, base)
-    assert [len(out) for out in listed] == [len(b1)] and len(b1) > 1
+    least, listed = counting(monkeypatch, "_least"), counting(monkeypatch, "span_mod")
     res = first_cohomology(S, base)
-    assert 0 < products[0] <= 2 * res.z1_order
-    assert res.z1_order == len(one_cocycles(S, base))
+    assert (least[0], listed[0]) == (want, 0)
+    assert (res.z1_order, res.b1_order) == (len(one_cocycles(S, base)), len(one_coboundaries(S, base)))
 
 
 @pytest.mark.parametrize("S, q", [(mu(3), 8), (a3(), 9)], ids=["mu3/GF8", "a3/GF9"])
@@ -1225,16 +1268,27 @@ def test_h1_builds_a_gauge_per_class_only(monkeypatch, S, q):
 @pytest.mark.parametrize("S, q", [(mu(3), 8), (two_cycle(), 9), (a3(), 4)], ids=["mu3/GF8", "two_cycle/GF9", "a3/GF4"])
 def test_field_z1_is_one_elimination_and_no_eta_search(monkeypatch, S, q):
     # every solution of the eta equations of one call is read off one
-    # diagonal form of the log matrix, shared by all mu; B^1's size is one
-    # more, and the first witness solves a row per slot it walks
+    # diagonal form of the log matrix, shared by all mu; B^1's generators
+    # are one more, and _least (H^1's class keys, the first witness) solves
+    # a 1 x r row per slot it walks
     F = gf(q)
     c = act(S, random_gauge(S, F, random.Random(q)), difference_twist(S, F, random.Random(S.n)), check=False)
     assert not hasattr(cohom, "_eta_search")
     forms, eliminations = counting(monkeypatch, "_log_form"), counting(monkeypatch, "diagonal_form")
     assert len(one_cocycles(S, c)) > 1
     assert (forms[0], eliminations[0]) == (1, 1)
+    rows, calls = [0], counting(monkeypatch, "_least")
+
+    def least(*args, inner=cohom._least):
+        before = eliminations[0]
+        out = inner(*args)
+        rows[0] += eliminations[0] - before
+        return out
+
+    monkeypatch.setattr(cohom, "_least", least)
     assert first_cohomology(S, c).order >= 1
-    assert (forms[0], eliminations[0]) == (2, 3)
+    assert (forms[0], eliminations[0] - rows[0]) == (2, 3)
+    assert 0 < rows[0] <= calls[0] * len(S.support)
     assert cohomologous(S, c, c) is not None
     assert forms[0] == 3 and eliminations[0] > 3
 
@@ -1284,7 +1338,7 @@ def reference_orbit_walk(S, F, a):
 
 def assert_b1_matches_the_orbit_walk(S, c):
     F, a = c.backend, cohom._codes(S, c)[0]
-    assert [eta for _, eta in cohom._one_coboundaries(S, F, a, Bounds())] == reference_orbit_walk(S, F, a)
+    assert [code_pair(g)[1] for g in one_coboundaries(S, c)] == reference_orbit_walk(S, F, a)
 
 
 def test_b1_image_listing_matches_the_orbit_walk():
@@ -1415,3 +1469,26 @@ def test_h1_of_large_trivial_cocycles():
         res = first_cohomology(S, base)
         assert (res.order, res.z1_order, res.b1_order) == want
         assert (len(one_cocycles(S, base)), len(one_coboundaries(S, base))) == want[1:]
+
+
+def path(n):
+    """Idempotents 1..n and the arrows (i, i + 1): a tree, whose only products are the unit laws."""
+    return SquareFreeSemigroup.make(n, [(i, i) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n)], [])
+
+
+def test_h1_of_a_path_of_20_lists_nothing(monkeypatch):
+    # over GF(3), k = 1 leaves the one slice mu = 0, and logs are mod 2. The
+    # unit-law triples (i, i, j) and (i, j, j) read l_ii = 0 and l_jj = 0, so
+    # the 20 loops are forced and the 19 arrows free: |Z^1| = 2^19. B^1 is
+    # l_i - l_(i+1) on the arrows, and a tree's coboundary map is onto its
+    # arrows, so |B^1| = 2^19 and H^1 is trivial; both were listed before
+    S = path(20)
+    listed = counting(monkeypatch, "span_mod")
+    res = first_cohomology(S, TwoCocycle.trivial(S, gf(3)))
+    assert (res.order, res.z1_order, res.b1_order, listed[0]) == (1, 2**19, 2**19, 0)
+    assert keys(res.reps) == keys([GaugeElement.identity(S, gf(3))])
+
+
+def test_h1_of_paths_matches_the_coset_pass():
+    for n in range(6, 13):
+        assert assert_matches_the_coset_pass(path(n), TwoCocycle.trivial(path(n), gf(3)), Bounds())

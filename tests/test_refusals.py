@@ -83,11 +83,12 @@ def test_bound_messages_name_bound_estimate_and_limit(case):
 
 
 def test_first_witness_solves_spend_no_bound():
-    # the first-witness solves list no slice, so max_search 0 refuses none
-    # of them; a node-budgeted search refused all three here
+    # the first-witness solves list no slice: cohomologous takes no bound,
+    # and max_search 0, spent by the other two on Aut S only, refuses
+    # neither; a node-budgeted search refused all three here
     S, bounds = t2(), Bounds(max_search=0)
     want = reference_cohomologous(S, trivial(3), rescaled(3)).canonical_key()
-    assert cohomologous(S, trivial(3), rescaled(3), bounds).canonical_key() == want
+    assert cohomologous(S, trivial(3), rescaled(3)).canonical_key() == want
     phi, g = cohomologous_with_relabel(S, trivial(3), rescaled(3), bounds)
     assert (phi.is_identity(), g.canonical_key()) == (True, want)
     assert [phi.perm for phi in stabilizer(S, rescaled(3), bounds)] == [(1, 2)]
@@ -99,7 +100,7 @@ from sqfree import cohom, twring
 from sqfree.autos import aut_r_bruteforce
 from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology, one_coboundaries
 from sqfree.errors import InvalidCocycle, NotAOneCocycle, WitnessRejected
-from sqfree.fixtures import a3, gf, t2
+from sqfree.fixtures import a3, double_t2, gf, t2
 from sqfree.linalg import kernel_mod
 from sqfree.twring import TwistedRing, is_d_algebra
 
@@ -108,12 +109,6 @@ S, F = t2(), gf(4)
 base = TwoCocycle.trivial(S, F)
 one = GaugeElement.identity(S, F)
 g = GaugeElement(one.mu, {**one.eta, (1, 1): F.gen})
-frob = GaugeElement({i: F.frobenius(1) for i in (1, 2)}, {p: F.one for p in S.support})
-
-
-# the searches' code pairs: mu exponents in index order, eta codes in support order
-def codes(gauges):
-    return [(tuple(a.m for _, a in sorted(g.mu.items())), tuple(v.code for _, v in sorted(g.eta.items()))) for g in gauges]
 
 
 def call(name, fn, patch=None):
@@ -138,26 +133,26 @@ call("cohomologous", lambda: cohomologous(S, base, act(S, g, base)),
 # a particular solution of the log system that solves nothing: every log 1
 call("first_cohomology solution", lambda: first_cohomology(S, base),
      (cohom, "solve_mod", lambda form, b, n: (1,) * len(form[2])))
-# each kernel generator twice: every listed pair solves, but each shows up 3 times
+# each kernel generator twice: K is stated as 9 pairs, and holds 3
 call("first_cohomology kernel", lambda: first_cohomology(S, base),
      (cohom, "kernel_mod", lambda form, n: 2 * kernel_mod(form, n)))
 # an image listing that never leaves the identity pair: 1 coboundary where the estimate is 3
 call("one_coboundaries", lambda: one_coboundaries(S, base),
      (cohom, "span_mod", lambda gens, cols, n: [(0,) * cols]))
-# a coboundary outside Z^1, a non-normal subgroup of Z^1 (S_3 here), no coboundaries
+# B^1 generators, eta logs in support order with their orders: one outside
+# Z^1, at log 1 on the loop (1, 1); one that is no normal subgroup, log 1 on
+# both arrows of double_t2, which mu = (1, 1, 0, 0) scales to (2, 1), out
+# of its span; the arrow of t2 over GF(4) stated as order 9, where the
+# kernel has 3 elements; and log 2 on the arrow over GF(5) stated as order
+# 4, while it has order 2: 2 classes of 4 for 4 fixing pairs
 call("first_cohomology outside", lambda: first_cohomology(S, base),
-     (cohom, "_one_coboundaries", lambda *a, **kw: codes([g])))
-call("first_cohomology normal", lambda: first_cohomology(S, base),
-     (cohom, "_one_coboundaries", lambda *a, **kw: codes([GaugeElement.identity(S, F), frob])))
+     (cohom, "_coboundary_gens", lambda *a: [((1, 0, 0), 3)]))
+call("first_cohomology normal", lambda: first_cohomology(double_t2(), TwoCocycle.trivial(double_t2(), F)),
+     (cohom, "_coboundary_gens", lambda *a: [((0, 1, 0, 0, 1, 0), 3)]))
 call("first_cohomology index", lambda: first_cohomology(S, base),
-     (cohom, "_one_coboundaries", lambda *a, **kw: []))
-# the coset {2, 3} of {1, 4} in GF(5)^x on the arrow: abelian, so normal,
-# and 2 cosets of 2 for 4 fixing pairs, but 1 {2, 3} and 4 {2, 3} are one set
-F5 = gf(5)
-one = GaugeElement.identity(S, F5)
-arrow = [GaugeElement(one.mu, {**one.eta, (1, 2): F5.element(u)}) for u in (2, 3)]
-call("first_cohomology cover", lambda: first_cohomology(S, TwoCocycle.trivial(S, F5)),
-     (cohom, "_one_coboundaries", lambda *a, **kw: codes(arrow)))
+     (cohom, "_coboundary_gens", lambda *a: [((0, 1, 0), 9)]))
+call("first_cohomology cover", lambda: first_cohomology(S, TwoCocycle.trivial(S, gf(5))),
+     (cohom, "_coboundary_gens", lambda *a: [((0, 2, 0), 4)]))
 # an exponent solution that leaves the Frobenius on the arrow
 R = TwistedRing(S, F, base.replace_alpha((1, 2), F.frobenius(1)))
 call("is_d_algebra", lambda: is_d_algebra(R),
