@@ -35,7 +35,7 @@ from .errors import (
     WitnessRejected,
     ZeroConjugator,
 )
-from .linalg import diagonal_form, kernel_mod, solve_mod, span_mod
+from .linalg import diagonal_form, echelon_mod, kernel_mod, solve_mod, span_mod
 from .sgrp import automorphisms as semigroup_automorphisms
 from .sgrp import sim_classes
 
@@ -576,29 +576,19 @@ def _checked(S, F, v1, v2, mu, logs):
     return mu, tuple(map(F._exp.__getitem__, logs))
 
 
-def _least(F, l0, gens):
-    """The eta logs in l0 + <gens> over Z/(q-1) whose code tuple is least, slot by slot.
+def _least(F, l0, steps):
+    """The eta logs in l0 + L over Z/(q-1) whose code tuple is least, slot by slot, for L's echelon_mod steps.
 
-    At slot s the reachable logs are l_s + gcd(q-1, K_s) Z, K_s the
-    generators' entries there; the one of least code is taken, the 1 x r row
-    K_s is solved for it, and K shrinks to the image of that row's kernel,
-    the elements that keep slot s.
+    At a step's slot s the logs before s are kept by exactly the elements of
+    L spanned by the steps from s on, so the reachable logs are l_s + d Z;
+    the one of least code is reached by adding a multiple of the step's row.
     """
-    n, exp = F.q - 1, F._exp
-    logs, gens = list(l0), [g for g, _ in gens]
-    for s in range(len(logs)):
-        if not gens:
-            break
-        columns = list(zip(*gens))
-        d = gcd(n, *columns[s])
-        if d == n:
-            continue
-        want = min(((logs[s] + d * t) % n for t in range(n // d)), key=exp.__getitem__)
-        form = diagonal_form([columns[s]], len(gens), n)
-        shift = solve_mod(form, [want - logs[s]], n)
-        logs = [(x + sum(map(mul, shift, col))) % n for x, col in zip(logs, columns)]
-        images = (tuple(sum(map(mul, k, col)) % n for col in columns) for k, _ in kernel_mod(form, n))
-        gens = [v for v in images if any(v)]
+    n, exp, logs = F.q - 1, F._exp, list(l0)
+    for s, h, d in steps:
+        m = n // d
+        want = min(((logs[s] + d * t) % n for t in range(m)), key=exp.__getitem__)
+        f = (want - logs[s]) % n // d * pow(h[s] // d, -1, m) % m
+        logs = [(x + f * y) % n for x, y in zip(logs, h)]
     return logs
 
 
@@ -632,7 +622,7 @@ def _witness(S, F, v1, v2, forms):
     if first is None:
         return None
     mu, l0, gens = first
-    return _checked(S, F, v1, v2, mu, _least(F, l0, gens))
+    return _checked(S, F, v1, v2, mu, _least(F, l0, echelon_mod(gens, F.q - 1)))
 
 
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
@@ -744,14 +734,14 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     b1 = _coboundary_gens(S, F, v[0])
     if any(_act_codes(S, F, v, (0,) * S.n, dict(zip(support, b))) != v for b, _ in b1):
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
-    b1_order, reps = prod(order for _, order in b1), []
+    b1_order, reps, steps = prod(order for _, order in b1), [], echelon_mod(b1, n)
     for mu, l0, kernel in slices:
-        if any(any(_least(F, [x * power[mu[i - 1]] % n for x, (i, _) in zip(b, support)], b1)) for b, _ in b1):
+        if any(any(_least(F, [x * power[mu[i - 1]] % n for x, (i, _) in zip(b, support)], steps)) for b, _ in b1):
             raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-        keys, new = set(), {tuple(_least(F, l0, b1))}
+        keys, new = set(), {tuple(_least(F, l0, steps))}
         while new:
             keys |= new
-            new = {tuple(_least(F, [(x + y) % n for x, y in zip(l, g)], b1)) for l in new for g, _ in kernel} - keys
+            new = {tuple(_least(F, [(x + y) % n for x, y in zip(l, g)], steps)) for l in new for g, _ in kernel} - keys
         if len(keys) * b1_order != size:
             raise WitnessRejected(f"{len(keys)} cosets of {b1_order} do not cover {size} fixing pairs")
         reps += [(mu, tuple(map(F._exp.__getitem__, logs))) for logs in keys]

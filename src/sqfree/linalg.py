@@ -2,7 +2,8 @@
 
 Matrices are tuples of row tuples of ints reduced mod p; vectors are tuples.
 Over Z/n, n not prime, one diagonal form by extended-gcd steps gives
-solutions and kernels instead.
+solutions and kernels instead, and an echelon (Howell) form of a lattice
+gives, slot by slot, the values its elements can take there.
 """
 
 from math import gcd
@@ -168,6 +169,31 @@ def kernel_mod(form, n):
         if g > 1:
             out.append((tuple(x * (n // g) % n for x in column), g))
     return out
+
+
+def echelon_mod(gens, n):
+    """(slot, row, d) steps in slot order, an echelon form of the span over Z/n of kernel_mod's (g_i, order_i) pairs.
+
+    At each slot the rows nonzero there fold into one row h by unimodular
+    _gcd_step pairs, d = gcd(h[slot], n), and (n/d) h, zero at slot, goes
+    on with the other rows. So the rows of the steps at slots >= s span
+    exactly the elements zero before s, and these take the values d Z at a
+    step's slot s and 0 at any other (a Howell form: Howell, Spans in the
+    module (Z_m)^s, 1986).
+    """
+    rows, steps = [row for row in ([x % n for x in g] for g, _ in gens) if any(row)], []
+    for slot in range(len(rows[0]) if rows else 0):
+        live = [row for row in rows if row[slot]]
+        if not live:
+            continue
+        h, rows = live[0], [row for row in rows if not row[slot]]
+        for row in live[1:]:
+            h, row = _combine(h, row, *_gcd_step(h[slot], row[slot]), n)
+            rows.append(row)
+        d = gcd(h[slot], n)
+        steps.append((slot, tuple(h), d))
+        rows = [row for row in rows + [[x * (n // d) % n for x in h]] if any(row)]
+    return steps
 
 
 def span_mod(gens, cols, n):

@@ -7,6 +7,9 @@ enumeration before the implementation existed; they are frozen here.
 import random
 import re
 from itertools import product
+from math import gcd, prod
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +51,7 @@ from sqfree.errors import (
     ZeroConjugator,
 )
 from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
+from sqfree.linalg import diagonal_form, echelon_mod, kernel_mod, solve_mod, span_mod
 from sqfree.sgrp import SemigroupAutomorphism, SquareFreeSemigroup, automorphisms
 from sqfree.twring import TwistedRing, check_associativity
 from test_fields import FIELDS
@@ -1269,28 +1273,30 @@ def test_h1_builds_a_gauge_per_class_only(monkeypatch, S, q):
 def test_field_z1_is_one_elimination_and_no_eta_search(monkeypatch, S, q):
     # every solution of the eta equations of one call is read off one
     # diagonal form of the log matrix, shared by all mu; B^1's generators
-    # are one more, and _least (H^1's class keys, the first witness) solves
-    # a 1 x r row per slot it walks
+    # are one more. _least (H^1's class keys, the first witness) reads one
+    # echelon form per lattice and call, and eliminates nothing itself
     F = gf(q)
     c = act(S, random_gauge(S, F, random.Random(q)), difference_twist(S, F, random.Random(S.n)), check=False)
     assert not hasattr(cohom, "_eta_search")
     forms, eliminations = counting(monkeypatch, "_log_form"), counting(monkeypatch, "diagonal_form")
+    echelons = counting(monkeypatch, "echelon_mod")
     assert len(one_cocycles(S, c)) > 1
-    assert (forms[0], eliminations[0]) == (1, 1)
-    rows, calls = [0], counting(monkeypatch, "_least")
+    assert (forms[0], eliminations[0], echelons[0]) == (1, 1, 0)
+    solves, kernels = counting(monkeypatch, "solve_mod"), counting(monkeypatch, "kernel_mod")
+    inside, calls = [0], counting(monkeypatch, "_least")
 
     def least(*args, inner=cohom._least):
-        before = eliminations[0]
+        before = eliminations[0] + solves[0] + kernels[0]
         out = inner(*args)
-        rows[0] += eliminations[0] - before
+        inside[0] += eliminations[0] + solves[0] + kernels[0] - before
         return out
 
     monkeypatch.setattr(cohom, "_least", least)
     assert first_cohomology(S, c).order >= 1
-    assert (forms[0], eliminations[0] - rows[0]) == (2, 3)
-    assert 0 < rows[0] <= calls[0] * len(S.support)
+    assert (forms[0], eliminations[0], echelons[0]) == (2, 3, 1)
     assert cohomologous(S, c, c) is not None
-    assert forms[0] == 3 and eliminations[0] > 3
+    assert (forms[0], eliminations[0], echelons[0]) == (3, 4, 2)
+    assert inside[0] == 0 < calls[0]
 
 
 def test_stab_forms_one_log_form_per_alpha(monkeypatch):
@@ -1492,3 +1498,83 @@ def test_h1_of_a_path_of_20_lists_nothing(monkeypatch):
 def test_h1_of_paths_matches_the_coset_pass():
     for n in range(6, 13):
         assert assert_matches_the_coset_pass(path(n), TwoCocycle.trivial(path(n), gf(3)), Bounds())
+
+
+def test_h1_of_a_path_of_40_reads_the_lattices_only(monkeypatch):
+    # as the path of 20: |Z^1| = |B^1| = 2^39 and H^1 trivial, answered from
+    # one echelon form of B^1 once the |K| estimate is allowed; the default
+    # bounds still refuse on that estimate, though nothing is listed
+    S, F = path(40), gf(3)
+    base = TwoCocycle.trivial(S, F)
+    listed = counting(monkeypatch, "span_mod")
+    res = first_cohomology(S, base, Bounds(max_search=2**40))
+    assert (res.order, res.z1_order, res.b1_order, listed[0]) == (1, 2**39, 2**39, 0)
+    with pytest.raises(SearchBoundExceeded, match=r"^max_search: fixing-pair slice estimate 549755813888 above limit "):
+        first_cohomology(S, base)
+
+
+def reference_least(F, l0, gens):
+    """_least's reference, with an elimination per slot and no echelon form.
+
+    At slot s the 1 x r row K_s of the generators' entries is brought to
+    diagonal form and solved for the least code, and the generators shrink
+    to the image of that row's kernel, the elements that keep slot s.
+    """
+    n, exp = F.q - 1, F._exp
+    logs, gens = list(l0), [g for g, _ in gens]
+    for s in range(len(logs)):
+        if not gens:
+            break
+        columns = list(zip(*gens))
+        d = gcd(n, *columns[s])
+        if d == n:
+            continue
+        want = min(((logs[s] + d * t) % n for t in range(n // d)), key=exp.__getitem__)
+        form = diagonal_form([columns[s]], len(gens), n)
+        shift = solve_mod(form, [want - logs[s]], n)
+        logs = [(x + sum(map(mul, shift, col))) % n for x, col in zip(logs, columns)]
+        images = (tuple(sum(map(mul, k, col)) % n for col in columns) for k, _ in kernel_mod(form, n))
+        gens = [v for v in images if any(v)]
+    return logs
+
+
+def assert_least_matches_the_references(F, l0, gens):
+    """_least on echelon_mod's steps against reference_least and, for a lattice of at most 10^4 elements, every member."""
+    n = F.q - 1
+    got = cohom._least(F, l0, echelon_mod(gens, n))
+    assert got == reference_least(F, l0, gens), (n, l0, gens)
+    if prod(order for _, order in gens) <= 10**4:
+        members = {tuple((x + y) % n for x, y in zip(l0, z)) for z in span_mod(gens, len(l0), n)}
+        assert got == list(min(members, key=lambda logs: [F._exp[x] for x in logs])), (n, l0, gens)
+
+
+def random_lattice(rng, n, width):
+    """Up to 5 generators of width entries over Z/n, unreduced, with their additive orders, and a start l0."""
+    gens = []
+    for _ in range(rng.randrange(6)):
+        g = tuple(rng.choice((0, rng.randrange(-n, 2 * n))) for _ in range(width))
+        gens.append((g, n // gcd(n, *g)))
+    return [rng.randrange(n) for _ in range(width)], gens
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 6, 7, 8, 12, 15, 26, 80, 242))
+def test_least_reads_the_echelon_as_the_per_slot_solve_did(n):
+    # _exp is a seeded injective table of codes, so the least code tuple of
+    # a coset is unique whatever order the codes come in
+    rng = random.Random(n)
+    for _ in range(150):
+        F = SimpleNamespace(q=n + 1, _exp=rng.sample(range(1, 10 * n + 1), n))
+        assert_least_matches_the_references(F, *random_lattice(rng, n, rng.randrange(1, 6)))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_least_reads_the_echelon_as_the_per_slot_solve_did_over_fields(q):
+    # random lattices, then the K and B^1 generators of the fixtures' log forms
+    F, rng = FiniteField(*FIELDS[f"GF{q}"]), random.Random(q)
+    for _ in range(100):
+        assert_least_matches_the_references(F, *random_lattice(rng, q - 1, rng.randrange(1, 6)))
+    for name in sorted(DIFFERENTIAL_FIXTURES):
+        S = DIFFERENTIAL_FIXTURES[name]()
+        a = {p: rng.randrange(F.k) if p[0] != p[1] else 0 for p in S.support}
+        for gens in (cohom._log_form(S, F, a)[1], cohom._coboundary_gens(S, F, a)):
+            assert_least_matches_the_references(F, [rng.randrange(q - 1) for _ in S.support], gens)

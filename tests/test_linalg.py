@@ -4,7 +4,8 @@ Invertibility is decided by the cofactor determinant, solutions are checked
 by multiplying back, and row-reduced bases by enumerating both spans. Every
 2x2 and 3x3 matrix over GF(2), every 2x2 over GF(3) and 200 seeded 4x4
 matrices over GF(5) are covered. Over Z/n, solutions and kernels are
-checked against every vector of (Z/n)^m, m <= 3.
+checked against every vector of (Z/n)^m, m <= 3, and echelon forms against
+the enumerated lattice and its sublattices.
 """
 
 import random
@@ -14,7 +15,17 @@ from math import gcd
 import pytest
 
 from sqfree.errors import NotInvertible
-from sqfree.linalg import _gcd_step, diagonal_form, kernel_mod, mat_inv, row_reduce, solve, solve_mod, span_mod
+from sqfree.linalg import (
+    _gcd_step,
+    diagonal_form,
+    echelon_mod,
+    kernel_mod,
+    mat_inv,
+    row_reduce,
+    solve,
+    solve_mod,
+    span_mod,
+)
 
 
 def _all_matrices(n, p):
@@ -176,3 +187,37 @@ def test_z_mod_n_diagonal_form_reads_its_pivots():
     for A in ([[0, 6]], []):
         assert diagonal_form(A, 2, 6)[1] == []
         assert sorted(kernel_mod(diagonal_form(A, 2, 6), 6), key=lambda gen: gen[0]) == [((0, 1), 6), ((1, 0), 6)]
+
+
+def _cyclic(g, n):
+    """(g, its additive order) over Z/n, as span_mod reads a generator."""
+    return tuple(x % n for x in g), n // gcd(n, *g)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_echelon_mod_steps_span_every_sublattice_zero_before_their_slot(n):
+    # about 200 seeded generator sets of up to 3 vectors, unreduced and
+    # negative entries too; for every s the step rows at slots >= s must
+    # span exactly the elements of the enumerated lattice zero before s
+    rng = random.Random(n)
+    for _ in range(200):
+        m = rng.randrange(1, 4)
+        gens = [_cyclic([rng.choice((0, rng.randrange(-n, 2 * n))) for _ in range(m)], n) for _ in range(rng.randrange(4))]
+        steps = echelon_mod(gens, n)
+        lattice = set(span_mod(gens, m, n))
+        assert [slot for slot, _, _ in steps] == sorted({slot for slot, _, _ in steps}), (gens, n)
+        for slot, row, d in steps:
+            assert len(row) == m and all(0 <= x < n for x in row) and row[slot], (gens, n)
+            assert not any(row[:slot]) and d == gcd(row[slot], n), (gens, n)
+        for s in range(m + 1):
+            tail = [_cyclic(row, n) for slot, row, _ in steps if slot >= s]
+            assert set(span_mod(tail, m, n)) == {x for x in lattice if not any(x[:s])}, (gens, n, s)
+
+
+def test_echelon_mod_reads_its_steps():
+    # over Z/6, (2, 4) and (3, 0) fold to (1, 2) = 3 (3, 0) - (2, 4), and the
+    # rest, -3 (2, 4) + 2 (3, 0), is zero; (6, 12) is zero already, so only
+    # (0, 3) is left for slot 1
+    gens = [((2, 4), 3), ((3, 0), 2), ((6, 12), 1), ((0, 3), 2)]
+    assert echelon_mod(gens, 6) == [(0, (1, 2), 1), (1, (0, 3), 3)]
+    assert echelon_mod([], 6) == echelon_mod([((0, 0), 1)], 6) == echelon_mod([((1, 2), 1)], 1) == []
