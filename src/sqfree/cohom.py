@@ -18,8 +18,8 @@ relabel(psi*phi, c). Both laws are property-tested rather than trusted.
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, prod
-from operator import add, mul
+from math import prod
+from operator import add
 from types import MappingProxyType
 
 from .coeff import FFElement
@@ -35,7 +35,7 @@ from .errors import (
     WitnessRejected,
     ZeroConjugator,
 )
-from .linalg import diagonal_form, echelon_mod, kernel_mod, solve_mod, span_mod
+from .linalg import echelon_mod, solve_mod, span_mod, step_mod
 from .sgrp import automorphisms as semigroup_automorphisms
 from .sgrp import sim_classes
 
@@ -497,30 +497,28 @@ def _mu_candidates(S, a1, a2, k):
 
 
 def _log_form(S, F, a):
-    """The diagonal form of the eta equations' log matrix for alpha exponents a, and its kernel generators.
+    """The echelon form that solve_mod reads for the eta equations' log matrix at alpha exponents a, and its kernel's steps.
 
     D^x is cyclic, so in logs l of eta the equation
     x(ij) frob^(a_ij)(x(jh)) x(ih)^(-1) = t(ijh) reads
-    l_ij + p^(a_ij) l_jh - l_ih = log t(ijh) over Z/(q-1), one row per
-    triple and one column per support pair. The matrix depends on alpha
-    alone, so every mu slice shares one diagonal form (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.4).
+    l_ij + p^(a_ij) l_jh - l_ih = log t(ijh) over Z/(q-1), one entry per
+    triple and one unknown per support pair. The matrix depends on alpha
+    alone, so every mu slice shares one echelon form of its rows (column
+    of the pair | the pair's unit vector); the steps past the triples,
+    without those entries, are the kernel K's.
     """
-    n, power = F.q - 1, F._powers
-    col = {s: c for c, s in enumerate(S.elements())}
-    rows = []
-    for i, j, h in sorted(S.comp):
-        row = [0] * len(col)
-        row[col[i, j]] += 1
-        row[col[j, h]] += power[a[i, j]]
-        row[col[i, h]] -= 1
-        rows.append(row)
-    form = diagonal_form(rows, len(col), n)
-    return form, kernel_mod(form, n)
+    power, support, cut = F._powers, S.elements(), len(S.comp)
+    rows = {p: [0] * cut + [int(p == r) for r in support] for p in support}
+    for t, (i, j, h) in enumerate(sorted(S.comp)):
+        rows[i, j][t] += 1
+        rows[j, h][t] += power[a[i, j]]
+        rows[i, h][t] -= 1
+    steps = echelon_mod(rows.values(), F.q - 1)
+    return steps, [(s - cut, h[cut:], d) for s, h, d in steps if s >= cut]
 
 
 def _slices(S, F, v1, v2, forms):
-    """Yield (mu, l0, kernel generators) for each solvable mu slice of act(g, c1) = c2, for _codes pairs v1 and v2.
+    """Yield (mu, l0, the kernel's steps) for each solvable mu slice of act(g, c1) = c2, for _codes pairs v1 and v2.
 
     mu runs over _mu_candidates in order, and l0 is one solution in logs for
     the targets frob^(mu_i)(x2) x1^(-1); every solution is l0 plus the
@@ -534,24 +532,24 @@ def _slices(S, F, v1, v2, forms):
             key = tuple(map(a1.__getitem__, S.elements()))
             if key not in forms:
                 forms[key] = _log_form(S, F, a1)
-            form, gens = forms[key]
-        l0 = solve_mod(form, [power[mu[t[0] - 1]] * x2[t] - x1[t] for t in triples], n)
+            form, kernel = forms[key]
+        l0 = solve_mod(form, [power[mu[t[0] - 1]] * x2[t] - x1[t] for t in triples], len(S.support), n)
         if l0 is not None:
-            yield mu, l0, gens
+            yield mu, l0, kernel
 
 
 def _solutions(S, F, v1, v2, bounds, forms):
     """The code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2, in canonical_key order.
 
     Each solvable slice is l0 plus the kernel K, listed once by a mixed-radix
-    walk over K's cyclic generators, which must give |K| (_kernel_order)
-    distinct pairs; with l0 _checked, by the group law every one solves.
+    walk over K's steps, which must give |K| (_kernel_order) distinct
+    pairs; with l0 _checked, by the group law every one solves.
     """
     exp, out, kernel = F._exp, [], None
-    for mu, l0, gens in _slices(S, F, v1, v2, forms):
+    for mu, l0, steps in _slices(S, F, v1, v2, forms):
         if kernel is None:
-            size = _kernel_order(S, F, v1, gens, bounds)
-            kernel = span_mod(gens, len(l0), F.q - 1)
+            size = _kernel_order(S, F, v1, steps, bounds)
+            kernel = span_mod(steps, len(l0), F.q - 1)
             if len(set(kernel)) != size:
                 raise WitnessRejected(f"{len(set(kernel))} distinct kernel elements, not {size}")
         _checked(S, F, v1, v2, mu, l0)
@@ -559,13 +557,13 @@ def _solutions(S, F, v1, v2, bounds, forms):
     return sorted(out)
 
 
-def _kernel_order(S, F, v, gens, bounds):
-    """|K| from the kernel generators' orders, refused above max_search; each generator, with mu = 0, must fix v (_checked)."""
-    size = prod(order for _, order in gens)
+def _kernel_order(S, F, v, steps, bounds):
+    """|K|, the product of its steps' orders (q-1)/d, refused above max_search; each step's row must fix v (_checked, mu = 0)."""
+    size = prod((F.q - 1) // d for _, _, d in steps)
     if size > bounds.max_search:
         raise SearchBoundExceeded(f"max_search: fixing-pair slice estimate {size} above limit {bounds.max_search}")
-    for g, _ in gens:
-        _checked(S, F, v, v, (0,) * S.n, g)
+    for _, h, _ in steps:
+        _checked(S, F, v, v, (0,) * S.n, h)
     return size
 
 
@@ -584,11 +582,9 @@ def _least(F, l0, steps):
     the one of least code is reached by adding a multiple of the step's row.
     """
     n, exp, logs = F.q - 1, F._exp, list(l0)
-    for s, h, d in steps:
-        m = n // d
-        want = min(((logs[s] + d * t) % n for t in range(m)), key=exp.__getitem__)
-        f = (want - logs[s]) % n // d * pow(h[s] // d, -1, m) % m
-        logs = [(x + f * y) % n for x, y in zip(logs, h)]
+    for step in steps:
+        s, _, d = step
+        logs = step_mod(logs, step, min(((logs[s] + d * t) % n for t in range(n // d)), key=exp.__getitem__), n)
     return logs
 
 
@@ -621,8 +617,8 @@ def _witness(S, F, v1, v2, forms):
     first = next(_slices(S, F, v1, v2, forms), None)
     if first is None:
         return None
-    mu, l0, gens = first
-    return _checked(S, F, v1, v2, mu, _least(F, l0, echelon_mod(gens, F.q - 1)))
+    mu, l0, kernel = first
+    return _checked(S, F, v1, v2, mu, _least(F, l0, kernel))
 
 
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
@@ -663,7 +659,7 @@ def verify_one_cocycle(S, base, g):
 
 
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
-    """All gauge elements fixing base, in canonical order; over a field, read off one diagonal form (_solutions)."""
+    """All gauge elements fixing base, in canonical order; over a field, read off one echelon form (_solutions)."""
     F, v = _fixed_codes(S, base)
     return [_gauge(S, F, key) for key in _solutions(S, F, v, v, bounds, {})]
 
@@ -681,28 +677,26 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
     F = _backend(S, base)
     if not F.is_finite:
         raise InfiniteBackend("orbit enumeration needs a finite field")
-    gens = _coboundary_gens(S, F, _codes(S, base)[0])
-    size = prod(order for _, order in gens)
+    steps = _coboundary_gens(S, F, _codes(S, _valid(S, base))[0])
+    size = prod((F.q - 1) // d for _, _, d in steps)
     if size > bounds.max_search:
         raise SearchBoundExceeded(f"max_search: orbit estimate {size} above limit {bounds.max_search}")
-    image = set(span_mod(gens, len(S.support), F.q - 1))
+    image = set(span_mod(steps, len(S.support), F.q - 1))
     if len(image) != size:
         raise WitnessRejected(f"{len(image)} coboundaries, not {size}")
     return [_gauge(S, F, key) for key in sorted(((0,) * S.n, tuple(map(F._exp.__getitem__, logs))) for logs in image)]
 
 
 def _coboundary_gens(S, F, a):
-    """(eta logs in support order, order) pairs whose cyclic groups sum directly to B^1, for alpha exponents a.
+    """The echelon_mod steps of B^1 in eta logs in support order, for alpha exponents a.
 
     The diagonal units nu keep mu and send the identity pair to logs
-    l_i - p^(a_ij) l_j, a map M over Z/(q-1); with steps(M) V = diag(d), the
-    columns M V_i, of orders (q-1)/gcd(d_i, q-1), sum directly to its image.
+    l_i - p^(a_ij) l_j over Z/(q-1), so B^1 is spanned by the images of
+    the n unit vectors l = e_k.
     """
-    n, power = F.q - 1, F._powers
-    rows = [[(k == i) - (k == j) * power[a[i, j]] for k in range(1, S.n + 1)] for i, j in S.elements()]
-    _, d, V = diagonal_form(rows, S.n, n)
-    images = (tuple(sum(map(mul, row, column)) % n for row in rows) for column in V)
-    return [(image, n // gcd(di, n)) for di, image in zip(d, images)]
+    power, support = F._powers, S.elements()
+    images = [[(k == i) - (k == j) * power[a[i, j]] for i, j in support] for k in range(1, S.n + 1)]
+    return echelon_mod(images, F.q - 1)
 
 
 @dataclass
@@ -718,11 +712,11 @@ class H1Result:
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     """Fixing pairs modulo the identity orbit, read off the lattices of Z^1 and B^1 in eta logs; nothing is listed.
 
-    A slice of Z^1 is l0 + K (_slices), B^1 the span of _coboundary_gens,
-    which must fix base. x B^1 is l_x + D_mu(B^1), D_mu scaling slot (i, j)
-    by p^(mu_i), so B^1 is normal when each D_mu(b) has the identity as its
-    least member (_least). The classes of a slice are then the l + B^1 in
-    l0 + K, keyed by _least and walked one K generator at a step; there must
+    A slice of Z^1 is l0 + K (_slices), B^1 the span of the rows b of
+    _coboundary_gens' steps, which must fix base. x B^1 is l_x + D_mu(B^1),
+    D_mu scaling slot (i, j) by p^(mu_i), so B^1 is normal when each
+    D_mu(b) has the identity as its least member (_least). The classes of a slice are then the l + B^1 in
+    l0 + K, keyed by _least and walked one K step row at a time; there must
     be |K| / |B^1| of them. Only the representatives become GaugeElements.
     """
     F, v = _fixed_codes(S, base)
@@ -732,16 +726,16 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     for mu, l0, _ in slices:
         _checked(S, F, v, v, mu, l0)
     b1 = _coboundary_gens(S, F, v[0])
-    if any(_act_codes(S, F, v, (0,) * S.n, dict(zip(support, b))) != v for b, _ in b1):
+    if any(_act_codes(S, F, v, (0,) * S.n, dict(zip(support, h))) != v for _, h, _ in b1):
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
-    b1_order, reps, steps = prod(order for _, order in b1), [], echelon_mod(b1, n)
+    b1_order, reps = prod(n // d for _, _, d in b1), []
     for mu, l0, kernel in slices:
-        if any(any(_least(F, [x * power[mu[i - 1]] % n for x, (i, _) in zip(b, support)], steps)) for b, _ in b1):
+        if any(any(_least(F, [x * power[mu[i - 1]] % n for x, (i, _) in zip(h, support)], b1)) for _, h, _ in b1):
             raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-        keys, new = set(), {tuple(_least(F, l0, steps))}
+        keys, new = set(), {tuple(_least(F, l0, b1))}
         while new:
             keys |= new
-            new = {tuple(_least(F, [(x + y) % n for x, y in zip(l, g)], steps)) for l in new for g, _ in kernel} - keys
+            new = {tuple(_least(F, [(x + y) % n for x, y in zip(l, h)], b1)) for l in new for _, h, _ in kernel} - keys
         if len(keys) * b1_order != size:
             raise WitnessRejected(f"{len(keys)} cosets of {b1_order} do not cover {size} fixing pairs")
         reps += [(mu, tuple(map(F._exp.__getitem__, logs))) for logs in keys]

@@ -1,4 +1,4 @@
-"""The Gauss-Jordan eliminator and the Z/n diagonal form against an oracle that eliminates nothing.
+"""The Gauss-Jordan eliminator and the Z/n echelon form against an oracle that eliminates nothing.
 
 Invertibility is decided by the cofactor determinant, solutions are checked
 by multiplying back, and row-reduced bases by enumerating both spans. Every
@@ -10,16 +10,14 @@ the enumerated lattice and its sublattices.
 
 import random
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from sqfree.errors import NotInvertible
 from sqfree.linalg import (
     _gcd_step,
-    diagonal_form,
     echelon_mod,
-    kernel_mod,
     mat_inv,
     row_reduce,
     solve,
@@ -137,8 +135,8 @@ def _apply(A, x, n):
 
 
 def test_gcd_step_is_unimodular_and_keeps_a_dividing_pivot():
-    # diagonal_form's loops end because a pivot that divides an entry is
-    # left as it is (t = 0); any other step makes the pivot smaller
+    # a pivot that divides an entry is left as it is (t = 0), and the
+    # entry is cleared
     for a in range(1, 25):
         for b in range(0, 50):
             s, t, u, v = _gcd_step(a, b)
@@ -150,7 +148,8 @@ def test_gcd_step_is_unimodular_and_keeps_a_dividing_pivot():
 @pytest.mark.parametrize("n", MODULI)
 def test_z_mod_n_solutions_and_kernels_match_every_vector(n):
     # zero to four rows, entries unreduced and negative too; right sides
-    # from the image and at random, so both answers of solve_mod occur
+    # from the image and at random, so both answers of solve_mod occur.
+    # The kernel is the steps past the cut, without A's entries
     rng = random.Random(n)
     outcomes = set()
     for m in (1, 2, 3):
@@ -161,14 +160,14 @@ def test_z_mod_n_solutions_and_kernels_match_every_vector(n):
             for x in vectors:
                 image.setdefault(_apply(A, x, n), []).append(x)
             kernel = image[(0,) * len(A)]
-            form = diagonal_form(A, m, n)
-            gens = kernel_mod(form, n)
+            steps = echelon_mod(_block(A, m), n)
+            gens = [(slot - len(A), row[len(A):], d) for slot, row, d in steps if slot >= len(A)]
             listed = span_mod(gens, m, n)
-            assert all(order > 1 for _, order in gens)
+            assert all(d < n for _, _, d in gens)
             assert len(listed) == len(set(listed)) == len(kernel), (A, n)
             assert set(listed) == set(kernel), (A, n)
             for b in [rng.choice(list(image)), tuple(rng.randrange(n) for _ in A)]:
-                x = solve_mod(form, [y + n * rng.randrange(-1, 2) for y in b], n)
+                x = solve_mod(steps, [y + n * rng.randrange(-1, 2) for y in b], m, n)
                 assert (x is None) == (b not in image), (A, b, n)
                 if x is not None:
                     assert len(x) == m and all(0 <= y < n for y in x)
@@ -177,47 +176,64 @@ def test_z_mod_n_solutions_and_kernels_match_every_vector(n):
     assert outcomes == ({False} if n == 1 else {False, True})
 
 
-def test_z_mod_n_diagonal_form_reads_its_pivots():
-    # 2 x = b over Z/6: 2 is no unit, so the kernel is {0, 3} and b must be even
-    form = diagonal_form([[2]], 1, 6)
-    assert form[1] == [2]
-    assert kernel_mod(form, 6) == [((3,), 2)]
-    assert solve_mod(form, [4], 6) in {(2,), (5,)} and solve_mod(form, [3], 6) is None
-    # a zero matrix and a matrix without rows leave every column free
+def test_z_mod_n_solve_reads_its_steps():
+    # 2 x = b over Z/6: the row (2 | 1) has d = 2 at slot 0 and leaves
+    # 3 (2, 1) = (0, 3), so the kernel is {0, 3} and b must be even
+    steps = echelon_mod(_block([[2]], 1), 6)
+    assert steps == [(0, (2, 1), 2), (1, (0, 3), 3)]
+    assert solve_mod(steps, [4], 1, 6) in {(2,), (5,)} and solve_mod(steps, [3], 1, 6) is None
+    # a zero matrix and a matrix without rows leave every column free: the
+    # kernel's steps are the unit rows
     for A in ([[0, 6]], []):
-        assert diagonal_form(A, 2, 6)[1] == []
-        assert sorted(kernel_mod(diagonal_form(A, 2, 6), 6), key=lambda gen: gen[0]) == [((0, 1), 6), ((1, 0), 6)]
+        steps = echelon_mod(_block(A, 2), 6)
+        assert steps == [(len(A), (0,) * len(A) + (1, 0), 1), (len(A) + 1, (0,) * len(A) + (0, 1), 1)]
+        assert solve_mod(steps, [0] * len(A), 2, 6) == (0, 0)
+    assert solve_mod(echelon_mod(_block([[0, 6]], 2), 6), [1], 2, 6) is None
+    # over Z/1 there are no steps, and the one solution is m zeros
+    assert echelon_mod(_block([[1, 2]], 2), 1) == [] and solve_mod([], [5], 2, 1) == (0, 0)
 
 
-def _cyclic(g, n):
-    """(g, its additive order) over Z/n, as span_mod reads a generator."""
-    return tuple(x % n for x in g), n // gcd(n, *g)
+def _block(A, m):
+    """The m rows (column j of A | e_j) whose echelon form solve_mod reads."""
+    return [[row[j] for row in A] + [int(j == k) for k in range(m)] for j in range(m)]
+
+
+def span_of(rows, m, n):
+    """Every sum of multiples of the rows over Z/n, by closing under each row's cyclic group."""
+    out = {(0,) * m}
+    for g in rows:
+        multiples = [tuple(c * x % n for x in g) for c in range(n // gcd(n, *g))]
+        out = {tuple((a + b) % n for a, b in zip(x, y)) for x in out for y in multiples}
+    return out
 
 
 @pytest.mark.parametrize("n", MODULI)
 def test_echelon_mod_steps_span_every_sublattice_zero_before_their_slot(n):
     # about 200 seeded generator sets of up to 3 vectors, unreduced and
     # negative entries too; for every s the step rows at slots >= s must
-    # span exactly the elements of the enumerated lattice zero before s
+    # span exactly the elements of the enumerated lattice zero before s,
+    # each once, so the lattice has prod n/d elements
     rng = random.Random(n)
     for _ in range(200):
         m = rng.randrange(1, 4)
-        gens = [_cyclic([rng.choice((0, rng.randrange(-n, 2 * n))) for _ in range(m)], n) for _ in range(rng.randrange(4))]
+        gens = [[rng.choice((0, rng.randrange(-n, 2 * n))) for _ in range(m)] for _ in range(rng.randrange(4))]
         steps = echelon_mod(gens, n)
-        lattice = set(span_mod(gens, m, n))
+        lattice = span_of(gens, m, n)
+        assert len(lattice) == prod(n // d for _, _, d in steps), (gens, n)
         assert [slot for slot, _, _ in steps] == sorted({slot for slot, _, _ in steps}), (gens, n)
         for slot, row, d in steps:
             assert len(row) == m and all(0 <= x < n for x in row) and row[slot], (gens, n)
             assert not any(row[:slot]) and d == gcd(row[slot], n), (gens, n)
         for s in range(m + 1):
-            tail = [_cyclic(row, n) for slot, row, _ in steps if slot >= s]
-            assert set(span_mod(tail, m, n)) == {x for x in lattice if not any(x[:s])}, (gens, n, s)
+            listed = span_mod([step for step in steps if step[0] >= s], m, n)
+            assert len(listed) == len(set(listed)), (gens, n, s)
+            assert set(listed) == {x for x in lattice if not any(x[:s])}, (gens, n, s)
 
 
 def test_echelon_mod_reads_its_steps():
     # over Z/6, (2, 4) and (3, 0) fold to (1, 2) = 3 (3, 0) - (2, 4), and the
     # rest, -3 (2, 4) + 2 (3, 0), is zero; (6, 12) is zero already, so only
     # (0, 3) is left for slot 1
-    gens = [((2, 4), 3), ((3, 0), 2), ((6, 12), 1), ((0, 3), 2)]
+    gens = [(2, 4), (3, 0), (6, 12), (0, 3)]
     assert echelon_mod(gens, 6) == [(0, (1, 2), 1), (1, (0, 3), 3)]
-    assert echelon_mod([], 6) == echelon_mod([((0, 0), 1)], 6) == echelon_mod([((1, 2), 1)], 1) == []
+    assert echelon_mod([], 6) == echelon_mod([(0, 0)], 6) == echelon_mod([(1, 2)], 1) == []

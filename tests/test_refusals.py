@@ -101,7 +101,6 @@ from sqfree.autos import aut_r_bruteforce
 from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology, one_coboundaries
 from sqfree.errors import InvalidCocycle, NotAOneCocycle, WitnessRejected
 from sqfree.fixtures import a3, double_t2, gf, t2
-from sqfree.linalg import kernel_mod
 from sqfree.twring import TwistedRing, is_d_algebra
 
 assert sys.flags.optimize, "run me under python -O"
@@ -132,27 +131,29 @@ call("cohomologous", lambda: cohomologous(S, base, act(S, g, base)),
      (cohom, "_least", lambda F, l0, gens: (1,) * len(l0)))
 # a particular solution of the log system that solves nothing: every log 1
 call("first_cohomology solution", lambda: first_cohomology(S, base),
-     (cohom, "solve_mod", lambda form, b, n: (1,) * len(form[2])))
-# each kernel generator twice: K is stated as 9 pairs, and holds 3
+     (cohom, "solve_mod", lambda steps, b, m, n: (1,) * m))
+# each kernel step twice: K is stated as 9 pairs, and holds 3
+log_form = cohom._log_form
 call("first_cohomology kernel", lambda: first_cohomology(S, base),
-     (cohom, "kernel_mod", lambda form, n: 2 * kernel_mod(form, n)))
+     (cohom, "_log_form", lambda *a: (lambda steps, kernel: (steps, 2 * kernel))(*log_form(*a))))
 # an image listing that never leaves the identity pair: 1 coboundary where the estimate is 3
 call("one_coboundaries", lambda: one_coboundaries(S, base),
      (cohom, "span_mod", lambda gens, cols, n: [(0,) * cols]))
-# B^1 generators, eta logs in support order with their orders: one outside
-# Z^1, at log 1 on the loop (1, 1); one that is no normal subgroup, log 1 on
-# both arrows of double_t2, which mu = (1, 1, 0, 0) scales to (2, 1), out
-# of its span; the arrow of t2 over GF(4) stated as order 9, where the
-# kernel has 3 elements; and log 2 on the arrow over GF(5) stated as order
-# 4, while it has order 2: 2 classes of 4 for 4 fixing pairs
+# B^1 steps (slot, eta logs in support order, d), each of order (q-1)/d:
+# one outside Z^1, at log 1 on the loop (1, 1); one that is no normal
+# subgroup, log 1 on both arrows of double_t2, which mu = (1, 1, 0, 0)
+# scales to (2, 1), out of its span; the arrow of t2 over GF(4) twice, so
+# of order 9, where the kernel has 3 elements; and log 2 on the arrow over
+# GF(5) twice, so of order 4, while it has order 2: 2 classes of 4 for 4
+# fixing pairs
 call("first_cohomology outside", lambda: first_cohomology(S, base),
-     (cohom, "_coboundary_gens", lambda *a: [((1, 0, 0), 3)]))
+     (cohom, "_coboundary_gens", lambda *a: [(0, (1, 0, 0), 1)]))
 call("first_cohomology normal", lambda: first_cohomology(double_t2(), TwoCocycle.trivial(double_t2(), F)),
-     (cohom, "_coboundary_gens", lambda *a: [((0, 1, 0, 0, 1, 0), 3)]))
+     (cohom, "_coboundary_gens", lambda *a: [(1, (0, 1, 0, 0, 1, 0), 1)]))
 call("first_cohomology index", lambda: first_cohomology(S, base),
-     (cohom, "_coboundary_gens", lambda *a: [((0, 1, 0), 9)]))
+     (cohom, "_coboundary_gens", lambda *a: 2 * [(1, (0, 1, 0), 1)]))
 call("first_cohomology cover", lambda: first_cohomology(S, TwoCocycle.trivial(S, gf(5))),
-     (cohom, "_coboundary_gens", lambda *a: [((0, 2, 0), 4)]))
+     (cohom, "_coboundary_gens", lambda *a: 2 * [(1, (0, 2, 0), 2)]))
 # an exponent solution that leaves the Frobenius on the arrow
 R = TwistedRing(S, F, base.replace_alpha((1, 2), F.frobenius(1)))
 call("is_d_algebra", lambda: is_d_algebra(R),
