@@ -17,11 +17,10 @@ from itertools import product
 from .cohom import (
     GaugeElement,
     TwoCocycle,
+    _class_witnesses,
     _relabel_witnesses,
     _valid,
     act,
-    first_cohomology,
-    one_coboundaries,
     relabel,
     verify_one_cocycle,
 )
@@ -102,24 +101,26 @@ def _invertible(matrix, p):
 def _product_violations(source, R, matrix):
     """Yield ("identity_moved", image of 1), then ("multiplicativity", (a, b)), unformatted.
 
-    The matrix is read as a map source -> R: the image of e_a e_b combines
-    its columns by source's structure constants of e_a e_b, and must equal
-    R's core product of columns a and b.
+    The matrix is read as a map source -> R: the image of e_a e_b combines its columns by source's structure
+    constants of e_a e_b, and must equal R's core product of columns a and b. Both are zero when e_a e_b is and no
+    block column a meets composes in S with one column b meets, so a block-monomial map along phi in Aut S costs
+    only its nonzero products.
     """
-    core, constants, p = R.core, source.core.constants, R.D.p
+    core, constants, p, S, k = R.core, source.core.constants, R.D.p, R.S, R.D.k
     # 1 = sum of the e_ii has the same coordinates in source and R
     image_of_one = mat_vec(matrix, core.one, p)
     if image_of_one != core.one:
         yield "identity_moved", image_of_one
     cols = list(zip(*matrix))
-    for a in range(core.dim):
-        for b in range(core.dim):
-            lhs = [0] * core.dim
-            for c, t in constants.get((a, b), ()):
-                for r, v in enumerate(cols[c]):
-                    lhs[r] += t * v
-            if tuple([v % p for v in lhs]) != core.mul(cols[a], cols[b]):
-                yield "multiplicativity", (a, b)
+    meets = {pair: [a for a, col in enumerate(cols) if any(col[at : at + k])] for pair, at in core.offset.items()}
+    pairs = set(constants).union((a, b) for x in meets for y in meets if S.mul(x, y) for a in meets[x] for b in meets[y])
+    for a, b in sorted(pairs):
+        lhs = [0] * core.dim
+        for c, t in constants.get((a, b), ()):
+            for r, v in enumerate(cols[c]):
+                lhs[r] += t * v
+        if tuple([v % p for v in lhs]) != core.mul(cols[a], cols[b]):
+            yield "multiplicativity", (a, b)
 
 
 def check_ring_automorphism(R, f):
@@ -145,7 +146,10 @@ def _verified(R, f):
 
 
 def _witness_aut(source, R, phi, g):
-    """The checked map d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j) from source to R, on core vectors."""
+    """The checked map d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j) from source to R, on core vectors.
+
+    Its columns are block-monomial, so once phi is in Aut S the check multiplies only source.core.constants.
+    """
     core, k = R.core, R.D.k
     cols = []
     for p in R.S.elements():
@@ -157,6 +161,8 @@ def _witness_aut(source, R, phi, g):
             col = [0] * core.dim
             col[at : at + k] = (g.mu[p[0]](b) * g.eta[p]).coords
             cols.append(col)
+    if not is_automorphism(R.S, phi):
+        raise WitnessRejected(f"{phi!r} is not an automorphism of the semigroup")
     return _verified(source, RingAut(R, tuple(zip(*cols))))
 
 
@@ -290,21 +296,6 @@ def inner_group(R, bounds=DEFAULT_BOUNDS):
     return [RingAut(R, m) for m in sorted(_inner(R, bounds))]
 
 
-def _normal_maps(R, bounds):
-    """The diagonal-normal automorphisms d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j), as (phi, g, map).
-
-    phi runs over Aut S and g = (mu, eta) over the gauge witnesses carrying
-    the relabeled cocycle back to R's; every map is checked by _witness_aut.
-    Every automorphism is an inner one times such a map: a unit conjugates
-    its images of the e_i back onto a permutation of them, by the lifting
-    of idempotents in a semiperfect ring (Lam, A First Course in
-    Noncommutative Rings, section 23). That step needs R to be a ring.
-    """
-    if not R.D.is_finite:
-        raise InfiniteBackend("Aut R search needs a finite field")
-    return [(phi, g, _witness_aut(R, R, phi, g)) for phi, g in _relabel_witnesses(R.S, _valid(R.S, R.c), bounds)]
-
-
 def _key(key_of, f):
     if f.matrix not in key_of:
         raise WitnessRejected("map outside every coset of the Aut R search")
@@ -312,31 +303,56 @@ def _key(key_of, f):
 
 
 def _out_cosets(R, bounds):
-    """Aut R as {matrix: least matrix of its Inn R coset}: the cosets of the normal maps, from the unit table."""
-    maps = [f.matrix for _, _, f in _normal_maps(R, bounds)]
+    """Aut R as {matrix: least matrix of its Inn R coset}: the cosets of the normal maps N, from the unit table.
+
+    N holds the witness maps of phi in Aut S and each gauge carrying the relabeled cocycle back to R's. Every
+    automorphism is an inner one times such a map: a unit conjugates its images of the e_i back onto a permutation of
+    them, by the lifting of idempotents in a semiperfect ring (Lam, A First Course in Noncommutative Rings, section
+    23). That step needs R to be a ring.
+    """
+    if not R.D.is_finite:
+        raise InfiniteBackend("Aut R search needs a finite field")
+    maps = [_witness_aut(R, R, phi, g).matrix for phi, g in _relabel_witnesses(R.S, _valid(R.S, R.c), bounds)]
     return cosets(maps, list(_inner(R, bounds)), partial(mat_mul, p=R.D.p))
 
 
-def _normal_cosets(R, bounds):
-    """(key_of, stab, sigma_key) from one pass over the normal maps N, cached per bounds.
+def _class_maps(R, bounds):
+    """(h1, stab_full, sigmas, key_of), cached per bounds: key_of the coset keys (_inner_cosets) of one witness map per
+    phi of Stab_full and H^1 class (cohom._class_witnesses), sigmas (g, key) for phi = id.
 
-    key_of is N as {matrix: least matrix of its coset f K}, K = N meet Inn R;
-    _conjugator decides K, and N/K is Out R, as N meets every Inn R coset.
-    stab is every phi of Aut S with a witness, in Aut S order: the full
-    stabilizer of the cocycle. sigma_key maps each phi = id witness g, a
-    fixing pair, to the key of sigma(g), which is g's normal map.
+    Any other map of N is one of them times sigma(b), b in B^1, inner once sigma of each B^1 step row is conjugation
+    by its diagonal unit; so their cosets are Out R = N/K, K = N meet Inn R.
     """
-    cache = R.core.cache
-    if ("normal", bounds) not in cache:
-        labelled = _normal_maps(R, bounds)
-        maps = list(dict.fromkeys(f.matrix for _, _, f in labelled))
-        key_of = cosets(maps, [M for M in maps if _conjugator(R, M, bounds)], partial(mat_mul, p=R.D.p))
-        if len(key_of) != len(maps):
-            raise WitnessRejected("a coset of the inner normal maps leaves the normal maps")
-        stab = list(dict.fromkeys(phi for phi, _, _ in labelled))
-        sigma_key = {g: key_of[f.matrix] for phi, g, f in labelled if phi.is_identity()}
-        cache[("normal", bounds)] = key_of, stab, sigma_key
-    return cache[("normal", bounds)]
+    if not R.D.is_finite or ("classes", bounds) not in R.core.cache:
+        h1, b1, pairs = _class_witnesses(R.S, R.c, bounds)
+        for g, units in b1:
+            u, v = (to_vector(R, R.element({(i, i): x**e for i, x in enumerate(units, 1)})) for e in (1, -1))
+            if sigma(R, g).matrix != _conjugation_matrix(R.core, v, u):
+                raise WitnessRejected("a coboundary's map is not conjugation by its diagonal unit")
+        maps = [(phi, g, _witness_aut(R, R, phi, g).matrix) for phi, g in pairs]
+        key_of = _inner_cosets(R, [M for _, _, M in maps], bounds)
+        sigmas = [(g, key_of[M]) for phi, g, M in maps if phi.is_identity()]
+        R.core.cache[("classes", bounds)] = h1, list(dict.fromkeys(phi for phi, _ in pairs)), sigmas, key_of
+    return R.core.cache[("classes", bounds)]
+
+
+def _inner_cosets(R, maps, bounds):
+    """{matrix: least matrix of its Inn R coset among maps}, maps one per class of N / sigma(B^1), by linear tests.
+
+    The inner maps (_conjugator) make the identity's coset; another map f joins the first smaller coset whose first
+    map M has f M^(-1) inner, or opens one. Each coset must end as large as the identity's.
+    """
+    p, inner = R.D.p, [M for M in maps if _conjugator(R, M, bounds)]
+    found = [inner]
+    for M in maps:
+        if M not in inner:
+            home = next((C for C in found if len(C) < len(inner) and _conjugator(R, mat_mul(M, mat_inv(C[0], p), p), bounds)), [])
+            if not home:
+                found.append(home)
+            home.append(M)
+    if any(len(C) != len(inner) for C in found):
+        raise WitnessRejected("a coset of the inner normal maps leaves the normal maps")
+    return {M: min(C) for C in found for M in C}
 
 
 def aut_r_bruteforce(R, bounds=DEFAULT_BOUNDS):
@@ -353,26 +369,18 @@ def out_r(R, bounds=DEFAULT_BOUNDS):
 def lambda_map(R, h1, bounds=DEFAULT_BOUNDS):
     """Check sigma is inner exactly on the coboundary part of the fixing pairs.
 
-    sigma(g) is g's phi = id normal map, so its coset key comes from
-    _normal_cosets, and it is inner when that key is the identity's. Runs
-    over the Z^1 of that witness pass, which must have h1's order of Z^1,
-    so a passing report certifies the induced map on classes is well
-    defined and injective.
+    The per-class pass (_class_maps) checks sigma(B^1) inner, and sigma(g b) = sigma(g) sigma(b); so sigma of each
+    H^1 representative must be inner exactly for the class of B^1, the identity. The pass must hold h1's order of
+    Z^1, so a passing report certifies the induced map on classes is well defined and injective.
     """
     report = ValidationReport()
-    key_of, _, sigma_key = _normal_cosets(R, bounds)
-    if len(sigma_key) != h1.z1_order:
-        # some fixing pair's sigma is outside the search, as _key words it
+    own, _, sigmas, key_of = _class_maps(R, bounds)
+    if len(sigmas) * own.b1_order != h1.z1_order:  # some fixing pair's sigma is outside the search
         raise WitnessRejected("map outside every coset of the Aut R search")
     inner = _key(key_of, RingAut.identity(R))
-    b1 = set(one_coboundaries(R.S, R.c, bounds))
-    for g, key in sigma_key.items():
-        if (key == inner) != (g in b1):
-            report.add(
-                "lambda_monomorphism",
-                (g.canonical_key(),),
-                "inner" if key == inner else "not inner",
-            )
+    for g, key in sigmas:
+        if (key == inner) != g.is_identity():
+            report.add("lambda_monomorphism", (g.canonical_key(),), "inner" if key == inner else "not inner")
     return report
 
 
@@ -432,21 +440,15 @@ class SESReport:
 def verify_ses(R, bounds=DEFAULT_BOUNDS):
     """Compute H^1, the normal stabilizer and Out R, and check the sequence glues.
 
-    The three come from one gauge equation. H^1 is solved first; one pass
-    over Aut S and that equation's witnesses then gives N, the full
-    stabilizer and the sigma(Z^1) coset keys (see _normal_cosets), and Out R
-    is N/K. Out order must factor as the first-cohomology order times the order
-    of the normal stabilizer of the cocycle in Aut S; each coset must induce
-    one normal semigroup map, read off its normal maps' diagonal images; the
-    sigma-image cosets must be exactly the kernel of that map, whose image
-    must be that stabilizer. For a trivial cocycle the basis-permutation
-    section is checked to split the sequence.
+    One pass (_class_maps) solves H^1, gives each phi of the full stabilizer a witness map per H^1 class and splits
+    them into Inn R cosets, Out R. Out order must factor as the H^1 order times the order of the normal stabilizer
+    of the cocycle in Aut S; each coset must induce one normal semigroup map, read off its maps' diagonal images;
+    the cosets of sigma of the H^1 representatives must be exactly the kernel of that map, whose image must be that
+    stabilizer. For a trivial cocycle the basis-permutation section is checked to split the sequence.
     """
     S = R.S
-    h1 = first_cohomology(S, R.c, bounds)
-    key_of, stab_full, sigma_key = _normal_cosets(R, bounds)
+    h1, stab_full, sigmas, key_of = _class_maps(R, bounds)
     W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
-
     induced = {}
     for M, key in key_of.items():
         phi = _diagonal_phi(R, _diagonal_images(R, M))
@@ -455,36 +457,16 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     out_order = len(set(key_of.values()))
     if len(induced) != out_order:
         raise WitnessRejected("an Out R class induces no normal semigroup map")
-
     lam = lambda_map(R, h1, bounds=bounds)
-    lam_keys = {sigma_key[g] for g in h1.reps}
-
+    lam_keys = {key for _, key in sigmas}
     ker_keys = {key for key, phi in induced.items() if phi.is_identity()}
     kernel_ok = lam_keys == ker_keys and len(lam_keys) == h1.order
     image_ok = set(induced.values()) == set(W)
-
     exact = out_order == h1.order * len(W) and lam.ok and kernel_ok and image_ok
-
     split_ok = None
     if R.c == TwoCocycle.trivial(S, R.D):
         sec = {phi: section_automorphism(R, phi) for phi in W}
-        keys = {phi: _key(key_of, sec[phi]) for phi in W}
-        split_ok = len(set(keys.values())) == len(W)
-        for a in W:
-            for b in W:
-                if _key(key_of, sec[a].compose(sec[b])) != keys[a * b]:
-                    split_ok = False
-        for phi in W:
-            if induced[keys[phi]] != phi:
-                split_ok = False
-    return SESReport(
-        h1_order=h1.order,
-        stab_order=len(W),
-        stab_full_order=len(stab_full),
-        out_order=out_order,
-        exact=exact,
-        lambda_ok=lam.ok,
-        kernel_ok=kernel_ok,
-        image_ok=image_ok,
-        split_ok=split_ok,
-    )
+        keys = {phi: _key(key_of, f) for phi, f in sec.items()}
+        products = [_key(key_of, sec[a].compose(sec[b])) == keys[a * b] for a in W for b in W]
+        split_ok = len(set(keys.values())) == len(W) and all(products) and all(induced[keys[phi]] == phi for phi in W)
+    return SESReport(h1.order, len(W), len(stab_full), out_order, exact, lam.ok, kernel_ok, image_ok, split_ok)

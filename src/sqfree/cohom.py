@@ -542,13 +542,16 @@ def _solutions(S, F, v1, v2, bounds, forms):
     """The code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2, in canonical_key order.
 
     Each solvable slice is l0 plus the kernel K, listed once by a mixed-radix
-    walk over K's steps, which must give |K| (_kernel_order) distinct
-    pairs; with l0 _checked, by the group law every one solves.
+    walk over K's steps, which must give |K| distinct pairs, refused above
+    max_search; with l0 and K's step rows _checked, by the group law every
+    one solves.
     """
     exp, out, kernel = F._exp, [], None
     for mu, l0, steps in _slices(S, F, v1, v2, forms):
         if kernel is None:
-            size = _kernel_order(S, F, v1, steps, bounds)
+            size = _within(prod((F.q - 1) // d for _, _, d in steps), "fixing-pair slice", bounds)
+            for _, h, _ in steps:
+                _checked(S, F, v1, v1, (0,) * S.n, h)
             kernel = span_mod(steps, len(l0), F.q - 1)
             if len(set(kernel)) != size:
                 raise WitnessRejected(f"{len(set(kernel))} distinct kernel elements, not {size}")
@@ -557,13 +560,10 @@ def _solutions(S, F, v1, v2, bounds, forms):
     return sorted(out)
 
 
-def _kernel_order(S, F, v, steps, bounds):
-    """|K|, the product of its steps' orders (q-1)/d, refused above max_search; each step's row must fix v (_checked, mu = 0)."""
-    size = prod((F.q - 1) // d for _, _, d in steps)
+def _within(size, what, bounds):
+    """size, unless it is above max_search: then refused, naming what it estimates."""
     if size > bounds.max_search:
-        raise SearchBoundExceeded(f"max_search: fixing-pair slice estimate {size} above limit {bounds.max_search}")
-    for _, h, _ in steps:
-        _checked(S, F, v, v, (0,) * S.n, h)
+        raise SearchBoundExceeded(f"max_search: {what} estimate {size} above limit {bounds.max_search}")
     return size
 
 
@@ -678,9 +678,7 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
     if not F.is_finite:
         raise InfiniteBackend("orbit enumeration needs a finite field")
     steps = _coboundary_gens(S, F, _codes(S, _valid(S, base))[0])
-    size = prod((F.q - 1) // d for _, _, d in steps)
-    if size > bounds.max_search:
-        raise SearchBoundExceeded(f"max_search: orbit estimate {size} above limit {bounds.max_search}")
+    size = _within(prod((F.q - 1) // d for _, _, d in steps), "orbit", bounds)
     image = set(span_mod(steps, len(S.support), F.q - 1))
     if len(image) != size:
         raise WitnessRejected(f"{len(image)} coboundaries, not {size}")
@@ -688,15 +686,15 @@ def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
 
 
 def _coboundary_gens(S, F, a):
-    """The echelon_mod steps of B^1 in eta logs in support order, for alpha exponents a.
+    """The echelon_mod steps of B^1 in eta logs in support order, each row followed by the logs of its diagonal unit.
 
-    The diagonal units nu keep mu and send the identity pair to logs
-    l_i - p^(a_ij) l_j over Z/(q-1), so B^1 is spanned by the images of
-    the n unit vectors l = e_k.
+    The diagonal units nu keep mu and send the identity pair to logs l_i - p^(a_ij) l_j over Z/(q-1), so B^1 is
+    spanned by the images of the n unit vectors l = e_k, each echeloned beside its l; readers that zip a row
+    against eta logs see its first |support| entries.
     """
-    power, support = F._powers, S.elements()
-    images = [[(k == i) - (k == j) * power[a[i, j]] for i, j in support] for k in range(1, S.n + 1)]
-    return echelon_mod(images, F.q - 1)
+    power, support, n = F._powers, S.elements(), S.n
+    images = [[(k == i) - (k == j) * power[a[i, j]] for i, j in support] + [int(k == i) for i in range(1, n + 1)] for k in range(1, n + 1)]
+    return [step for step in echelon_mod(images, F.q - 1) if step[0] < len(support)]
 
 
 @dataclass
@@ -712,23 +710,27 @@ class H1Result:
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     """Fixing pairs modulo the identity orbit, read off the lattices of Z^1 and B^1 in eta logs; nothing is listed.
 
-    A slice of Z^1 is l0 + K (_slices), B^1 the span of the rows b of
-    _coboundary_gens' steps, which must fix base. x B^1 is l_x + D_mu(B^1),
-    D_mu scaling slot (i, j) by p^(mu_i), so B^1 is normal when each
-    D_mu(b) has the identity as its least member (_least). The classes of a slice are then the l + B^1 in
-    l0 + K, keyed by _least and walked one K step row at a time; there must
-    be |K| / |B^1| of them. Only the representatives become GaugeElements.
+    A slice of Z^1 is l0 + K (_slices), B^1 the span of the rows b of _coboundary_gens' steps, which must fix
+    base. x B^1 is l_x + D_mu(B^1), D_mu scaling slot (i, j) by p^(mu_i), so B^1 is normal when each D_mu(b) has
+    the identity as its least member (_least). |H^1| = slices |K| / |B^1| is refused above max_search; the classes
+    of a slice are the l + B^1 in l0 + K, keyed by _least and walked one K step row at a time, and there must be
+    |K| / |B^1| of them. Only the representatives become GaugeElements.
     """
-    F, v = _fixed_codes(S, base)
-    slices, n, power, support = list(_slices(S, F, v, v, {})), F.q - 1, F._powers, S.elements()
-    # the identity fixes base, so the slice mu = 0 is always there
-    size = _kernel_order(S, F, v, slices[0][2], bounds)
-    for mu, l0, _ in slices:
+    return _first_cohomology(S, *_fixed_codes(S, base), bounds, {})[0]
+
+
+def _first_cohomology(S, F, v, bounds, forms):
+    """(first_cohomology's H1Result, B^1's steps) for base's _codes pair v, its solves sharing the caller's forms."""
+    slices, n, power, support = list(_slices(S, F, v, v, forms)), F.q - 1, F._powers, S.elements()
+    # the identity fixes base, so the slice mu = 0 is always there; K's step rows, with mu = 0, must fix it too
+    size = prod(n // d for _, _, d in slices[0][2])
+    for mu, l0 in [((0,) * S.n, h) for _, h, _ in slices[0][2]] + [s[:2] for s in slices]:
         _checked(S, F, v, v, mu, l0)
     b1 = _coboundary_gens(S, F, v[0])
     if any(_act_codes(S, F, v, (0,) * S.n, dict(zip(support, h))) != v for _, h, _ in b1):
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
     b1_order, reps = prod(n // d for _, _, d in b1), []
+    _within(len(slices) * size // b1_order, "H^1", bounds)
     for mu, l0, kernel in slices:
         if any(any(_least(F, [x * power[mu[i - 1]] % n for x, (i, _) in zip(h, support)], b1)) for _, h, _ in b1):
             raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
@@ -739,4 +741,20 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
         if len(keys) * b1_order != size:
             raise WitnessRejected(f"{len(keys)} cosets of {b1_order} do not cover {size} fixing pairs")
         reps += [(mu, tuple(map(F._exp.__getitem__, logs))) for logs in keys]
-    return H1Result(len(reps), [_gauge(S, F, r) for r in sorted(reps)], len(slices) * size, b1_order)
+    return H1Result(len(reps), [_gauge(S, F, r) for r in sorted(reps)], len(slices) * size, b1_order), b1
+
+
+def _class_witnesses(S, c, bounds):
+    """(H^1 of c, B^1 as (gauge, diagonal units) per step row, (phi, g) per phi of Stab_full and H^1 class), over a field.
+
+    One forms dict serves every solve. Each phi of Aut S with a least witness w (_witness) gets g = w r, the gauge
+    product, for each H^1 representative r in order, which carries relabel(phi, c) to c; phi = id has w = 1.
+    """
+    F, v = _fixed_codes(S, c)
+    forms, exp, cut, pairs = {}, F._exp, len(S.support), []
+    h1, b1 = _first_cohomology(S, F, v, bounds, forms)
+    for phi in semigroup_automorphisms(S, bounds):
+        w = _witness(S, F, _relabeled(S, phi, v), v, forms)
+        pairs += [(phi, gauge_mul(S, _gauge(S, F, w), r)) for r in (h1.reps if w else ())]
+    units = [(_gauge(S, F, ((0,) * S.n, tuple(exp[x] for x in h[:cut]))), [FFElement(F, exp[x]) for x in h[cut:]]) for _, h, _ in b1]
+    return h1, units, pairs

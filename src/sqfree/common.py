@@ -9,7 +9,7 @@ from .errors import WitnessRejected
 class Bounds:
     # cap on element/unit/idempotent enumeration of a finite ring (q^|support|)
     max_units: int = 2**20
-    # cap on listed solution sets: a fixing-pair slice of the gauge equation, the coboundary orbit
+    # cap on listed solution sets: a fixing-pair slice of the gauge equation, the coboundary orbit, the H^1 classes
     max_search: int = 10**7
     # cap on the idempotent count for semigroup automorphism enumeration
     aut_s_max_n: int = 8

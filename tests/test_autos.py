@@ -3,8 +3,8 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import permutations, product
 
 import pytest
 
@@ -38,9 +38,9 @@ from sqfree.cohom import (
     stabilizer,
 )
 from sqfree.errors import InvalidInput, NotAOneCocycle, NotInvertible, SearchBoundExceeded, WitnessRejected
-from sqfree.common import DEFAULT_BOUNDS, Bounds
+from sqfree.common import DEFAULT_BOUNDS, Bounds, cosets
 from sqfree.fixtures import a3, double_t2, gf, mu, single, t2, two_cycle
-from sqfree.linalg import mat_inv, mat_mul, row_reduce
+from sqfree.linalg import mat_inv, mat_mul, mat_vec, row_reduce
 from sqfree.sgrp import SemigroupAutomorphism, is_normal_automorphism
 from sqfree.twring import (
     TwistedRing,
@@ -229,6 +229,62 @@ for name, call in calls.items():
 """
 
 
+CHEAP_CHECK_SCRIPT = """
+import sys
+from sqfree.autos import _witness_aut
+from sqfree.cohom import GaugeElement, TwoCocycle
+from sqfree.errors import WitnessRejected
+from sqfree.fixtures import a3, gf, t2
+from sqfree.sgrp import SemigroupAutomorphism, SquareFreeSemigroup
+from sqfree.twring import TwistedRing
+
+assert sys.flags.optimize, "run me under python -O"
+F = gf(3)
+
+
+def ring(S):
+    return TwistedRing(S, F, TwoCocycle.trivial(S, F))
+
+
+def scaled(S, p):
+    one = GaugeElement.identity(S, F)
+    return GaugeElement(one.mu, {**one.eta, p: F.element(2)})
+
+
+# two paths 1 -> 2 -> 3 and 4 -> 5 -> 6 with the same support, where only s12 s23 = s13 is nonzero
+arrows = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+S6 = SquareFreeSemigroup.make(6, [(i, i) for i in range(1, 7)] + arrows, [(1, 2, 3)])
+calls = {
+    # the swap of the paths keeps the support, not the products
+    "phi outside Aut S": lambda: _witness_aut(ring(S6), ring(S6), SemigroupAutomorphism((4, 5, 6, 1, 2, 3)), GaugeElement.identity(S6, F)),
+    # eta(s13) = 2 breaks s12 s23 = s13 alone
+    "broken product": lambda: _witness_aut(ring(a3()), ring(a3()), SemigroupAutomorphism.identity(3), scaled(a3(), (1, 3))),
+    # eta(e1) = 2 sends 1 to 2 e1 + e2
+    "moved identity": lambda: _witness_aut(ring(t2()), ring(t2()), SemigroupAutomorphism.identity(2), scaled(t2(), (1, 1))),
+    # both idempotents onto e1: every pair lands on the support, and the columns of e1 and e2 agree
+    "singular": lambda: _witness_aut(ring(t2()), ring(t2()), SemigroupAutomorphism((1, 1)), GaugeElement.identity(t2(), F)),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except WitnessRejected:
+        print(name, "rejected")
+    else:
+        print(name, "returned a map")
+"""
+
+
+def test_cheap_witness_check_refuses_under_python_O():
+    # _witness_aut checks the nonzero products only, so phi must be in Aut S for the zero ones to hold
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CHEAP_CHECK_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert out == ["phi outside Aut S rejected", "broken product rejected", "moved identity rejected", "singular rejected"]
+
+
 def test_corrupted_witnesses_rejected_under_python_O():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -349,6 +405,7 @@ def test_verify_ses_is_exact_on_random_semigroups():
             for c in (trivial, act(S, random_gauge(S, F, rng), trivial, check=False)):
                 rep = verify_ses(TwistedRing(S, F, c))
                 case = (seed, q, c is trivial)
+                assert rep == reference_normal_pass(TwistedRing(S, F, c)), case
                 assert rep.exact, case
                 assert rep.split_ok is not False, case
                 assert rep.out_order == rep.h1_order * rep.stab_order, case
@@ -419,18 +476,17 @@ def test_section_of_a_non_automorphism_names_the_pair(S, perm, pair):
 INNER_ONLY_SEARCH_SCRIPT = """
 import sys
 from sqfree import autos
-from sqfree.cohom import GaugeElement, TwoCocycle
+from sqfree.cohom import TwoCocycle
 from sqfree.errors import WitnessRejected
 from sqfree.fixtures import gf, two_cycle
-from sqfree.sgrp import SemigroupAutomorphism
 from sqfree.twring import TwistedRing
 
 assert sys.flags.optimize, "run me under python -O"
 S, F = two_cycle(), gf(4)
 R = TwistedRing(S, F, TwoCocycle.trivial(S, F))
-# an incomplete Aut R search: the identity coset alone, so sigma of a class outside B^1 has no coset
-identity = SemigroupAutomorphism.identity(S.n), GaugeElement.identity(S, F), autos.RingAut.identity(R)
-autos._normal_maps = lambda R, bounds: [identity]
+# an incomplete Aut R search: the identity's class alone, so sigma of a class outside B^1 has no coset
+search = autos._class_witnesses
+autos._class_witnesses = lambda S, c, bounds: (lambda h1, b1, pairs: (h1, b1, pairs[:1]))(*search(S, c, bounds))
 try:
     autos.verify_ses(R)
 except WitnessRejected as exc:
@@ -489,9 +545,53 @@ def reference_modulus_roots(R, q, corner):
     return out
 
 
+def dense_product_violations(R, matrix):
+    """Yield what _product_violations(R, R, matrix) yields, by the loop it ran before it skipped pairs: every pair of basis vectors."""
+    core, constants, p = R.core, R.core.constants, R.D.p
+    image_of_one = mat_vec(matrix, core.one, p)
+    if image_of_one != core.one:
+        yield "identity_moved", image_of_one
+    cols = list(zip(*matrix))
+    for a, b in product(range(core.dim), repeat=2):
+        lhs = [0] * core.dim
+        for c, t in constants.get((a, b), ()):
+            for r, v in enumerate(cols[c]):
+                lhs[r] += t * v
+        if tuple([v % p for v in lhs]) != core.mul(cols[a], cols[b]):
+            yield "multiplicativity", (a, b)
+
+
 def reference_is_automorphism(R, matrix):
-    """check_ring_automorphism(...).ok, stopping at the first violation."""
-    return next(autos._product_violations(R, R, matrix), None) is None and autos._invertible(matrix, R.D.p)
+    """check_ring_automorphism(...).ok by the dense product check, stopping at the first violation."""
+    return next(dense_product_violations(R, matrix), None) is None and autos._invertible(matrix, R.D.p)
+
+
+def sparse_matrix(rng, dim, p):
+    """A random matrix whose columns each meet one to three entries, so most meet one or two blocks."""
+    rows = [[0] * dim for _ in range(dim)]
+    for c in range(dim):
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(dim)][c] = rng.randrange(1, p)
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_FIXTURES))
+def test_product_check_skips_only_pairs_zero_on_both_sides(name):
+    # the check multiplies a pair unless e_a e_b = 0 and the blocks its columns meet compose nowhere in S;
+    # against every pair, on witness maps of random gauges and of phis that keep the support, sparse random
+    # matrices and inner maps
+    S, rng = WITNESS_FIXTURES[name](), random.Random(name)
+    for q in (2, 3, 4):
+        F = gf(q)
+        R = trivial_ring(S, F)
+        perms = [SemigroupAutomorphism(perm) for perm in permutations(range(1, S.n + 1))]
+        keeping = [phi for phi in perms if all(phi.pair(x) in S.support for x in S.support)]
+        gauges = [random_gauge(S, F, rng) for _ in keeping]
+        matrices = [reference_witness(R, g.mu, {x: R.element({phi.pair(x): g.eta[x]}) for x in S.support})
+                    for phi, g in zip(keeping, gauges)]
+        matrices += [sparse_matrix(rng, R.core.dim, F.p) for _ in range(20)] + list(autos._inner(R, DEFAULT_BOUNDS))[:10]
+        for M in matrices:
+            assert list(autos._product_violations(R, R, M)) == list(dense_product_violations(R, M))
 
 
 def aut_r_linear_filter(R, bounds=DEFAULT_BOUNDS):
@@ -688,6 +788,61 @@ def reference_verify_ses(R, key_of, coset_key):
     )
 
 
+def reference_normal_pass(R, bounds=DEFAULT_BOUNDS):
+    """verify_ses as it ran over every map of N, one per phi of Aut S and gauge witness, before the per-class pass.
+
+    The linear test decides K = N meet Inn R on each map of N, N is split
+    into the cosets fK by common.cosets, each coset's induced phi is read
+    off the diagonal images of all its maps, and sigma of every fixing
+    pair is tested against the one_coboundaries listing.
+    """
+    S, p = R.S, R.D.p
+    h1 = first_cohomology(S, R.c, bounds)
+    labelled = [(phi, g, autos._witness_aut(R, R, phi, g)) for phi, g in cohom._relabel_witnesses(S, R.c, bounds)]
+    maps = list(dict.fromkeys(f.matrix for _, _, f in labelled))
+    key_of = cosets(maps, [M for M in maps if autos._conjugator(R, M, bounds)], partial(mat_mul, p=p))
+    assert len(key_of) == len(maps)
+    stab_full = list(dict.fromkeys(phi for phi, _, _ in labelled))
+    W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
+    sigma_key = {g: key_of[f.matrix] for phi, g, f in labelled if phi.is_identity()}
+    induced = {}
+    for M, key in key_of.items():
+        phi = autos._diagonal_phi(R, autos._diagonal_images(R, M))
+        assert phi is None or induced.setdefault(key, phi) == phi
+    out_order = len(set(key_of.values()))
+    assert len(induced) == out_order
+    inner, b1 = key_of[RingAut.identity(R).matrix], set(one_coboundaries(S, R.c, bounds))
+    assert len(sigma_key) == h1.z1_order
+    lambda_ok = all((key == inner) == (g in b1) for g, key in sigma_key.items())
+    lam_keys = {sigma_key[g] for g in h1.reps}
+    ker_keys = {key for key, phi in induced.items() if phi.is_identity()}
+    kernel_ok = lam_keys == ker_keys and len(lam_keys) == h1.order
+    image_ok = set(induced.values()) == set(W)
+    split_ok = None
+    if R.c == TwoCocycle.trivial(S, R.D):
+        sec = {phi: section_automorphism(R, phi) for phi in W}
+        keys = {phi: key_of[sec[phi].matrix] for phi in W}
+        split_ok = len(set(keys.values())) == len(W)
+        for a in W:
+            for b in W:
+                if key_of[sec[a].compose(sec[b]).matrix] != keys[a * b]:
+                    split_ok = False
+        for phi in W:
+            if induced[keys[phi]] != phi:
+                split_ok = False
+    return SESReport(
+        h1_order=h1.order,
+        stab_order=len(W),
+        stab_full_order=len(stab_full),
+        out_order=out_order,
+        exact=out_order == h1.order * len(W) and lambda_ok and kernel_ok and image_ok,
+        lambda_ok=lambda_ok,
+        kernel_ok=kernel_ok,
+        image_ok=image_ok,
+        split_ok=split_ok,
+    )
+
+
 def assert_matches_the_tuple_search(R):
     """Aut R, the out_r representatives, the inner verdicts and the SESReport, library against reference."""
     auts = reference_aut_r(R)
@@ -700,7 +855,7 @@ def assert_matches_the_tuple_search(R):
     # the linear test finds a unit exactly for the table's maps, and the table's first unit
     table = autos._inner(R, DEFAULT_BOUNDS)
     assert [autos._conjugator(R, f.matrix, DEFAULT_BOUNDS) for f in auts] == [table.get(f.matrix) for f in auts]
-    assert verify_ses(R) == reference_verify_ses(R, key_of, coset_key)
+    assert verify_ses(R) == reference_verify_ses(R, key_of, coset_key) == reference_normal_pass(R)
 
 
 ORACLE_LIMIT = 4096
@@ -757,23 +912,34 @@ def test_out_r_work_is_one_coset_per_class(monkeypatch, S, want):
     assert products[0] == order * len(inner_group(R))
 
 
-@pytest.mark.parametrize("S, want", [(two_cycle(), (36, 2)), (mu(2), (12, 1))], ids=["two_cycle", "mu2"])
-def test_verify_ses_work_is_one_linear_test_per_normal_map(monkeypatch, S, want):
-    # over GF(4): |N| linear tests, |N| coset products plus |W|^2 section products, no element scan;
-    # |N| + |W| witness maps (the normal maps and the sections), and no second solve or sigma build
+@pytest.mark.parametrize(
+    "S, want",
+    [(two_cycle(), (12, 1, 2, 0)), (mu(2), (4, 1, 1, 1)), (t2(), (2, 1, 1, 0))],
+    ids=["two_cycle", "mu2", "t2"],
+)
+def test_verify_ses_work_is_one_witness_map_per_class(monkeypatch, S, want):
+    # over GF(4), want = (|Stab_full| |H^1| classes, B^1 step rows, |W|, pair tests): a witness map per class,
+    # a sigma per step row and a section per phi of W; a linear test per class, and one per pair of maps
+    # compared when the inner maps are neither one class nor all; pair tests plus |W|^2 section products;
+    # no element scan, no fixing-pair or coboundary listing and no second solve
     R = trivial_ring(S, gf(4))
-    normal = len({f.matrix for _, _, f in autos._normal_maps(R, DEFAULT_BOUNDS)})
-    tests, products = counting(monkeypatch, "_conjugator"), counting(monkeypatch, "mat_mul")
-    scans = [counting(monkeypatch, "_scan", twring), counting(monkeypatch, "_scan")]
-    maps, sigmas = counting(monkeypatch, "_witness_aut"), counting(monkeypatch, "sigma")
-    solves = counting(monkeypatch, "cohomologous", cohom)
+    rows = len(cohom._coboundary_gens(S, R.D, cohom._codes(S, R.c)[0]))
+    maps, sigmas, tests = counting(monkeypatch, "_witness_aut"), counting(monkeypatch, "sigma"), counting(monkeypatch, "_conjugator")
+    products, scans = counting(monkeypatch, "mat_mul"), [counting(monkeypatch, "_scan", twring), counting(monkeypatch, "_scan")]
+    listings = [counting(monkeypatch, name, cohom) for name in ("_solutions", "one_coboundaries", "cohomologous")]
     rep = verify_ses(R)
-    assert (normal, rep.stab_order) == want
-    assert tests[0] == normal
-    assert products[0] == normal + rep.stab_order**2
-    assert scans == [[0], [0]]
-    assert maps[0] == normal + rep.stab_order
-    assert (sigmas, solves) == ([0], [0])
+    classes, _, W, pairs = want
+    assert (rep.stab_full_order * rep.h1_order, rows, rep.stab_order) == want[:3]
+    assert (maps[0], sigmas[0]) == (classes + rows + W, rows)
+    assert (tests[0], products[0]) == (classes + pairs, pairs + W**2)
+    assert scans == [[0], [0]] and listings == [[0], [0], [0]]
+
+
+def test_verify_ses_builds_one_log_form(monkeypatch):
+    # first_cohomology and each phi's witness share the forms of one call, and trivial two_cycle over GF(8) has one alpha
+    forms = counting(monkeypatch, "_log_form", cohom)
+    verify_ses(trivial_ring(two_cycle(), gf(8)))
+    assert forms == [1]
 
 
 def test_verify_ses_answers_rings_above_the_unit_bound():

@@ -286,6 +286,18 @@ def test_double_fault_refused_for_the_backend_first(tmp_path, capsys):
             search(semigroup, c, c)
 
 
+def test_aut_r_commands_refuse_the_quaternions_by_their_first_search(tmp_path, capsys):
+    # verify-ses solves H^1 before it builds a witness map, so it refuses the
+    # backend in the fixed-point searches' text; out-r starts at the Aut R search
+    bundle = {"semigroup": {"n": 2, "support": [[1, 1], [2, 2], [1, 2]], "comp": []},
+              "coefficients": {"backend": "quaternion"}}
+    b = write(tmp_path, "b.json", bundle)
+    for command, error in (("verify-ses", "fixed-point enumeration needs a finite field"),
+                           ("out-r", "Aut R search needs a finite field")):
+        code, report, _ = invoke(capsys, [command, b])
+        assert (code, report) == (2, {"error": error, "kind": "InfiniteBackend"}), command
+
+
 def test_cohomologous_keeps_its_refusals(tmp_path, capsys):
     # the searches refuse an infinite backend, in the text of cohomologous,
     # after an invalid cocycle and before any search

@@ -52,10 +52,10 @@ BOUND_CASES = {
         lambda: out_r(TwistedRing(t2(), gf(2), trivial(2)), Bounds(max_search=0)),
         r"^max_search: fixing-pair slice estimate 1 above limit 0$",
     ),
-    # l_11 and l_22 forced, l_12 free: 3 fixing pairs per mu slice over GF(4)
+    # H^1 refuses on its own size: over GF(4) 2 mu slices of 3 fixing pairs, over the 3 coboundaries
     "fixing_pairs": (
-        lambda: first_cohomology(t2(), trivial(4), Bounds(max_search=2)),
-        r"^max_search: fixing-pair slice estimate 3 above limit 2$",
+        lambda: first_cohomology(t2(), trivial(4), Bounds(max_search=1)),
+        r"^max_search: H\^1 estimate 2 above limit 1$",
     ),
     # the image of nu -> (l_1 - l_2 on the arrow, 0 on the loops): 3 over GF(4)
     "one_coboundaries": (
