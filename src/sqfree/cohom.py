@@ -161,29 +161,34 @@ class TwoCocycle:
 
 
 def verify_two_cocycle(S, c):
-    """Report every domain defect and identity failure; empty report = valid, and c records S as verified."""
+    """Report every domain defect and identity failure; empty report = valid, and c records S as verified.
+
+    Domain, backend and unit defects are listed, sorted, only once a bulk check finds one.
+    """
     rep = ValidationReport()
-    for p in sorted(S.support):
-        if p not in c.alpha:
-            rep.add("missing_alpha", p)
-    for t in sorted(S.comp):
-        if t not in c.xi:
-            rep.add("missing_xi", t)
-    for p in sorted(set(c.alpha) - S.support):
-        rep.add("stray_alpha", p)
-    for t in sorted(set(c.xi) - S.comp):
-        rep.add("stray_xi", t)
-    if not rep.ok:
+    if c.alpha.keys() != S.support or c.xi.keys() != S.comp:
+        for p in sorted(S.support):
+            if p not in c.alpha:
+                rep.add("missing_alpha", p)
+        for t in sorted(S.comp):
+            if t not in c.xi:
+                rep.add("missing_xi", t)
+        for p in sorted(set(c.alpha) - S.support):
+            rep.add("stray_alpha", p)
+        for t in sorted(set(c.xi) - S.comp):
+            rep.add("stray_xi", t)
         return rep
     D = c.backend
-    for t in sorted(S.comp):
-        v = c.xi[t]
-        if v.field != D or v.is_zero():
-            rep.add("xi_not_unit", t, repr(v))
-    for p in sorted(S.support):
-        if c.alpha[p].field != D:
-            rep.add("mixed_backends", p)
-    if not rep.ok:
+    if not all((v.field is D or v.field == D) and not v.is_zero() for v in c.xi.values()) or not all(
+        a.field is D or a.field == D for a in c.alpha.values()
+    ):
+        for t in sorted(S.comp):
+            v = c.xi[t]
+            if v.field != D or v.is_zero():
+                rep.add("xi_not_unit", t, repr(v))
+        for p in sorted(S.support):
+            if c.alpha[p].field != D:
+                rep.add("mixed_backends", p)
         return rep
     (_code_identities if D.is_finite else _element_identities)(S, c, D, rep)
     if rep.ok:

@@ -6,14 +6,18 @@ Decoders are strict about shape and raise InvalidInput naming the JSON
 path of the first offending key; encoders are inverse on the nose, so a
 decode of an encode gives back an equal object. Missing cocycle alpha
 entries default to the identity and missing xi/eta entries to 1, which
-keeps hand-written bundles short.
+keeps hand-written bundles short. Index keys must be spelled as encoders
+write them, "1,2,3", so no two keys name one tuple. Types and shapes are
+checked in bulk; JSON paths are built only on failure, to name the first
+offender.
 """
 
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
-from .coeff import FiniteField, QuatElement, QuaternionAutomorphism, Quaternions
+from .coeff import FFElement, FiniteField, QuatElement, QuaternionAutomorphism, Quaternions
 from .cohom import Cochain, GaugeElement, TwoCocycle, chain_keys
 from .common import DEFAULT_BOUNDS
 from .errors import InvalidInput
@@ -45,12 +49,25 @@ def _int_list(obj, length, where):
     return [_as_int(x, f"{where}[{a}]") for a, x in enumerate(obj)]
 
 
-def _indices(key, where):
+def _int_rows(obj, length, what, where):
+    """obj, a list of lists of length integers, as tuples."""
+    _expect(isinstance(obj, list), f"expected a list of {what}", where)
+    if set(map(type, obj)) <= {list} and set(map(len, obj)) <= {length} and set(map(type, chain.from_iterable(obj))) <= {int}:
+        return list(map(tuple, obj))
+    return [tuple(_int_list(r, length, f"{where}[{a}]")) for a, r in enumerate(obj)]
+
+
+def _indices(key, domain, what, where):
+    """The index tuple that key spells, a member of domain, else "<key> is not <what>"."""
     try:
-        parts = tuple(int(x) for x in key.split(","))
+        parts = tuple(map(int, key.split(",")))
     except ValueError:
+        parts = None
+    if parts is None or ",".join(map(str, parts)) != key:
         raise InvalidInput(f"key {key!r} is not a comma-separated index tuple", where=where)
-    _expect(all(x > 0 for x in parts), "indices are 1-based", where)
+    _expect(min(parts) > 0, "indices are 1-based", where)
+    if parts not in domain:
+        raise InvalidInput(f"{key!r} is not {what}", where=where)
     return parts
 
 
@@ -110,9 +127,10 @@ def decode_element(D, obj, where):
     if isinstance(D, Quaternions):
         _expect(isinstance(obj, list) and len(obj) == 4, "expected four rational strings", where)
         return D.element(tuple(_fraction(v, f"{where}[{a}]") for a, v in enumerate(obj)))
-    coords = _int_list(obj, D.k, where)
-    _expect(all(0 <= c < D.p for c in coords), f"coordinates must lie in [0,{D.p})", where)
-    return D.element(coords)
+    p = D.p
+    if not (obj.__class__ is list and len(obj) == D.k and all(c.__class__ is int and 0 <= c < p for c in obj)):
+        _expect(all(0 <= c < p for c in _int_list(obj, D.k, where)), f"coordinates must lie in [0,{p})", where)
+    return FFElement(D, D._encode(obj))
 
 
 def encode_automorphism(a):
@@ -132,8 +150,9 @@ def decode_automorphism(D, obj, where):
         return QuaternionAutomorphism(D, q)
     m = obj.get("frobenius")
     _expect(m is not None, 'field automorphisms are {"frobenius": m}', where)
-    m = _as_int(m, f"{where}.frobenius")
-    _expect(0 <= m < D.k, f"exponent must lie in [0,{D.k})", f"{where}.frobenius")
+    if m.__class__ is not int or not 0 <= m < D.k:
+        _as_int(m, f"{where}.frobenius")
+        _expect(0 <= m < D.k, f"exponent must lie in [0,{D.k})", f"{where}.frobenius")
     return D.frobenius(m)
 
 
@@ -153,12 +172,8 @@ def decode_semigroup(obj, where="semigroup"):
     obj = _as_dict(obj, where)
     n = _as_int(obj.get("n"), f"{where}.n")
     _expect(n >= 1, "n must be positive", f"{where}.n")
-    support = obj.get("support")
-    _expect(isinstance(support, list), "expected a list of pairs", f"{where}.support")
-    pairs = [tuple(_int_list(p, 2, f"{where}.support[{a}]")) for a, p in enumerate(support)]
-    comp = obj.get("comp", [])
-    _expect(isinstance(comp, list), "expected a list of triples", f"{where}.comp")
-    triples = [tuple(_int_list(t, 3, f"{where}.comp[{a}]")) for a, t in enumerate(comp)]
+    pairs = _int_rows(obj.get("support"), 2, "pairs", f"{where}.support")
+    triples = _int_rows(obj.get("comp", []), 3, "triples", f"{where}.comp")
     return SquareFreeSemigroup.make(n, pairs, triples)
 
 
@@ -177,11 +192,17 @@ def _entries(D, decode, obj, where, domain, what, units=None):
     Each key must name a member of domain, else "<key> is not <what>"; with
     units named, a zero value is refused as "<units> values must be units".
     """
+    obj = _as_dict(obj, where)
+    try:  # one pass without JSON paths; on a refusal the loop below names the first offender
+        out = {_indices(key, domain, what, None): decode(D, enc, None) for key, enc in obj.items()}
+        if not (units and any(v.is_zero() for v in out.values())):
+            return out
+    except InvalidInput:
+        pass
     out = {}
-    for key, enc in _as_dict(obj, where).items():
+    for key, enc in obj.items():
         path = f"{where}.{key}"
-        idx = _indices(key, path)
-        _expect(idx in domain, f"{key!r} is not {what}", path)
+        idx = _indices(key, domain, what, path)
         out[idx] = v = decode(D, enc, path)
         if units:
             _expect(not v.is_zero(), f"{units} values must be units", path)
@@ -190,8 +211,8 @@ def _entries(D, decode, obj, where, domain, what, units=None):
 
 def decode_cocycle(S, D, obj, where="cocycle"):
     obj = _as_dict(obj, where)
-    alpha = {p: D.identity_automorphism() for p in S.support}
-    xi = {t: D.one for t in S.comp}
+    alpha = dict.fromkeys(S.support, D.identity_automorphism())
+    xi = dict.fromkeys(S.comp, D.one)
     alpha.update(_entries(D, decode_automorphism, obj.get("alpha", {}), f"{where}.alpha", S.support, "a support pair"))
     xi.update(_entries(D, decode_element, obj.get("xi", {}), f"{where}.xi", S.comp, "a composable triple", "xi"))
     return TwoCocycle(alpha, xi)
@@ -205,8 +226,8 @@ def encode_gauge(g):
 
 def decode_gauge(S, D, obj, where="gauge"):
     obj = _as_dict(obj, where)
-    mu = {i: D.identity_automorphism() for i in range(1, S.n + 1)}
-    eta = {p: D.one for p in S.support}
+    mu = dict.fromkeys(range(1, S.n + 1), D.identity_automorphism())
+    eta = dict.fromkeys(S.support, D.one)
     given = _entries(D, decode_automorphism, obj.get("mu", {}), f"{where}.mu", {(i,) for i in mu}, "an idempotent index")
     mu.update((i, a) for (i,), a in given.items())
     eta.update(_entries(D, decode_element, obj.get("eta", {}), f"{where}.eta", S.support, "a support pair", "eta"))

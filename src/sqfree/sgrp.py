@@ -10,6 +10,8 @@ Semigroup elements are represented by their support pair; e_i is (i,i).
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import SearchBoundExceeded
@@ -25,11 +27,9 @@ class SquareFreeSemigroup:
     def make(cls, n, support, comp, close_units=True):
         """Build from iterables; optionally add the unit-law triples."""
         support = frozenset((int(i), int(j)) for i, j in support)
-        comp = set((int(i), int(j), int(k)) for i, j, k in comp)
+        comp = {(int(i), int(j), int(k)) for i, j, k in comp}
         if close_units:
-            for i, j in support:
-                comp.add((i, i, j))
-                comp.add((i, j, j))
+            comp.update(map(itemgetter(0, 0, 1), support), map(itemgetter(0, 1, 1), support))
         return cls(n, support, frozenset(comp))
 
     @cached_property
@@ -55,8 +55,8 @@ class SquareFreeSemigroup:
 
     @cached_property
     def _chains(self):
-        """m -> the composable m-chains for m >= 2, each built on first request."""
-        return {}
+        """Entry m - 1 holds the composable m-chains; each is built once, by extending the one before."""
+        return [tuple((p,) for p in self.elements())]
 
     def tuples(self, m):
         """Composable m-chains: lists of pairs for m <= 1, m-tuples of pairs beyond.
@@ -69,53 +69,52 @@ class SquareFreeSemigroup:
             return self.idempotent_pairs()
         if m == 1:
             return self.elements()
-        if m not in self._chains:
-            out, comp = self._out, self.comp
-            chains = [((p,), p[0], p[1]) for p in self.elements()]
-            for _ in range(m - 1):
-                chains = [
-                    (chain + (q,), i, q[1])
-                    for chain, i, j in chains
-                    for q in out.get(j, ())
-                    if (i, j, q[1]) in comp
-                ]
-            self._chains[m] = tuple(c for c, _, _ in chains)
-        return list(self._chains[m])
+        chains, out, comp = self._chains, self._out, self.comp
+        while len(chains) < m:
+            chains.append(
+                tuple(c + (q,) for c in chains[-1] for i, j in [(c[0][0], c[-1][1])] for q in out.get(j, ()) if (i, j, q[1]) in comp)
+            )
+        return list(chains[m - 1])
 
     def validate(self):
-        rep = ValidationReport()
-        rng = range(1, self.n + 1)
-        for p in sorted(self.support):
-            if not (p[0] in rng and p[1] in rng):
-                rep.add("index_out_of_range", p)
-        for t in sorted(self.comp):
-            if not all(x in rng for x in t):
-                rep.add("index_out_of_range", t)
-        if not rep.ok:
-            return rep
+        """A fresh ValidationReport of the semigroup axioms, which are checked once per semigroup."""
+        return ValidationReport(list(self._violations))
+
+    @cached_property
+    def _violations(self):
+        """validate's violations. Each rule is checked in bulk, and its violations listed in order only if it fails."""
+        rep, support, comp, rng = ValidationReport(), self.support, self.comp, range(1, self.n + 1)
+        if not set(chain.from_iterable(chain(support, comp))) <= set(rng):
+            for x in sorted(support) + sorted(comp):
+                if not all(i in rng for i in x):
+                    rep.add("index_out_of_range", x)
+            return rep.violations
         for i in rng:
-            if (i, i) not in self.support:
+            if (i, i) not in support:
                 rep.add("missing_idempotent", (i, i), "diagonal pair absent from support")
-        for t in sorted(self.comp):
-            i, j, k = t
-            for p in ((i, j), (j, k), (i, k)):
-                if p not in self.support:
-                    rep.add("comp_without_support", t, f"pair {p} absent")
-        for i, j in sorted(self.support):
-            if (i, i, j) not in self.comp:
-                rep.add("unit_law", (i, i, j), "left unit triple absent")
-            if (i, j, j) not in self.comp:
-                rep.add("unit_law", (i, j, j), "right unit triple absent")
-        # (s_ij s_jk) s_kl and s_ij (s_jk s_kl) must vanish together
-        out = self._out
-        for i, j in sorted(self.support):
-            for _, k in out.get(j, ()):
-                for _, l in out.get(k, ()):
-                    left = (i, j, k) in self.comp and (i, k, l) in self.comp
-                    right = (j, k, l) in self.comp and (i, j, l) in self.comp
-                    if left != right:
-                        rep.add("associativity", (i, j, k, l), f"left={left} right={right}")
-        return rep
+        if not all(set(map(itemgetter(*at), comp)) <= support for at in ((0, 1), (1, 2), (0, 2))):
+            for t in sorted(comp):
+                for p in (t[:2], t[1:], t[::2]):
+                    if p not in support:
+                        rep.add("comp_without_support", t, f"pair {p} absent")
+        if not all(set(map(itemgetter(*at), support)) <= comp for at in ((0, 0, 1), (0, 1, 1))):
+            for i, j in sorted(support):
+                if (i, i, j) not in comp:
+                    rep.add("unit_law", (i, i, j), "left unit triple absent")
+                if (i, j, j) not in comp:
+                    rep.add("unit_law", (i, j, j), "right unit triple absent")
+        # (s_ij s_jk) s_kl and s_ij (s_jk s_kl) must vanish together; if the rules above
+        # hold, both do when a factor is idempotent, so only arrows are walked, in sorted order
+        out = {i: [p for p in row if p[0] != p[1] or rep.violations] for i, row in self._out.items()}
+        for row in out.values():
+            for i, j in row:
+                for _, k in out.get(j, ()):
+                    for _, l in out.get(k, ()):
+                        left = (i, j, k) in comp and (i, k, l) in comp
+                        right = (j, k, l) in comp and (i, j, l) in comp
+                        if left != right:
+                            rep.add("associativity", (i, j, k, l), f"left={left} right={right}")
+        return rep.violations
 
 
 def sim_classes(S):

@@ -1,5 +1,6 @@
 """Named bound refusals, and witness replays that hold under python -O."""
 
+import json
 import os
 import subprocess
 import sys
@@ -184,3 +185,33 @@ def test_corrupted_replays_rejected_under_python_O():
         "is_d_algebra rejected: WitnessRejected",
         "aut_r_bruteforce rejected: InvalidCocycle",
     ]
+
+
+def malformed_bundle(semigroup=None, xi=None):
+    bundle = {
+        "semigroup": {"n": 2, "support": [[1, 1], [2, 2], [1, 2]], "comp": []},
+        "coefficients": {"backend": "finite_field", "p": 3, "k": 1},
+        "cocycle": {"xi": xi or {"1,1,2": [2]}},
+    }
+    bundle["semigroup"].update(semigroup or {})
+    return bundle
+
+
+def test_malformed_bundles_refused_under_python_O(tmp_path):
+    # the bulk checks name the same JSON path with assertions stripped
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cases = {
+        "semigroup.support[1][0]": malformed_bundle(semigroup={"support": [[1, 1], [True, 2], [1, 2]]}),
+        "semigroup.comp[0]": malformed_bundle(semigroup={"comp": [[1, 2]]}),
+        "cocycle.xi.01,1,2": malformed_bundle(xi={"1,1,2": [2], "01,1,2": [1]}),
+        "cocycle.xi.1,2,2": malformed_bundle(xi={"1,2,2": [0]}),
+    }
+    for where, bundle in cases.items():
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "sqfree", "validate", str(path)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 2, (where, proc.stderr)
+        assert json.loads(proc.stdout)["where"] == where

@@ -8,14 +8,16 @@ compared with a filter of all n! permutations.
 """
 
 import random
+from functools import cached_property
 from itertools import permutations, product
 
 import pytest
 
+from sqfree.cohom import TwoCocycle
 from sqfree.common import ValidationReport
 
 from sqfree.errors import SearchBoundExceeded
-from sqfree.fixtures import a3, double_t2, mu, single, t2, two_cycle
+from sqfree.fixtures import a3, double_t2, gf, mu, single, t2, two_cycle
 from sqfree.sgrp import (
     SemigroupAutomorphism,
     SquareFreeSemigroup,
@@ -24,6 +26,7 @@ from sqfree.sgrp import (
     is_normal_automorphism,
     sim_classes,
 )
+from sqfree.twring import TwistedRing, check_associativity
 
 
 def test_fixture_validation():
@@ -366,3 +369,75 @@ def test_automorphisms_match_a_filter_of_every_permutation():
         # the closure rule alone, on every permutation, keeps the same maps
         perms = map(SemigroupAutomorphism, permutations(range(1, S.n + 1)))
         assert [phi for phi in perms if is_automorphism(S, phi)] == want, S
+
+
+def path_semigroup(n):
+    """n idempotents with arrows i -> i+1 and no composite."""
+    return SquareFreeSemigroup.make(n, [(i, i) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n)], [])
+
+
+def t2_union(blocks):
+    """blocks disjoint copies of t2: the arrow 2b-1 -> 2b for each block b."""
+    n = 2 * blocks
+    return SquareFreeSemigroup.make(n, [(i, i) for i in range(1, n + 1)] + [(i, i + 1) for i in range(1, n, 2)], [])
+
+
+def sparse_corruptions(S, rng):
+    """Copies of a sparse valid S that each break one validate rule, with no scan of all index triples."""
+    n, support, comp = S.n, S.support, S.comp
+    arrows = sorted(p for p in support if p[0] != p[1])
+    i, j = rng.choice(arrows)
+    out = {"unit_law": SquareFreeSemigroup(n, support, comp - {rng.choice([(i, i, j), (i, j, j)])})}
+    a = rng.randrange(1, n - 2)
+    out["comp_without_support"] = SquareFreeSemigroup(n, support, comp | {(a, a + 2, a + 1), (a + 2, a, a + 2)})
+    k = rng.randint(1, n)
+    out["missing_idempotent"] = SquareFreeSemigroup(n, support - {(k, k)}, comp)
+    out["index_out_of_range"] = SquareFreeSemigroup(n, support | {(n, n + 1), (0, 1)}, comp | {(n + 1, n + 1, n + 1)})
+    # a 4-path a -> a+1 -> a+2 -> a+3 whose left bracketing composes and whose right one does not
+    b = rng.randrange(1, n - 3)
+    extra = SquareFreeSemigroup.make(
+        n, support | {(b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b, b + 2), (b, b + 3)},
+        comp | {(b, b + 1, b + 2), (b, b + 2, b + 3)},
+    )
+    out["associativity"] = extra
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: path_semigroup(300), lambda: t2_union(200)], ids=["path300", "t2_union400"])
+def test_validate_matches_the_full_scan_on_corrupted_sparse_semigroups(make):
+    S = make()
+    assert S.validate().ok and ref_validate(S).ok
+    rng = random.Random(27)
+    for _ in range(3):
+        for kind, T in sorted(sparse_corruptions(S, rng).items()):
+            rep = T.validate()
+            assert rep.as_json() == ref_validate(T).as_json(), kind
+            assert kind in {v.kind for v in rep.violations}, kind
+
+
+def test_validate_checks_once_and_returns_a_fresh_report(monkeypatch):
+    calls = []
+    check = SquareFreeSemigroup.__dict__["_violations"].func
+    counted = cached_property(lambda S: calls.append(S) or check(S))
+    counted.__set_name__(SquareFreeSemigroup, "_violations")
+    monkeypatch.setattr(SquareFreeSemigroup, "_violations", counted)
+    R = TwistedRing(a3(), gf(3), TwoCocycle.trivial(a3(), gf(3)))
+    assert check_associativity(R).ok and check_associativity(R).ok and R.S.validate().ok
+    assert len(calls) == 1
+
+    S = SquareFreeSemigroup.make(2, [(1, 1), (1, 2)], [])
+    first = S.validate()
+    assert not first.ok
+    want = first.as_json()
+    first.extend(first)
+    first.violations.clear()
+    assert S.validate() is not S.validate()
+    assert S.validate().as_json() == want
+
+
+def test_longer_chains_extend_the_cached_shorter_ones():
+    # asked longest first, each m-chain list still equals the full scan's
+    for S in (a3(), mu(3), double_t2(), two_cycle(), path_semigroup(12)):
+        for m in (4, 3, 2):
+            assert S.tuples(m) == ref_tuples(S, m), (S, m)
+            assert S.tuples(m) is not S.tuples(m)
