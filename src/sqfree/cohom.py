@@ -18,7 +18,6 @@ relabel(psi*phi, c). Both laws are property-tested rather than trusted.
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from operator import add
 from types import MappingProxyType
 
@@ -35,7 +34,7 @@ from .errors import (
     WitnessRejected,
     ZeroConjugator,
 )
-from .linalg import echelon_mod, solve_mod, span_mod, step_mod
+from .linalg import Lattice
 from .sgrp import automorphisms as semigroup_automorphisms
 from .sgrp import sim_classes
 
@@ -502,15 +501,11 @@ def _mu_candidates(S, a1, a2, k):
 
 
 def _log_form(S, F, a):
-    """The echelon form that solve_mod reads for the eta equations' log matrix at alpha exponents a, and its kernel's steps.
+    """The Lattice of the rows (column of a support pair | its unit vector) of the eta equations' log matrix, and its kernel K.
 
-    D^x is cyclic, so in logs l of eta the equation
-    x(ij) frob^(a_ij)(x(jh)) x(ih)^(-1) = t(ijh) reads
-    l_ij + p^(a_ij) l_jh - l_ih = log t(ijh) over Z/(q-1), one entry per
-    triple and one unknown per support pair. The matrix depends on alpha
-    alone, so every mu slice shares one echelon form of its rows (column
-    of the pair | the pair's unit vector); the steps past the triples,
-    without those entries, are the kernel K's.
+    D^x is cyclic, so in logs l of eta the equation x(ij) frob^(a_ij)(x(jh)) x(ih)^(-1) = t(ijh) reads
+    l_ij + p^(a_ij) l_jh - l_ih = log t(ijh) over Z/(q-1), one entry per triple and one unknown per support pair.
+    The matrix depends on the alpha exponents a alone, so every mu slice shares the Lattice; K is its tail.
     """
     power, support, cut = F._powers, S.elements(), len(S.comp)
     rows = {p: [0] * cut + [int(p == r) for r in support] for p in support}
@@ -518,27 +513,26 @@ def _log_form(S, F, a):
         rows[i, j][t] += 1
         rows[j, h][t] += power[a[i, j]]
         rows[i, h][t] -= 1
-    steps = echelon_mod(rows.values(), F.q - 1)
-    return steps, [(s - cut, h[cut:], d) for s, h, d in steps if s >= cut]
+    form = Lattice.span(rows.values(), F.q - 1, cut + len(support))
+    return form, form.split(cut)[1]
 
 
 def _slices(S, F, v1, v2, forms):
-    """Yield (mu, l0, the kernel's steps) for each solvable mu slice of act(g, c1) = c2, for _codes pairs v1 and v2.
+    """Yield (mu, l0, the kernel K) for each solvable mu slice of act(g, c1) = c2, for _codes pairs v1 and v2.
 
-    mu runs over _mu_candidates in order, and l0 is one solution in logs for
-    the targets frob^(mu_i)(x2) x1^(-1); every solution is l0 plus the
-    kernel. c1's log form comes from forms, a dict that one public call
-    shares across its solves, keyed by the alpha exponents in support order.
+    mu runs over _mu_candidates in order, and l0 is one solution in logs for the targets frob^(mu_i)(x2) x1^(-1); every
+    solution is l0 plus K. c1's log form comes from forms, a dict that one public call shares across its solves, keyed
+    by the alpha exponents in support order.
     """
     (a1, x1), (a2, x2) = v1, v2
-    n, power, triples, form = F.q - 1, F._powers, sorted(S.comp), None
+    power, triples, form = F._powers, sorted(S.comp), None
     for mu in _mu_candidates(S, a1, a2, F.k):
         if form is None:
             key = tuple(map(a1.__getitem__, S.elements()))
             if key not in forms:
                 forms[key] = _log_form(S, F, a1)
             form, kernel = forms[key]
-        l0 = solve_mod(form, [power[mu[t[0] - 1]] * x2[t] - x1[t] for t in triples], len(S.support), n)
+        l0 = form.solve([power[mu[t[0] - 1]] * x2[t] - x1[t] for t in triples])
         if l0 is not None:
             yield mu, l0, kernel
 
@@ -546,18 +540,16 @@ def _slices(S, F, v1, v2, forms):
 def _solutions(S, F, v1, v2, bounds, forms):
     """The code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2, in canonical_key order.
 
-    Each solvable slice is l0 plus the kernel K, listed once by a mixed-radix
-    walk over K's steps, which must give |K| distinct pairs, refused above
-    max_search; with l0 and K's step rows _checked, by the group law every
-    one solves.
+    Each slice is l0 plus K, listed once as |K| distinct pairs, refused above max_search; with l0 and K's step rows
+    _checked, by the group law every one solves.
     """
     exp, out, kernel = F._exp, [], None
-    for mu, l0, steps in _slices(S, F, v1, v2, forms):
+    for mu, l0, K in _slices(S, F, v1, v2, forms):
         if kernel is None:
-            size = _within(prod((F.q - 1) // d for _, _, d in steps), "fixing-pair slice", bounds)
-            for _, h, _ in steps:
+            size = _within(K.order, "fixing-pair slice", bounds)
+            for h in K.rows:
                 _checked(S, F, v1, v1, (0,) * S.n, h)
-            kernel = span_mod(steps, len(l0), F.q - 1)
+            kernel = K.elements()
             if len(set(kernel)) != size:
                 raise WitnessRejected(f"{len(set(kernel))} distinct kernel elements, not {size}")
         _checked(S, F, v1, v2, mu, l0)
@@ -577,20 +569,6 @@ def _checked(S, F, v1, v2, mu, logs):
     if _act_codes(S, F, v1, mu, dict(zip(S.elements(), logs))) != v2:
         raise WitnessRejected("a gauge solution does not carry the first cocycle to the second")
     return mu, tuple(map(F._exp.__getitem__, logs))
-
-
-def _least(F, l0, steps):
-    """The eta logs in l0 + L over Z/(q-1) whose code tuple is least, slot by slot, for L's echelon_mod steps.
-
-    At a step's slot s the logs before s are kept by exactly the elements of
-    L spanned by the steps from s on, so the reachable logs are l_s + d Z;
-    the one of least code is reached by adding a multiple of the step's row.
-    """
-    n, exp, logs = F.q - 1, F._exp, list(l0)
-    for step in steps:
-        s, _, d = step
-        logs = step_mod(logs, step, min(((logs[s] + d * t) % n for t in range(n // d)), key=exp.__getitem__), n)
-    return logs
 
 
 def _gauge(S, F, key):
@@ -619,11 +597,9 @@ def _refuse_backends(S, c1, c2):
 
 def _witness(S, F, v1, v2, forms):
     """The code pair with the least eta code tuple of the first solvable mu slice carrying v1 to v2, _checked, or None."""
-    first = next(_slices(S, F, v1, v2, forms), None)
-    if first is None:
-        return None
-    mu, l0, kernel = first
-    return _checked(S, F, v1, v2, mu, _least(F, l0, kernel))
+    for mu, l0, kernel in _slices(S, F, v1, v2, forms):
+        return _checked(S, F, v1, v2, mu, kernel.least(l0, F._exp.__getitem__))
+    return None
 
 
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
@@ -678,28 +654,28 @@ def _fixed_codes(S, base):
 
 
 def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
-    """Orbit of the identity pair under the diagonal-unit action: the span of _coboundary_gens, of the size estimated."""
+    """Orbit of the identity pair under the diagonal-unit action: the elements of _coboundary_gens' B^1, of the size estimated."""
     F = _backend(S, base)
     if not F.is_finite:
         raise InfiniteBackend("orbit enumeration needs a finite field")
-    steps = _coboundary_gens(S, F, _codes(S, _valid(S, base))[0])
-    size = _within(prod((F.q - 1) // d for _, _, d in steps), "orbit", bounds)
-    image = set(span_mod(steps, len(S.support), F.q - 1))
+    b1 = _coboundary_gens(S, F, _codes(S, _valid(S, base))[0])[0]
+    size = _within(b1.order, "orbit", bounds)
+    image = set(b1.elements())
     if len(image) != size:
         raise WitnessRejected(f"{len(image)} coboundaries, not {size}")
     return [_gauge(S, F, key) for key in sorted(((0,) * S.n, tuple(map(F._exp.__getitem__, logs))) for logs in image)]
 
 
 def _coboundary_gens(S, F, a):
-    """The echelon_mod steps of B^1 in eta logs in support order, each row followed by the logs of its diagonal unit.
+    """(B^1 as a Lattice in eta logs in support order, per row of B^1 the logs of its diagonal unit).
 
-    The diagonal units nu keep mu and send the identity pair to logs l_i - p^(a_ij) l_j over Z/(q-1), so B^1 is
-    spanned by the images of the n unit vectors l = e_k, each echeloned beside its l; readers that zip a row
-    against eta logs see its first |support| entries.
+    The diagonal units nu keep mu and send the identity pair to logs l_i - p^(a_ij) l_j over Z/(q-1), so B^1 is the
+    head of the Lattice of the images of the n unit vectors l = e_k, each beside its l.
     """
     power, support, n = F._powers, S.elements(), S.n
     images = [[(k == i) - (k == j) * power[a[i, j]] for i, j in support] + [int(k == i) for i in range(1, n + 1)] for k in range(1, n + 1)]
-    return [step for step in echelon_mod(images, F.q - 1) if step[0] < len(support)]
+    full = Lattice.span(images, F.q - 1, len(support) + n)
+    return full.split(len(support))[0], [h[len(support):] for h in full.rows if any(h[: len(support)])]
 
 
 @dataclass
@@ -715,38 +691,33 @@ class H1Result:
 def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     """Fixing pairs modulo the identity orbit, read off the lattices of Z^1 and B^1 in eta logs; nothing is listed.
 
-    A slice of Z^1 is l0 + K (_slices), B^1 the span of the rows b of _coboundary_gens' steps, which must fix
-    base. x B^1 is l_x + D_mu(B^1), D_mu scaling slot (i, j) by p^(mu_i), so B^1 is normal when each D_mu(b) has
-    the identity as its least member (_least). |H^1| = slices |K| / |B^1| is refused above max_search; the classes
-    of a slice are the l + B^1 in l0 + K, keyed by _least and walked one K step row at a time, and there must be
-    |K| / |B^1| of them. Only the representatives become GaugeElements.
+    A slice of Z^1 is l0 + K (_slices), B^1 the Lattice of _coboundary_gens, whose rows b must fix base. x B^1 is
+    l_x + D_mu(B^1), D_mu scaling slot (i, j) by p^(mu_i), so B^1 is normal when it contains each D_mu(b). |H^1| =
+    slices |K| / |B^1| is refused above max_search; the least member of each class of a slice comes from one walk over
+    K's slots (Lattice.reps), |K| / |B^1| of them. Only the representatives become GaugeElements.
     """
     return _first_cohomology(S, *_fixed_codes(S, base), bounds, {})[0]
 
 
 def _first_cohomology(S, F, v, bounds, forms):
-    """(first_cohomology's H1Result, B^1's steps) for base's _codes pair v, its solves sharing the caller's forms."""
-    slices, n, power, support = list(_slices(S, F, v, v, forms)), F.q - 1, F._powers, S.elements()
+    """(first_cohomology's H1Result, _coboundary_gens) for base's _codes pair v, its solves sharing the caller's forms."""
+    slices, reps, n, power, support = list(_slices(S, F, v, v, forms)), [], F.q - 1, F._powers, S.elements()
     # the identity fixes base, so the slice mu = 0 is always there; K's step rows, with mu = 0, must fix it too
-    size = prod(n // d for _, _, d in slices[0][2])
-    for mu, l0 in [((0,) * S.n, h) for _, h, _ in slices[0][2]] + [s[:2] for s in slices]:
+    size = slices[0][2].order
+    for mu, l0 in [((0,) * S.n, h) for h in slices[0][2].rows] + [s[:2] for s in slices]:
         _checked(S, F, v, v, mu, l0)
-    b1 = _coboundary_gens(S, F, v[0])
-    if any(_act_codes(S, F, v, (0,) * S.n, dict(zip(support, h))) != v for _, h, _ in b1):
+    b1, _ = gens = _coboundary_gens(S, F, v[0])
+    if any(_act_codes(S, F, v, (0,) * S.n, dict(zip(support, h))) != v for h in b1.rows):
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
-    b1_order, reps = prod(n // d for _, _, d in b1), []
-    _within(len(slices) * size // b1_order, "H^1", bounds)
+    _within(len(slices) * size // b1.order, "H^1", bounds)
     for mu, l0, kernel in slices:
-        if any(any(_least(F, [x * power[mu[i - 1]] % n for x, (i, _) in zip(h, support)], b1)) for _, h, _ in b1):
+        if not all(b1.contains([x * power[mu[i - 1]] % n for x, (i, _) in zip(h, support)]) for h in b1.rows):
             raise WitnessRejected("the coboundaries are not normal in the fixing pairs")
-        keys, new = set(), {tuple(_least(F, l0, b1))}
-        while new:
-            keys |= new
-            new = {tuple(_least(F, [(x + y) % n for x, y in zip(l, h)], b1)) for l in new for _, h, _ in kernel} - keys
-        if len(keys) * b1_order != size:
-            raise WitnessRejected(f"{len(keys)} cosets of {b1_order} do not cover {size} fixing pairs")
+        keys = set(kernel.reps(l0, b1, F._exp.__getitem__))
+        if len(keys) * b1.order != size:
+            raise WitnessRejected(f"{len(keys)} cosets of {b1.order} do not cover {size} fixing pairs")
         reps += [(mu, tuple(map(F._exp.__getitem__, logs))) for logs in keys]
-    return H1Result(len(reps), [_gauge(S, F, r) for r in sorted(reps)], len(slices) * size, b1_order), b1
+    return H1Result(len(reps), [_gauge(S, F, r) for r in sorted(reps)], len(slices) * size, b1.order), gens
 
 
 def _class_witnesses(S, c, bounds):
@@ -756,10 +727,10 @@ def _class_witnesses(S, c, bounds):
     product, for each H^1 representative r in order, which carries relabel(phi, c) to c; phi = id has w = 1.
     """
     F, v = _fixed_codes(S, c)
-    forms, exp, cut, pairs = {}, F._exp, len(S.support), []
-    h1, b1 = _first_cohomology(S, F, v, bounds, forms)
+    forms, exp, pairs = {}, F._exp, []
+    h1, (b1, logs) = _first_cohomology(S, F, v, bounds, forms)
     for phi in semigroup_automorphisms(S, bounds):
         w = _witness(S, F, _relabeled(S, phi, v), v, forms)
         pairs += [(phi, gauge_mul(S, _gauge(S, F, w), r)) for r in (h1.reps if w else ())]
-    units = [(_gauge(S, F, ((0,) * S.n, tuple(exp[x] for x in h[:cut]))), [FFElement(F, exp[x]) for x in h[cut:]]) for _, h, _ in b1]
+    units = [(_gauge(S, F, ((0,) * S.n, tuple(exp[x] for x in h))), [FFElement(F, exp[x]) for x in u]) for h, u in zip(b1.rows, logs)]
     return h1, units, pairs

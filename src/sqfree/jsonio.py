@@ -13,6 +13,7 @@ offender.
 """
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
@@ -82,10 +83,9 @@ def _key_of(chain):
 
 def _fraction(text, where):
     _expect(isinstance(text, str), 'expected a rational string "num/den"', where)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidInput(f"{text!r} is not a rational number", where=where)
+    # [-]digits[/digits], the denominator not zero: Fraction would expand an exponent such as "1e999999999" in full
+    _expect(re.fullmatch(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", text), f"{text!r} is not a rational number", where)
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------- backends

@@ -1,16 +1,17 @@
 """Dense matrices over Z/p; one Gauss-Jordan column step gives span bases, solves, inverses and ranks.
 
 Matrices are tuples of row tuples of ints reduced mod p; vectors are tuples.
-Over Z/n, n not prime, one echelon (Howell) form by extended-gcd row
-steps gives instead, slot by slot, the values a lattice's elements can take
-there; of the rows (column j of A | e_j) it gives solutions of A x = b and
-the kernel of A too.
+Over Z/n, n not prime, a subgroup of (Z/n)^width is a Lattice: one echelon
+(Howell) form by extended-gcd row steps, which gives its order, membership,
+least members under a key, the list of its elements, solutions of A x = b
+(of the rows (column j of A | e_j)), its split into an image and a kernel,
+and the least member of each class of a quotient by a sublattice.
 """
 
-from math import gcd
+from math import gcd, prod
 from operator import add, mul
 
-from .errors import NotInvertible
+from .errors import NotInvertible, WitnessRejected
 
 
 def identity_matrix(n):
@@ -83,70 +84,97 @@ def _gcd_step(a, b):
     return s0, t0, -(b // r0), a // r0
 
 
-def _combine(x, y, s, t, u, v, n):
-    """The rows (s x + t y, u x + v y) mod n."""
-    return [(s * a + t * b) % n for a, b in zip(x, y)], [(u * a + v * b) % n for a, b in zip(x, y)]
-
-
-def echelon_mod(rows, n):
-    """(slot, row, d) steps in slot order, an echelon form of the span of the rows over Z/n.
-
-    At each slot the rows nonzero there fold into one row h by unimodular
-    _gcd_step pairs, d = gcd(h[slot], n), and (n/d) h, zero at slot, goes
-    on with the other rows. So the rows of the steps at slots >= s span
-    exactly the elements zero before s, and these take the values d Z at a
-    step's slot s and 0 at any other (a Howell form: Howell, Spans in the
-    module (Z_m)^s, 1986). Every element is sum c_i h_i, 0 <= c_i < n/d_i,
-    in one way, so the span has prod n/d_i elements.
-    """
-    rows, steps = [row for row in ([x % n for x in r] for r in rows) if any(row)], []
-    for slot in range(len(rows[0]) if rows else 0):
-        live = [row for row in rows if row[slot]]
-        if not live:
-            continue
-        h, rows = live[0], [row for row in rows if not row[slot]]
-        for row in live[1:]:
-            h, row = _combine(h, row, *_gcd_step(h[slot], row[slot]), n)
-            rows.append(row)
-        d = gcd(h[slot], n)
-        steps.append((slot, tuple(h), d))
-        rows = [row for row in rows + [[x * (n // d) % n for x in h]] if any(row)]
-    return steps
-
-
-def step_mod(v, step, want, n):
+def _step(v, step, want, n):
     """v plus the multiple of the step's row h that takes v[slot] to want; None unless want is in v[slot] + d Z."""
     slot, h, d = step
     if (want - v[slot]) % d:
         return None
-    m = n // d
-    f = (want - v[slot]) % n // d * pow(h[slot] // d, -1, m) % m
+    f = (want - v[slot]) % n // d * pow(h[slot] // d, -1, n // d) % (n // d)
     return [(x + f * y) % n for x, y in zip(v, h)] if f else v
 
 
-def solve_mod(steps, b, m, n):
-    """One x with A x = b over Z/n for m unknowns; None when there is none.
+class Lattice:
+    """A subgroup L of (Z/n)^width, held as the (slot, h, d) steps of an echelon (Howell) form; not changed once built.
 
-    steps is echelon_mod of the m rows (column j of A | e_j), whose span is
-    every (A x, x). Reducing (-b, 0) to zero on A's slots, those before the
-    cut len(b), by the steps there leaves (0, x) with A x = b. The steps
-    from the cut on, cut from their rows' first len(b) entries, are an
-    echelon form of A's kernel.
+    Lattice.span folds the rows nonzero at each slot into one row h by
+    unimodular _gcd_step pairs, d = gcd(h[slot], n), and carries (n/d) h,
+    zero at slot, on with the other rows. So the step rows h from slot s on
+    span exactly the members zero before s, which take the values d Z at s
+    (Howell, Spans in the module (Z_m)^s, 1986), and each member is
+    sum c_i h_i, 0 <= c_i < n/d_i, in one way: rows are the h_i, order is |L|.
     """
-    cut, v = len(b), [-y % n for y in b] + [0] * m
-    for step in steps:
-        if step[0] >= cut:
-            break
-        v = step_mod(v, step, 0, n)
-        if v is None:
-            return None
-    return None if any(v[:cut]) else tuple(v[cut:])
 
+    def __init__(self, n, width, steps):
+        self.n, self.width, self._steps = n, width, tuple(steps)
+        self.rows, self.order = [h for _, h, _ in self._steps], prod(n // d for _, _, d in self._steps)
 
-def span_mod(steps, cols, n):
-    """Every sum of c_i h_i over Z/n, 0 <= c_i < n/d_i, for echelon_mod's steps (slot, h_i, d_i): a mixed-radix walk."""
-    wrap, out = list(range(n)) * 2, [(0,) * cols]
-    for _, h, d in steps:
-        multiples = [tuple(c * x % n for x in h) for c in range(n // d)]
-        out = [tuple(map(wrap.__getitem__, map(add, y, z))) for y in out for z in multiples]
-    return out
+    @classmethod
+    def span(cls, rows, n, width):
+        """The Lattice the rows span over Z/n."""
+        rows, steps = [row for row in ([x % n for x in r] for r in rows) if any(row)], []
+        for slot in range(width):
+            live = [row for row in rows if row[slot]]
+            if not live:
+                continue
+            h, rows = live[0], [row for row in rows if not row[slot]]
+            for row in live[1:]:
+                s, t, u, v = _gcd_step(h[slot], row[slot])
+                h, row = [(s * a + t * b) % n for a, b in zip(h, row)], [(u * a + v * b) % n for a, b in zip(h, row)]
+                rows.append(row)
+            d = gcd(h[slot], n)
+            steps.append((slot, tuple(h), d))
+            rows = [row for row in rows + [[x * (n // d) % n for x in h]] if any(row)]
+        return cls(n, width, steps)
+
+    def least(self, v, key):
+        """The member of v + L whose keys are least slot by slot: that of the one class of (v + L) / L."""
+        return self.reps(v, self, key)[0]
+
+    def contains(self, v):
+        return self.solve(v) is not None
+
+    def elements(self):
+        """Every member once, sum c_i h_i for 0 <= c_i < n/d_i: a mixed-radix walk."""
+        n, wrap, out = self.n, list(range(self.n)) * 2, [(0,) * self.width]
+        for _, h, d in self._steps:
+            multiples = [tuple(c * x % n for x in h) for c in range(n // d)]
+            out = [tuple(map(wrap.__getitem__, map(add, y, z))) for y in out for z in multiples]
+        return out
+
+    def solve(self, b):
+        """One x with (b, x) in L, else None: (-b, 0) reduced to zero on b's slots leaves (0, x).
+
+        L spanned by the rows (column j of A | e_j) holds every (A x, x), so x solves A x = b.
+        """
+        n, cut, v = self.n, len(b), [-y % self.n for y in b] + [0] * (self.width - len(b))
+        for step in self._steps:
+            if v is None or step[0] >= cut:
+                break
+            v = _step(v, step, 0, n)
+        return None if v is None or any(v[:cut]) else tuple(v[cut:])
+
+    def split(self, cut):
+        """(L's image on the slots before cut, L's members zero there, on the slots from cut on): the steps cut in two."""
+        head = [(s, h[:cut], d) for s, h, d in self._steps if s < cut]
+        tail = [(s - cut, h[cut:], d) for s, h, d in self._steps if s >= cut]
+        return Lattice(self.n, cut, head), Lattice(self.n, self.width - cut, tail)
+
+    def reps(self, start, sub, key):
+        """sub.least of each class of (start + L) / sub, by one walk over L's slots, for sub inside L.
+
+        At L's step (s, h, d), with d' that of sub's step at s (n if none), each v branches into the d'/d classes
+        v_s + d t mod d', t < d'/d (t = 0 is v), each taken to its least key in v_s + d' Z by sub's step, which keeps
+        every earlier slot. A sub step where L has none, or a d that does not divide d', is WitnessRejected.
+        """
+        n, at = self.n, {step[0]: step for step in sub._steps}
+        if not at.keys() <= {s for s, _, _ in self._steps}:
+            raise WitnessRejected("a step of the sublattice falls at a slot where the lattice has none")
+        out = [[x % n for x in start]]
+        for s, h, d in self._steps:
+            d_sub = at[s][2] if s in at else n
+            if d_sub % d:
+                raise WitnessRejected(f"the sublattice takes {d_sub}Z at slot {s}, outside the lattice's {d}Z")
+            out += [_step(v, (s, h, d), (v[s] + d * t) % n, n) for v in out for t in range(1, d_sub // d)]
+            if s in at:
+                out = [_step(v, at[s], min(((v[s] + d_sub * t) % n for t in range(n // d_sub)), key=key), n) for v in out]
+        return [tuple(v) for v in out]

@@ -923,7 +923,7 @@ def test_verify_ses_work_is_one_witness_map_per_class(monkeypatch, S, want):
     # compared when the inner maps are neither one class nor all; pair tests plus |W|^2 section products;
     # no element scan, no fixing-pair or coboundary listing and no second solve
     R = trivial_ring(S, gf(4))
-    rows = len(cohom._coboundary_gens(S, R.D, cohom._codes(S, R.c)[0]))
+    rows = len(cohom._coboundary_gens(S, R.D, cohom._codes(S, R.c)[0])[0].rows)
     maps, sigmas, tests = counting(monkeypatch, "_witness_aut"), counting(monkeypatch, "sigma"), counting(monkeypatch, "_conjugator")
     products, scans = counting(monkeypatch, "mat_mul"), [counting(monkeypatch, "_scan", twring), counting(monkeypatch, "_scan")]
     listings = [counting(monkeypatch, name, cohom) for name in ("_solutions", "one_coboundaries", "cohomologous")]

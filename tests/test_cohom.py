@@ -51,7 +51,7 @@ from sqfree.errors import (
     ZeroConjugator,
 )
 from sqfree.fixtures import a3, double_t2, gf, mu, quaternions, single, t2, two_cycle
-from sqfree.linalg import echelon_mod
+from sqfree.linalg import Lattice
 from sqfree.sgrp import SemigroupAutomorphism, SquareFreeSemigroup, automorphisms
 from sqfree.twring import TwistedRing, check_associativity
 from test_fields import FIELDS
@@ -1205,15 +1205,15 @@ def test_field_act_and_sweep_make_no_element_operations(monkeypatch):
     assert calls[QuatElement] > 0 and calls[QuaternionAutomorphism] > 0 and calls["mul"] > 0
 
 
-def counting(monkeypatch, name):
+def counting(monkeypatch, name, owner=cohom):
     calls = [0]
-    inner = getattr(cohom, name)
+    inner = getattr(owner, name)
 
     def wrapped(*args, **kwargs):
         calls[0] += 1
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(cohom, name, wrapped)
+    monkeypatch.setattr(owner, name, wrapped)
     return calls
 
 
@@ -1249,15 +1249,27 @@ def test_field_searches_make_no_element_operations(monkeypatch):
     assert calls[FFElement] > 0 and calls[FieldAutomorphism] > 0 and products[0] == inverses[0] == 1
 
 
-@pytest.mark.parametrize("S, q, want", [(a3(), 9, 10), (double_t2(), 8, 45)], ids=["a3/GF9", "double_t2/GF8"])
+@pytest.mark.parametrize("S, q, want", [(a3(), 9, (4, 2, 2)), (double_t2(), 8, (18, 9, 9))], ids=["a3/GF9", "double_t2/GF8"])
 def test_h1_lists_nothing_and_keys_each_class_by_step(monkeypatch, S, q, want):
-    # no listing; per slice one _least per B^1 step (normality) and one for
-    # l0's class, and per class one per K step: 2 steps each here, so slices * 3 + |H^1| * 2, with 2 slices and |H^1| = 2 on
-    # a3/GF9 and 9 and 9 on double_t2/GF8
+    # no listing and no least member sought; per slice one membership test
+    # per B^1 step (normality) and one class walk, whose leaves are the
+    # classes, |H^1| in all: 2 B^1 steps here, so want = (slices * 2,
+    # slices, |H^1|), with 2 slices and |H^1| = 2 on a3/GF9 and 9 and 9 on
+    # double_t2/GF8
     base = TwoCocycle.trivial(S, gf(q))
-    least, listed = counting(monkeypatch, "_least"), counting(monkeypatch, "span_mod")
+    tests, least, listed = (counting(monkeypatch, name, Lattice) for name in ("contains", "least", "elements"))
+    walks, leaves, reps = [0], [0], Lattice.reps
+
+    def walk(*args):
+        walks[0] += 1
+        out = reps(*args)
+        leaves[0] += len(out)
+        return out
+
+    monkeypatch.setattr(Lattice, "reps", walk)
     res = first_cohomology(S, base)
-    assert (least[0], listed[0]) == (want, 0)
+    assert (tests[0], walks[0], leaves[0], least[0], listed[0]) == (*want, 0, 0)
+    assert leaves[0] == res.order
     assert (res.z1_order, res.b1_order) == (len(one_cocycles(S, base)), len(one_coboundaries(S, base)))
 
 
@@ -1273,24 +1285,25 @@ def test_h1_builds_a_gauge_per_class_only(monkeypatch, S, q):
 def test_field_z1_is_one_elimination_and_no_eta_search(monkeypatch, S, q):
     # every solution of the eta equations of one call, and the kernel, is
     # read off one echelon form of the log matrix, shared by all mu; B^1's
-    # steps are one more. _least (H^1's class keys, the first witness)
-    # reads those steps and eliminates nothing itself
+    # Lattice is one more. Lattice.least (the first witness) reads the
+    # kernel's form and eliminates nothing itself
     F = gf(q)
     c = act(S, random_gauge(S, F, random.Random(q)), difference_twist(S, F, random.Random(S.n)), check=False)
-    assert not hasattr(cohom, "_eta_search")
-    assert not hasattr(linalg, "diagonal_form") and not hasattr(linalg, "kernel_mod")
-    forms, echelons = counting(monkeypatch, "_log_form"), counting(monkeypatch, "echelon_mod")
+    assert not hasattr(cohom, "_eta_search") and not hasattr(cohom, "_least")
+    gone = ("diagonal_form", "kernel_mod", "echelon_mod", "step_mod", "solve_mod", "span_mod")
+    assert not any(hasattr(linalg, name) for name in gone)
+    forms, echelons = counting(monkeypatch, "_log_form"), counting(monkeypatch, "span", Lattice)
     assert len(one_cocycles(S, c)) > 1
     assert (forms[0], echelons[0]) == (1, 1)
-    solves, inside, calls = counting(monkeypatch, "solve_mod"), [0], counting(monkeypatch, "_least")
+    solves, inside, calls = counting(monkeypatch, "solve", Lattice), [0], counting(monkeypatch, "least", Lattice)
 
-    def least(*args, inner=cohom._least):
+    def least(*args, inner=Lattice.least):
         before = echelons[0] + solves[0]
         out = inner(*args)
         inside[0] += echelons[0] + solves[0] - before
         return out
 
-    monkeypatch.setattr(cohom, "_least", least)
+    monkeypatch.setattr(Lattice, "least", least)
     assert first_cohomology(S, c).order >= 1
     assert (forms[0], echelons[0]) == (2, 3)
     assert cohomologous(S, c, c) is not None
@@ -1505,7 +1518,7 @@ def test_h1_of_a_path_of_20_lists_nothing(monkeypatch):
     # l_i - l_(i+1) on the arrows, and a tree's coboundary map is onto its
     # arrows, so |B^1| = 2^19 and H^1 is trivial; both were listed before
     S = path(20)
-    listed = counting(monkeypatch, "span_mod")
+    listed = counting(monkeypatch, "elements", Lattice)
     res = first_cohomology(S, TwoCocycle.trivial(S, gf(3)))
     assert (res.order, res.z1_order, res.b1_order, listed[0]) == (1, 2**19, 2**19, 0)
     assert keys(res.reps) == keys([GaugeElement.identity(S, gf(3))])
@@ -1522,7 +1535,7 @@ def test_h1_of_a_path_of_40_reads_the_lattices_only(monkeypatch):
     # size of H^1, the listing made, not on |K|
     S, F = path(40), gf(3)
     base = TwoCocycle.trivial(S, F)
-    listed = counting(monkeypatch, "span_mod")
+    listed = counting(monkeypatch, "elements", Lattice)
     res = first_cohomology(S, base)
     assert (res.order, res.z1_order, res.b1_order, listed[0]) == (1, 2**39, 2**39, 0)
     with pytest.raises(SearchBoundExceeded, match=r"^max_search: H\^1 estimate 1 above limit 0$"):
@@ -1568,9 +1581,9 @@ def reference_least(F, l0, gens):
 
 
 def assert_least_matches_the_references(F, l0, gens):
-    """_least on echelon_mod's steps against reference_least and, for a lattice of at most 10^4 elements, every member."""
+    """Lattice.least against reference_least and, for a lattice of at most 10^4 elements, every member."""
     n = F.q - 1
-    got = cohom._least(F, l0, echelon_mod(gens, n))
+    got = list(Lattice.span(gens, n, len(l0)).least(l0, F._exp.__getitem__))
     assert got == reference_least(F, l0, gens), (n, l0, gens)
     if prod(n // gcd(n, *g) for g in gens) <= 10**4:
         members = {tuple((x + y) % n for x, y in zip(l0, z)) for z in span_of(gens, len(l0), n)}
@@ -1602,7 +1615,5 @@ def test_least_reads_the_echelon_as_the_per_slot_solve_did_over_fields(q):
     for name in sorted(DIFFERENTIAL_FIXTURES):
         S = DIFFERENTIAL_FIXTURES[name]()
         a = {p: rng.randrange(F.k) if p[0] != p[1] else 0 for p in S.support}
-        for steps in (cohom._log_form(S, F, a)[1], cohom._coboundary_gens(S, F, a)):
-            # a B^1 step row carries its diagonal unit's logs past the support
-            gens = [h[: len(S.support)] for _, h, _ in steps]
-            assert_least_matches_the_references(F, [rng.randrange(q - 1) for _ in S.support], gens)
+        for L in (cohom._log_form(S, F, a)[1], cohom._coboundary_gens(S, F, a)[0]):
+            assert_least_matches_the_references(F, [rng.randrange(q - 1) for _ in S.support], L.rows)

@@ -8,6 +8,7 @@ command line sends it.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -429,6 +430,21 @@ def test_index_keys_must_be_canonical():
         assert outcome(decode, obj) == refusal(text.format(key), where)
         canonical = json.loads(json.dumps(obj).replace(key, key.replace("0", "").replace("+", "").replace(" ", "")))
         assert outcome(decode, canonical)[0] == "ok", canonical
+
+
+def test_quaternion_numbers_must_be_digits():
+    # [-]digits[/digits] only: Fraction would also read exponents, decimals,
+    # a sign and spaces, and expands an exponent in full, so a value like
+    # "1e999999999" would stall the decoder; a zero denominator is refused
+    # as before
+    H = quaternions()
+    text = "{!r} is not a rational number"
+    for value in ("1e5", "1e1000", "0.5", "+1", " 1/2", "1/2 ", "1_0", "1/0", "1/00", "", "1/", "/2", "--1"):
+        obj = [value, "0", "0", "0"]
+        assert outcome(jsonio.decode_element, H, obj, "element") == refusal(text.format(value), "element[0]"), value
+        conj = {"conj": ["1", "0", value, "0"]}
+        assert outcome(jsonio.decode_automorphism, H, conj, "alpha") == refusal(text.format(value), "alpha.conj[2]"), value
+    assert jsonio.decode_element(H, ["-3/4", "10/20", "0", "-0/7"], "element").parts == (Fraction(-3, 4), Fraction(1, 2), 0, 0)
 
 
 def mixed_cocycles(S, D, rng):

@@ -1,11 +1,12 @@
-"""The Gauss-Jordan eliminator and the Z/n echelon form against an oracle that eliminates nothing.
+"""The Gauss-Jordan eliminator and the Z/n Lattice against an oracle that eliminates nothing.
 
 Invertibility is decided by the cofactor determinant, solutions are checked
 by multiplying back, and row-reduced bases by enumerating both spans. Every
 2x2 and 3x3 matrix over GF(2), every 2x2 over GF(3) and 200 seeded 4x4
 matrices over GF(5) are covered. Over Z/n, solutions and kernels are
-checked against every vector of (Z/n)^m, m <= 3, and echelon forms against
-the enumerated lattice and its sublattices.
+checked against every vector of (Z/n)^m, m <= 3, and each Lattice
+operation against the enumerated lattice, its sublattices and the classes
+of its quotients.
 """
 
 import random
@@ -14,16 +15,8 @@ from math import gcd, prod
 
 import pytest
 
-from sqfree.errors import NotInvertible
-from sqfree.linalg import (
-    _gcd_step,
-    echelon_mod,
-    mat_inv,
-    row_reduce,
-    solve,
-    solve_mod,
-    span_mod,
-)
+from sqfree.errors import NotInvertible, WitnessRejected
+from sqfree.linalg import Lattice, _gcd_step, mat_inv, row_reduce, solve
 
 
 def _all_matrices(n, p):
@@ -127,7 +120,7 @@ def test_row_reduce_rank_is_full_exactly_when_the_determinant_is_not_zero(case):
         assert (len(row_reduce(A, p)) == len(A)) == (_det(A, p) != 0), A
 
 
-MODULI = (1, 2, 4, 6, 7, 8, 9, 12, 15)
+MODULI = tuple(range(1, 16))
 
 
 def _apply(A, x, n):
@@ -148,8 +141,8 @@ def test_gcd_step_is_unimodular_and_keeps_a_dividing_pivot():
 @pytest.mark.parametrize("n", MODULI)
 def test_z_mod_n_solutions_and_kernels_match_every_vector(n):
     # zero to four rows, entries unreduced and negative too; right sides
-    # from the image and at random, so both answers of solve_mod occur.
-    # The kernel is the steps past the cut, without A's entries
+    # from the image and at random, so both answers of solve occur. The
+    # kernel is the tail of the split at the cut
     rng = random.Random(n)
     outcomes = set()
     for m in (1, 2, 3):
@@ -160,14 +153,14 @@ def test_z_mod_n_solutions_and_kernels_match_every_vector(n):
             for x in vectors:
                 image.setdefault(_apply(A, x, n), []).append(x)
             kernel = image[(0,) * len(A)]
-            steps = echelon_mod(_block(A, m), n)
-            gens = [(slot - len(A), row[len(A):], d) for slot, row, d in steps if slot >= len(A)]
-            listed = span_mod(gens, m, n)
-            assert all(d < n for _, _, d in gens)
-            assert len(listed) == len(set(listed)) == len(kernel), (A, n)
+            form = Lattice.span(_block(A, m), n, len(A) + m)
+            tail = form.split(len(A))[1]
+            listed = tail.elements()
+            assert all(d < n for _, _, d in tail._steps) and tail.width == m
+            assert len(listed) == len(set(listed)) == len(kernel) == tail.order, (A, n)
             assert set(listed) == set(kernel), (A, n)
             for b in [rng.choice(list(image)), tuple(rng.randrange(n) for _ in A)]:
-                x = solve_mod(steps, [y + n * rng.randrange(-1, 2) for y in b], m, n)
+                x = form.solve([y + n * rng.randrange(-1, 2) for y in b])
                 assert (x is None) == (b not in image), (A, b, n)
                 if x is not None:
                     assert len(x) == m and all(0 <= y < n for y in x)
@@ -179,22 +172,23 @@ def test_z_mod_n_solutions_and_kernels_match_every_vector(n):
 def test_z_mod_n_solve_reads_its_steps():
     # 2 x = b over Z/6: the row (2 | 1) has d = 2 at slot 0 and leaves
     # 3 (2, 1) = (0, 3), so the kernel is {0, 3} and b must be even
-    steps = echelon_mod(_block([[2]], 1), 6)
-    assert steps == [(0, (2, 1), 2), (1, (0, 3), 3)]
-    assert solve_mod(steps, [4], 1, 6) in {(2,), (5,)} and solve_mod(steps, [3], 1, 6) is None
+    form = Lattice.span(_block([[2]], 1), 6, 2)
+    assert form._steps == ((0, (2, 1), 2), (1, (0, 3), 3))
+    assert form.solve([4]) in {(2,), (5,)} and form.solve([3]) is None
     # a zero matrix and a matrix without rows leave every column free: the
     # kernel's steps are the unit rows
     for A in ([[0, 6]], []):
-        steps = echelon_mod(_block(A, 2), 6)
-        assert steps == [(len(A), (0,) * len(A) + (1, 0), 1), (len(A) + 1, (0,) * len(A) + (0, 1), 1)]
-        assert solve_mod(steps, [0] * len(A), 2, 6) == (0, 0)
-    assert solve_mod(echelon_mod(_block([[0, 6]], 2), 6), [1], 2, 6) is None
+        form = Lattice.span(_block(A, 2), 6, len(A) + 2)
+        assert form._steps == ((len(A), (0,) * len(A) + (1, 0), 1), (len(A) + 1, (0,) * len(A) + (0, 1), 1))
+        assert form.solve([0] * len(A)) == (0, 0)
+    assert Lattice.span(_block([[0, 6]], 2), 6, 3).solve([1]) is None
     # over Z/1 there are no steps, and the one solution is m zeros
-    assert echelon_mod(_block([[1, 2]], 2), 1) == [] and solve_mod([], [5], 2, 1) == (0, 0)
+    form = Lattice.span(_block([[1, 2]], 2), 1, 3)
+    assert form._steps == () and form.solve([5]) == (0, 0)
 
 
 def _block(A, m):
-    """The m rows (column j of A | e_j) whose echelon form solve_mod reads."""
+    """The m rows (column j of A | e_j) whose Lattice solve reads."""
     return [[row[j] for row in A] + [int(j == k) for k in range(m)] for j in range(m)]
 
 
@@ -217,7 +211,7 @@ def test_echelon_mod_steps_span_every_sublattice_zero_before_their_slot(n):
     for _ in range(200):
         m = rng.randrange(1, 4)
         gens = [[rng.choice((0, rng.randrange(-n, 2 * n))) for _ in range(m)] for _ in range(rng.randrange(4))]
-        steps = echelon_mod(gens, n)
+        steps = Lattice.span(gens, n, m)._steps
         lattice = span_of(gens, m, n)
         assert len(lattice) == prod(n // d for _, _, d in steps), (gens, n)
         assert [slot for slot, _, _ in steps] == sorted({slot for slot, _, _ in steps}), (gens, n)
@@ -225,7 +219,7 @@ def test_echelon_mod_steps_span_every_sublattice_zero_before_their_slot(n):
             assert len(row) == m and all(0 <= x < n for x in row) and row[slot], (gens, n)
             assert not any(row[:slot]) and d == gcd(row[slot], n), (gens, n)
         for s in range(m + 1):
-            listed = span_mod([step for step in steps if step[0] >= s], m, n)
+            listed = Lattice(n, m, [step for step in steps if step[0] >= s]).elements()
             assert len(listed) == len(set(listed)), (gens, n, s)
             assert set(listed) == {x for x in lattice if not any(x[:s])}, (gens, n, s)
 
@@ -234,6 +228,98 @@ def test_echelon_mod_reads_its_steps():
     # over Z/6, (2, 4) and (3, 0) fold to (1, 2) = 3 (3, 0) - (2, 4), and the
     # rest, -3 (2, 4) + 2 (3, 0), is zero; (6, 12) is zero already, so only
     # (0, 3) is left for slot 1
-    gens = [(2, 4), (3, 0), (6, 12), (0, 3)]
-    assert echelon_mod(gens, 6) == [(0, (1, 2), 1), (1, (0, 3), 3)]
-    assert echelon_mod([], 6) == echelon_mod([(0, 0)], 6) == echelon_mod([(1, 2)], 1) == []
+    L = Lattice.span([(2, 4), (3, 0), (6, 12), (0, 3)], 6, 2)
+    assert L._steps == ((0, (1, 2), 1), (1, (0, 3), 3)) and L.rows == [(1, 2), (0, 3)] and L.order == 12
+    assert Lattice.span([], 6, 2)._steps == Lattice.span([(0, 0)], 6, 2)._steps == Lattice.span([(1, 2)], 1, 2)._steps == ()
+    assert Lattice.span([], 6, 2).elements() == [(0, 0)]
+
+
+def _random_gens(rng, n, m):
+    """Up to 3 generators of width m over Z/n, unreduced and negative entries too, zeros likely."""
+    return [[rng.choice((0, rng.randrange(-n, 2 * n))) for _ in range(m)] for _ in range(rng.randrange(4))]
+
+
+def _least_by(members, key):
+    return min(members, key=lambda v: [key[x] for x in v])
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_lattice_operations_match_the_enumerated_lattice(n):
+    # order, contains on every vector, least under a seeded injective key
+    # (so the least member is unique), elements, and the split at every cut
+    rng = random.Random(100 + n)
+    key = rng.sample(range(1, 10 * n + 1), n)
+    for _ in range(40):
+        m = rng.randrange(1, 4)
+        gens = _random_gens(rng, n, m)
+        L, lattice = Lattice.span(gens, n, m), span_of(gens, m, n)
+        assert L.order == len(lattice) and L.width == m and L.n == n, (gens, n)
+        listed = L.elements()
+        assert len(listed) == len(set(listed)) and set(listed) == lattice, (gens, n)
+        assert span_of(L.rows, m, n) == lattice, (gens, n)
+        vectors = list(product(range(n), repeat=m))
+        assert {v for v in vectors if L.contains(v)} == lattice, (gens, n)
+        for _ in range(5):
+            v = [rng.randrange(-n, 2 * n) for _ in range(m)]
+            coset = {tuple((x + y) % n for x, y in zip(v, z)) for z in lattice}
+            assert L.least(v, key.__getitem__) == _least_by(coset, key), (gens, n, v)
+        for cut in range(m + 1):
+            head, tail = L.split(cut)
+            assert (head.width, tail.width) == (cut, m - cut)
+            assert set(head.elements()) == {x[:cut] for x in lattice}, (gens, n, cut)
+            assert set(tail.elements()) == {x[cut:] for x in lattice if not any(x[:cut])}, (gens, n, cut)
+            assert head.order * tail.order == L.order, (gens, n, cut)
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_lattice_reps_match_the_classes_of_the_listing(n):
+    # sub is spanned by random multiples of sums of L's generators, so it
+    # lies in L; start is affine. The walk must give sub's least member of
+    # each class of (start + L) / sub, each once, as the partition of the
+    # listed coset start + L gives them; sub = L gives one class
+    rng = random.Random(200 + n)
+    key = rng.sample(range(1, 10 * n + 1), n)
+    for _ in range(40):
+        m = rng.randrange(1, 4)
+        gens = _random_gens(rng, n, m)
+        coefficients = [[rng.randrange(n) for _ in gens] for _ in range(rng.randrange(3))]
+        combos = [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(m)] for cs in coefficients]
+        L, sub = Lattice.span(gens, n, m), Lattice.span(combos, n, m)
+        start = [rng.randrange(-n, 2 * n) for _ in range(m)]
+        members, inner = span_of(gens, m, n), span_of(combos, m, n)
+        assert inner <= members
+        coset = {tuple((x + y) % n for x, y in zip(start, z)) for z in members}
+        classes = {}
+        for v in coset:
+            rep = _least_by({tuple((x + y) % n for x, y in zip(v, b)) for b in inner}, key)
+            classes.setdefault(rep, []).append(v)
+        got = L.reps(start, sub, key.__getitem__)
+        assert len(got) == len(set(got)) == len(classes) == L.order // sub.order, (gens, combos, n)
+        assert set(got) == set(classes), (gens, combos, start, n)
+        assert all(sub.least(r, key.__getitem__) == r for r in got)
+        assert L.reps(start, L, key.__getitem__) == [L.least(start, key.__getitem__)]
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_lattice_reps_refuses_a_sub_it_can_tell_is_not_inside(n):
+    # a refusal always means sub is not inside L; a sub inside L is never
+    # refused (previous test)
+    rng = random.Random(300 + n)
+    refused = 0
+    for _ in range(60):
+        m = rng.randrange(1, 4)
+        L, sub = Lattice.span(_random_gens(rng, n, m), n, m), Lattice.span(_random_gens(rng, n, m), n, m)
+        try:
+            L.reps([0] * m, sub, range(n).__getitem__)
+        except WitnessRejected:
+            refused += 1
+            assert not set(sub.elements()) <= set(L.elements()), (L._steps, sub._steps, n)
+    assert refused > 0 or n == 1
+
+
+def test_lattice_reps_refusals_name_the_slot():
+    # a sub step at a slot where L has none; a sub value 1 at slot 0 where L reaches 2Z only
+    with pytest.raises(WitnessRejected, match="^a step of the sublattice falls at a slot where the lattice has none$"):
+        Lattice.span([], 4, 2).reps([0, 0], Lattice.span([(0, 1)], 4, 2), range(4).__getitem__)
+    with pytest.raises(WitnessRejected, match=r"^the sublattice takes 1Z at slot 0, outside the lattice's 2Z$"):
+        Lattice.span([(2, 0)], 4, 2).reps([0, 0], Lattice.span([(1, 0)], 4, 2), range(4).__getitem__)

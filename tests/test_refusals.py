@@ -98,6 +98,7 @@ def test_first_witness_solves_spend_no_bound():
 CORRUPTED_REPLAY_SCRIPT = """
 import sys
 from sqfree import cohom, twring
+from sqfree.linalg import Lattice
 from sqfree.autos import aut_r_bruteforce
 from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology, one_coboundaries
 from sqfree.errors import InvalidCocycle, NotAOneCocycle, WitnessRejected
@@ -129,32 +130,35 @@ def call(name, fn, patch=None):
 
 # a least eta tuple that does not carry base to its rescaled copy
 call("cohomologous", lambda: cohomologous(S, base, act(S, g, base)),
-     (cohom, "_least", lambda F, l0, gens: (1,) * len(l0)))
+     (Lattice, "least", lambda L, v, key: (1,) * len(v)))
 # a particular solution of the log system that solves nothing: every log 1
 call("first_cohomology solution", lambda: first_cohomology(S, base),
-     (cohom, "solve_mod", lambda steps, b, m, n: (1,) * m))
+     (Lattice, "solve", lambda L, b: (1,) * (L.width - len(b))))
 # each kernel step twice: K is stated as 9 pairs, and holds 3
 log_form = cohom._log_form
 call("first_cohomology kernel", lambda: first_cohomology(S, base),
-     (cohom, "_log_form", lambda *a: (lambda steps, kernel: (steps, 2 * kernel))(*log_form(*a))))
+     (cohom, "_log_form", lambda *a: (lambda form, K: (form, Lattice(K.n, K.width, 2 * K._steps)))(*log_form(*a))))
 # an image listing that never leaves the identity pair: 1 coboundary where the estimate is 3
 call("one_coboundaries", lambda: one_coboundaries(S, base),
-     (cohom, "span_mod", lambda gens, cols, n: [(0,) * cols]))
-# B^1 steps (slot, eta logs in support order, d), each of order (q-1)/d:
-# one outside Z^1, at log 1 on the loop (1, 1); one that is no normal
-# subgroup, log 1 on both arrows of double_t2, which mu = (1, 1, 0, 0)
-# scales to (2, 1), out of its span; the arrow of t2 over GF(4) twice, so
-# of order 9, where the kernel has 3 elements; and log 2 on the arrow over
-# GF(5) twice, so of order 4, while it has order 2: 2 classes of 4 for 4
-# fixing pairs
+     (Lattice, "elements", lambda L: [(0,) * L.width]))
+# B^1 as Lattices over Z/(q-1) in eta logs in support order, with steps
+# (slot, row, d) of order (q-1)/d where given as steps: one outside Z^1, at
+# log 1 on the loop (1, 1); one that is no normal subgroup, log 1 on both
+# arrows of double_t2, which mu = (1, 1, 0, 0) scales to (2, 1), out of its
+# span; the arrow of t2 over GF(4) twice, so of order 9, where the kernel
+# has 3 elements; and log 2 on the arrow over GF(5) twice, so of order 4,
+# while it has order 2: 2 classes of 4 for 4 fixing pairs
 call("first_cohomology outside", lambda: first_cohomology(S, base),
-     (cohom, "_coboundary_gens", lambda *a: [(0, (1, 0, 0), 1)]))
+     (cohom, "_coboundary_gens", lambda *a: (Lattice.span([(1, 0, 0)], 3, 3), None)))
 call("first_cohomology normal", lambda: first_cohomology(double_t2(), TwoCocycle.trivial(double_t2(), F)),
-     (cohom, "_coboundary_gens", lambda *a: [(1, (0, 1, 0, 0, 1, 0), 1)]))
+     (cohom, "_coboundary_gens", lambda *a: (Lattice.span([(0, 1, 0, 0, 1, 0)], 3, 6), None)))
 call("first_cohomology index", lambda: first_cohomology(S, base),
-     (cohom, "_coboundary_gens", lambda *a: 2 * [(1, (0, 1, 0), 1)]))
+     (cohom, "_coboundary_gens", lambda *a: (Lattice(3, 3, 2 * [(1, (0, 1, 0), 1)]), None)))
 call("first_cohomology cover", lambda: first_cohomology(S, TwoCocycle.trivial(S, gf(5))),
-     (cohom, "_coboundary_gens", lambda *a: 2 * [(1, (0, 2, 0), 2)]))
+     (cohom, "_coboundary_gens", lambda *a: (Lattice(4, 3, 2 * [(1, (0, 2, 0), 2)]), None)))
+# a kernel stated as 0: B^1, the arrow of t2, has its step at a slot where K has none
+call("first_cohomology slot", lambda: first_cohomology(S, base),
+     (cohom, "_log_form", lambda *a: (log_form(*a)[0], Lattice(3, 3, ()))))
 # an exponent solution that leaves the Frobenius on the arrow
 R = TwistedRing(S, F, base.replace_alpha((1, 2), F.frobenius(1)))
 call("is_d_algebra", lambda: is_d_algebra(R),
@@ -182,6 +186,7 @@ def test_corrupted_replays_rejected_under_python_O():
         "first_cohomology normal rejected: WitnessRejected",
         "first_cohomology index rejected: WitnessRejected",
         "first_cohomology cover rejected: WitnessRejected",
+        "first_cohomology slot rejected: WitnessRejected",
         "is_d_algebra rejected: WitnessRejected",
         "aut_r_bruteforce rejected: InvalidCocycle",
     ]
