@@ -38,6 +38,7 @@ from .errors import (
 from .linalg import identity_matrix, mat_inv, mat_mul, mat_vec, row_reduce, solve
 from .sgrp import SemigroupAutomorphism, is_automorphism, is_normal_automorphism
 from .twring import (
+    _closed_counts,
     _enumeration_guard,
     _scan,
     from_vector,
@@ -267,14 +268,18 @@ def _inner(R, bounds):
     """Inn R as {matrix: (unit vector, inverse vector)}, from the first unit giving it.
 
     The units come from the enumerate_units scan, with the inverse it found
-    for each unit, and each distinct conjugation is checked once. The table
-    holds no reference back to the ring, so it lives in the ring's core.
+    for each unit, and each distinct conjugation is checked once. On a valid
+    cocycle the scan must yield the unit count read off the splitting classes.
+    The table holds no reference back to the ring, so it lives in the ring's core.
     """
     _enumeration_guard(R, bounds)
     cache = R.core.cache
     if "inner" not in cache:
-        table = {}
-        for _, x, v in _scan(R, R.core.inverse):
+        table, units = {}, _scan(R, R.core.inverse)
+        counts = _closed_counts(R)
+        if counts is not None and counts[1] != len(units):
+            raise WitnessRejected(f"the unit scan found {len(units)} units, the splitting classes {counts[1]}")
+        for _, x, v in units:
             M = _conjugation_matrix(R.core, x, v)
             if M not in table:
                 _verified(R, RingAut(R, M))

@@ -39,9 +39,8 @@ from .sgrp import automorphisms as semigroup_automorphisms
 from .twring import (
     TwistedRing,
     check_associativity,
-    enumerate_idempotents,
-    enumerate_units,
     is_d_algebra,
+    unit_and_idempotent_counts,
 )
 
 COMMANDS = {}
@@ -203,8 +202,7 @@ def cmd_ring_check(args):
         "unit_count": None,
     }
     try:
-        report["idempotent_count"] = len(enumerate_idempotents(R, job.bounds))
-        report["unit_count"] = len(enumerate_units(R, job.bounds))
+        report["idempotent_count"], report["unit_count"] = unit_and_idempotent_counts(R, job.bounds)
     except (InfiniteBackend, SearchBoundExceeded):
         pass
     return (0 if rep.ok else 1), report

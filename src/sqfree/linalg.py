@@ -127,8 +127,13 @@ class Lattice:
         return cls(n, width, steps)
 
     def least(self, v, key):
-        """The member of v + L whose keys are least slot by slot: that of the one class of (v + L) / L."""
-        return self.reps(v, self, key)[0]
+        """The member of v + L whose keys are least slot by slot: each step (s, h, d) takes v_s to its least key in v_s + d Z."""
+        n = self.n
+        v = [x % n for x in v]
+        for step in self._steps:
+            s, _, d = step
+            v = _step(v, step, min(((v[s] + d * t) % n for t in range(n // d)), key=key), n)
+        return tuple(v)
 
     def contains(self, v):
         return self.solve(v) is not None

@@ -6,7 +6,9 @@ basis products pick up xi. Construction normalizes the cocycle and keeps the
 gauge witness, so the stored diagonal idempotents really are idempotent.
 """
 
+from functools import partial
 from itertools import product
+from math import prod
 
 from .coeff import FFElement
 from .cohom import (
@@ -18,6 +20,7 @@ from .cohom import (
     _mu_candidates,
     _on_domain,
     normalize,
+    verify_two_cocycle,
 )
 from .common import DEFAULT_BOUNDS, ValidationReport
 from .errors import (
@@ -30,6 +33,7 @@ from .errors import (
     WitnessRejected,
 )
 from .linalg import solve
+from .sgrp import SquareFreeSemigroup, sim_classes
 
 
 class TwistedRing:
@@ -381,6 +385,51 @@ def enumerate_units(R, bounds=DEFAULT_BOUNDS):
     """Elements with a two-sided inverse, by left-regular matrix rank."""
     _enumeration_guard(R, bounds)
     return [u for u, _, _ in _scan(R, R.core.inverse)]
+
+
+def _corner_units(q, support, classes, I):
+    """|(e_I R e_I)^x| for e_I the sum of the e_i, i in I, of a ring over GF(q) with these support pairs and classes.
+
+    The corner's radical is spanned by its pairs outside the classes, and the corner modulo it is the product of
+    M_|c in I|(GF(q)) over the classes c, so its units number q^(|support in I x I| - sum |c in I|^2) times the
+    product of |GL_|c in I|(q)| = prod_{i < m} (q^m - q^i).
+    """
+    sizes = [len(I.intersection(c)) for c in classes]
+    radical = sum(i in I and j in I for i, j in support) - sum(m * m for m in sizes)
+    return q**radical * prod(q**m - q**i for m in sizes for i in range(m))
+
+
+def _closed_counts(R):
+    """The lengths of enumerate_idempotents and enumerate_units, read off the splitting classes; None unless S
+    validates and R's cocycle passes verify_two_cocycle.
+
+    A valid cocycle makes R semiperfect, with R/J the product of M_|c|(GF(q)) over the classes c of sim_classes(S)
+    (Lam, A First Course in Noncommutative Rings, sections 21-23). Each idempotent is conjugate to one e_I, I the
+    first k_c indices of each c, and its centralizer in R^x is the units of e_I R e_I times those of the other corner.
+    The unit scan keeps the x with x y = y x = sum s_ii: the units of the subring centralizing sum s_ii =
+    sum xi(i,i,i) e_i, which is all of R when the cocycle is normal, and otherwise the twisted ring on the support
+    pairs with xi(i,i,i) = alpha_ij(xi(j,j,j)), a subsemigroup of S.
+    """
+    S, c = R.S, R.c
+    if not (S.validate().ok and verify_two_cocycle(S, c).ok):
+        return None
+    q, everything, classes = R.D.q, set(range(1, S.n + 1)), sim_classes(S)
+    units = partial(_corner_units, q, S.support, classes)
+    ranks = product(*(range(len(cls) + 1) for cls in classes))
+    firsts = ({i for cls, k in zip(classes, ks) for i in cls[:k]} for ks in ranks)
+    idempotents = sum(units(everything) // (units(I) * units(everything - I)) for I in firsts)
+    fixed = frozenset((i, j) for i, j in S.support if c.xi[i, i, i] == c.alpha[i, j](c.xi[j, j, j]))
+    C = S if fixed == S.support else SquareFreeSemigroup(S.n, fixed, frozenset(t for t in S.comp if {t[:2], t[1:]} <= fixed))
+    return idempotents, _corner_units(q, fixed, sim_classes(C), everything)
+
+
+def unit_and_idempotent_counts(R, bounds=DEFAULT_BOUNDS):
+    """(idempotent count, unit count): by the splitting classes for a valid cocycle, else by the element scans.
+
+    Both refuse what enumerate_units refuses; an invalid cocycle's product table is no ring, so only the scans count it.
+    """
+    _enumeration_guard(R, bounds)
+    return _closed_counts(R) or (len(enumerate_idempotents(R, bounds)), len(enumerate_units(R, bounds)))
 
 
 class RingCore:

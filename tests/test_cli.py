@@ -4,12 +4,13 @@ import time
 
 import pytest
 
-from sqfree import cli, cohom, jsonio
+from sqfree import cli, cohom, jsonio, twring
 from sqfree.autos import RingAut, check_ring_automorphism
 from sqfree.cohom import TwoCocycle, act, verify_one_cocycle, verify_two_cocycle
 from sqfree.errors import InfiniteBackend, MixedBackends
 from sqfree.fixtures import a3, gf, mu, t2, two_cycle
 from sqfree.twring import TwistedRing, linear_basis, to_vector
+from test_autos import counting
 from test_bench_contract import run_bench
 
 
@@ -333,12 +334,18 @@ def test_stab(tmp_path, capsys):
     assert report["order"] == 1 and report["automorphisms"] == [[1, 2]]
 
 
-def test_ring_check_counts_and_corruption(tmp_path, capsys):
+def test_ring_check_counts_and_corruption(tmp_path, capsys, monkeypatch):
+    # a valid cocycle's counts come from the splitting classes: no element scan and no structure constants; the
+    # corrupted cocycle is no ring, so it scans idempotents and then units on one RingCore
+    scans, cores = counting(monkeypatch, "_scan", twring), counting(monkeypatch, "RingCore", twring)
     code, report, _ = invoke(capsys, ["ring-check", write(tmp_path, "b.json", t2_bundle())])
     assert code == 0
     assert report["associativity"]["ok"]
     assert report["idempotent_count"] == 6
     assert report["unit_count"] == 2
+    code, report, _ = invoke(capsys, ["ring-check", write(tmp_path, "frob.json", frob_bundle())])
+    assert (code, report["idempotent_count"], report["unit_count"]) == (0, 10, 36)
+    assert scans == cores == [0]
     S = a3()
     bad = {
         "semigroup": jsonio.encode_semigroup(S),
@@ -349,6 +356,8 @@ def test_ring_check_counts_and_corruption(tmp_path, capsys):
     assert code == 1
     assert not report["associativity"]["ok"]
     assert report["associativity"]["violations"]
+    assert (report["idempotent_count"], report["unit_count"]) == (74, 432)
+    assert (scans, cores) == ([2], [1])
 
 
 def test_ring_check_respects_bounds(tmp_path, capsys):

@@ -301,6 +301,21 @@ def test_lattice_reps_match_the_classes_of_the_listing(n):
 
 
 @pytest.mark.parametrize("n", MODULI)
+def test_lattice_least_is_the_one_class_of_the_walk_by_itself(n):
+    # least walks L's steps directly; reps with sub = L walks them with no branch, so both give one member,
+    # under an injective key and under one with ties (t mod 2), which both break at the first least t
+    rng = random.Random(400 + n)
+    keys = (rng.sample(range(1, 10 * n + 1), n).__getitem__, lambda x: x % 2)
+    for _ in range(40):
+        m = rng.randrange(1, 4)
+        L = Lattice.span(_random_gens(rng, n, m), n, m)
+        for _ in range(5):
+            v = [rng.randrange(-n, 2 * n) for _ in range(m)]
+            for key in keys:
+                assert L.least(v, key) == L.reps(v, L, key)[0], (L._steps, v, n)
+
+
+@pytest.mark.parametrize("n", MODULI)
 def test_lattice_reps_refuses_a_sub_it_can_tell_is_not_inside(n):
     # a refusal always means sub is not inside L; a sub inside L is never
     # refused (previous test)

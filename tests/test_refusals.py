@@ -97,9 +97,9 @@ def test_first_witness_solves_spend_no_bound():
 
 CORRUPTED_REPLAY_SCRIPT = """
 import sys
-from sqfree import cohom, twring
+from sqfree import autos, cohom, twring
 from sqfree.linalg import Lattice
-from sqfree.autos import aut_r_bruteforce
+from sqfree.autos import aut_r_bruteforce, inner_group
 from sqfree.cohom import GaugeElement, TwoCocycle, act, cohomologous, first_cohomology, one_coboundaries
 from sqfree.errors import InvalidCocycle, NotAOneCocycle, WitnessRejected
 from sqfree.fixtures import a3, double_t2, gf, t2
@@ -167,6 +167,9 @@ call("is_d_algebra", lambda: is_d_algebra(R),
 F3 = gf(3)
 corrupted = TwoCocycle.trivial(a3(), F3).replace_xi((1, 1, 2), F3.element(2))
 call("aut_r_bruteforce", lambda: aut_r_bruteforce(TwistedRing(a3(), F3, corrupted, check=False)))
+# one unit more than the scan yields: the 36 units of t2 over GF(4) stated as 37
+call("inner_group", lambda: inner_group(TwistedRing(S, F, base)),
+     (autos, "_closed_counts", lambda R: (10, 37)))
 """
 
 
@@ -189,6 +192,7 @@ def test_corrupted_replays_rejected_under_python_O():
         "first_cohomology slot rejected: WitnessRejected",
         "is_d_algebra rejected: WitnessRejected",
         "aut_r_bruteforce rejected: InvalidCocycle",
+        "inner_group rejected: WitnessRejected",
     ]
 
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from sqfree import twring
 from sqfree.autos import iso_from_witness
+from sqfree.coeff import FiniteField
 from sqfree.cohom import (
     GaugeElement,
     TwoCocycle,
@@ -39,7 +41,11 @@ from sqfree.twring import (
     mul,
     tensor_ring,
     to_vector,
+    unit_and_idempotent_counts,
 )
+from test_cohom import DIFFERENTIAL_FIELDS, DIFFERENTIAL_FIXTURES, differential_cocycles
+from test_fields import FIELDS
+from test_sgrp import random_semigroup
 
 
 def random_ring_element(R, rng):
@@ -498,3 +504,64 @@ def test_distributivity_sampled():
             x, y, z = (random_ring_element(R, rng) for _ in range(3))
             assert mul(R, x, y + z) == mul(R, x, y) + mul(R, x, z)
             assert mul(R, x + y, z) == mul(R, x, z) + mul(R, y, z)
+
+
+# rings whose q^|support| elements the differential tests scan; a bound on the tests' time, far below max_units
+SCAN_LIMIT = 4096
+
+
+def assert_counts_match_the_scans(R):
+    want = (len(enumerate_idempotents(R)), len(enumerate_units(R)))
+    assert twring._closed_counts(R) == unit_and_idempotent_counts(R) == want, (R.S, R.D, R.c)
+
+
+@pytest.mark.parametrize(
+    "name, q",
+    [(name, q) for name in sorted(DIFFERENTIAL_FIXTURES) for q in DIFFERENTIAL_FIELDS
+     if q ** len(DIFFERENTIAL_FIXTURES[name]().support) <= SCAN_LIMIT],
+)
+def test_counts_match_the_scans_on_fixtures(name, q):
+    # trivial, gauged Frobenius-twisted and gauged trivial cocycles, unnormalized: raw (check=False) rings, whose unit
+    # scan keeps the units centralizing sum s_ii, and the normalized ring of the gauged twist
+    S, F = DIFFERENTIAL_FIXTURES[name](), gf(q)
+    rng = random.Random(f"counts:{name}:{q}")
+    cocycles = differential_cocycles(S, F, rng)
+    for c in cocycles:
+        assert_counts_match_the_scans(TwistedRing(S, F, c, check=False))
+    assert_counts_match_the_scans(TwistedRing(S, F, cocycles[1]))
+
+
+def test_counts_match_the_scans_on_random_semigroups():
+    compared = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        S, F = random_semigroup(rng, rng.randint(1, 4)), gf(DIFFERENTIAL_FIELDS[seed % len(DIFFERENTIAL_FIELDS)])
+        if F.q ** len(S.support) > SCAN_LIMIT:
+            continue
+        for c in differential_cocycles(S, F, rng):
+            assert_counts_match_the_scans(TwistedRing(S, F, c, check=False))
+        compared += 1
+    assert compared >= 40
+
+
+def test_invalid_cocycles_keep_the_scans():
+    # xi(e_1, s_12) off 1 breaks the unit law: no ring, so no closed count, and the scans answer
+    S, F = a3(), gf(4)
+    R = TwistedRing(S, F, TwoCocycle.trivial(S, F).replace_xi((1, 1, 2), F.gen), check=False)
+    assert twring._closed_counts(R) is None
+    assert unit_and_idempotent_counts(R) == (len(enumerate_idempotents(R)), len(enumerate_units(R))) == (74, 432)
+
+
+@pytest.mark.parametrize("field", ["GF2", "GF3", "GF4", "GF7", "GF9", "GF16", "GF25", "GF49", "GF128", "GF343"])
+def test_t2_counts_are_closed_in_q(field):
+    # t2 over GF(q) is the upper triangular 2x2 matrices: q (q-1)^2 units, and 2q + 2 idempotents (0, 1 and the q
+    # conjugates of each of e_1, e_2); from GF(128) on the q^3 elements are past any scan
+    F = FiniteField(*FIELDS[field])
+    q = F.q
+    c = TwoCocycle.trivial(t2(), F).replace_alpha((1, 2), F.frobenius(1))
+    for R in (TwistedRing(t2(), F, TwoCocycle.trivial(t2(), F)), TwistedRing(t2(), F, c)):
+        assert unit_and_idempotent_counts(R, Bounds(max_units=q**3)) == (2 * q + 2, q * (q - 1) ** 2)
+    with pytest.raises(SearchBoundExceeded, match=f"^max_units: element estimate {q**3} above limit {q**3 - 1}$"):
+        unit_and_idempotent_counts(R, Bounds(max_units=q**3 - 1))
+    with pytest.raises(InfiniteBackend):
+        unit_and_idempotent_counts(quat_conj_ring())
