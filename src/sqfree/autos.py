@@ -149,18 +149,23 @@ def _verified(R, f):
 def _witness_aut(source, R, phi, g):
     """The checked map d s_ij -> mu_i(d) eta(ij) s_phi(i)phi(j) from source to R, on core vectors.
 
-    Its columns are block-monomial, so once phi is in Aut S the check multiplies only source.core.constants.
+    Column b of pair ij is the code of frob^m(b) eta(ij), m the Frobenius exponent of mu_i: the log of b times p^m
+    plus the log of eta(ij); a gauge value from another backend raises MixedBackends. The columns are
+    block-monomial, so once phi is in Aut S the check multiplies only source.core.constants.
     """
-    core, k = R.core, R.D.k
+    core, F = R.core, R.D
+    exp, log, power, n = F._exp, F._log, F._powers, F.q - 1
+    logs = [log[b.code] for b in F.power_basis()]
     cols = []
     for p in R.S.elements():
         target = phi.pair(p)
         if target not in core.offset:
             raise InvalidInput(f"pair {target} outside the support", where="coefficients")
         at = core.offset[target]
-        for b in R.D.power_basis():
+        m, e = F._exponent_of(g.mu[p[0]], "gauge automorphism"), log[F._code_of(g.eta[p], "conjugator")]
+        for lb in logs:
             col = [0] * core.dim
-            col[at : at + k] = (g.mu[p[0]](b) * g.eta[p]).coords
+            col[at : at + F.k] = F._decode(0 if e is None else exp[lb * power[m] % n + e])
             cols.append(col)
     if not is_automorphism(R.S, phi):
         raise WitnessRejected(f"{phi!r} is not an automorphism of the semigroup")
@@ -322,8 +327,9 @@ def _out_cosets(R, bounds):
 
 
 def _class_maps(R, bounds):
-    """(h1, stab_full, sigmas, key_of), cached per bounds: key_of the coset keys (_inner_cosets) of one witness map per
-    phi of Stab_full and H^1 class (cohom._class_witnesses), sigmas (g, key) for phi = id.
+    """(h1, maps, sigmas, key_of), cached per bounds: maps (phi, g, matrix) holds the checked witness map of each phi of
+    Stab_full and H^1 class (cohom._class_witnesses), key_of their coset keys (_inner_cosets), sigmas (g, key) for
+    phi = id.
 
     Any other map of N is one of them times sigma(b), b in B^1, inner once sigma of each B^1 step row is conjugation
     by its diagonal unit; so their cosets are Out R = N/K, K = N meet Inn R.
@@ -337,7 +343,7 @@ def _class_maps(R, bounds):
         maps = [(phi, g, _witness_aut(R, R, phi, g).matrix) for phi, g in pairs]
         key_of = _inner_cosets(R, [M for _, _, M in maps], bounds)
         sigmas = [(g, key_of[M]) for phi, g, M in maps if phi.is_identity()]
-        R.core.cache[("classes", bounds)] = h1, list(dict.fromkeys(phi for phi, _ in pairs)), sigmas, key_of
+        R.core.cache[("classes", bounds)] = h1, maps, sigmas, key_of
     return R.core.cache[("classes", bounds)]
 
 
@@ -449,10 +455,13 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     them into Inn R cosets, Out R. Out order must factor as the H^1 order times the order of the normal stabilizer
     of the cocycle in Aut S; each coset must induce one normal semigroup map, read off its maps' diagonal images;
     the cosets of sigma of the H^1 representatives must be exactly the kernel of that map, whose image must be that
-    stabilizer. For a trivial cocycle the basis-permutation section is checked to split the sequence.
+    stabilizer. For a trivial cocycle the basis-permutation section is checked to split the sequence: the section of
+    phi is its witness map with the identity gauge, which the pass holds, as the identity is both phi's least witness
+    and the first H^1 representative.
     """
     S = R.S
-    h1, stab_full, sigmas, key_of = _class_maps(R, bounds)
+    h1, maps, sigmas, key_of = _class_maps(R, bounds)
+    stab_full = list(dict.fromkeys(phi for phi, _, _ in maps))
     W = [phi for phi in stab_full if is_normal_automorphism(S, phi)]
     induced = {}
     for M, key in key_of.items():
@@ -470,7 +479,9 @@ def verify_ses(R, bounds=DEFAULT_BOUNDS):
     exact = out_order == h1.order * len(W) and lam.ok and kernel_ok and image_ok
     split_ok = None
     if R.c == TwoCocycle.trivial(S, R.D):
-        sec = {phi: section_automorphism(R, phi) for phi in W}
+        sec = {phi: RingAut(R, M) for phi, g, M in maps if phi in W and g.is_identity()}
+        if len(sec) != len(W):
+            raise WitnessRejected("a normal semigroup map has no basis-permutation witness map")
         keys = {phi: _key(key_of, f) for phi, f in sec.items()}
         products = [_key(key_of, sec[a].compose(sec[b])) == keys[a * b] for a in W for b in W]
         split_ok = len(set(keys.values())) == len(W) and all(products) and all(induced[keys[phi]] == phi for phi in W)

@@ -40,6 +40,11 @@ class SquareFreeSemigroup:
             out.setdefault(p[0], []).append(p)
         return out
 
+    @cached_property
+    def _ranks(self):
+        """Index i -> its position in its sorted splitting class (sim_classes)."""
+        return {i: pos for cls in sim_classes(self) for pos, i in enumerate(cls)}
+
     def mul(self, p, q):
         """Product of two elements-as-pairs, or None for zero."""
         if p[1] != q[0]:
@@ -224,8 +229,5 @@ def is_automorphism(S, phi):
 
 def is_normal_automorphism(S, phi):
     """Does phi preserve each index's rank inside its ~-class?"""
-    rank = {}
-    for cls in sim_classes(S):
-        for pos, i in enumerate(cls):
-            rank[i] = pos
+    rank = S._ranks
     return all(rank[phi(i)] == rank[i] for i in range(1, S.n + 1))

@@ -437,9 +437,12 @@ class RingCore:
 
     Vectors are the to_vector coordinates over linear_basis(R). constants
     maps each (a, b) with e_a e_b != 0 to the nonzero (c, t) entries of that
-    product, read once from the reference product mul; rows[a] flattens
-    them to (b, c, t) triples. Products, inverses and automorphism checks
-    then run on integer tuples.
+    product, in (a, b) order; rows[a] flattens them to (b, c, t) triples.
+    Each is read once from the reference product mul, which is zero on
+    basis elements over pairs (i, j), (j', l) unless j = j' and (i, j, l) is
+    in S.comp: so only those |comp| k^2 products are taken, each entry read
+    off the block of the product's one pair (i, l). Products, inverses and
+    automorphism checks then run on integer tuples.
     """
 
     __slots__ = ("p", "dim", "offset", "constants", "rows", "one", "basis", "cache")
@@ -447,16 +450,19 @@ class RingCore:
     def __init__(self, R):
         if not R.D.is_finite:
             raise InfiniteBackend("structure constants need a finite field")
-        basis = linear_basis(R)
+        S, k, basis = R.S, R.D.k, linear_basis(R)
         self.p = R.D.p
         self.dim = len(basis)
-        self.offset = {pair: a * R.D.k for a, pair in enumerate(R.S.elements())}
+        self.offset = offset = {pair: a * k for a, pair in enumerate(S.elements())}
         self.constants = {}
-        for a, x in enumerate(basis):
-            for b, y in enumerate(basis):
-                entries = tuple((c, t) for c, t in enumerate(to_vector(R, mul(R, x, y))) if t)
-                if entries:
-                    self.constants[(a, b)] = entries
+        for (i, j), a in offset.items():
+            right = [((i, l), offset[(j, l)]) for _, l in S._out.get(j, ()) if (i, j, l) in S.comp and (i, l) in offset]
+            for s in range(a, a + k):
+                for r, b in right:
+                    for t in range(b, b + k):
+                        d = mul(R, basis[s], basis[t]).coeffs.get(r)
+                        if d is not None:
+                            self.constants[(s, t)] = tuple((offset[r] + c, v) for c, v in enumerate(d.coords) if v)
         rows = [[] for _ in basis]
         for (a, b), entries in self.constants.items():
             rows[a].extend((b, c, t) for c, t in entries)

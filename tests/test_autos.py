@@ -918,19 +918,21 @@ def test_out_r_work_is_one_coset_per_class(monkeypatch, S, want):
     ids=["two_cycle", "mu2", "t2"],
 )
 def test_verify_ses_work_is_one_witness_map_per_class(monkeypatch, S, want):
-    # over GF(4), want = (|Stab_full| |H^1| classes, B^1 step rows, |W|, pair tests): a witness map per class,
-    # a sigma per step row and a section per phi of W; a linear test per class, and one per pair of maps
-    # compared when the inner maps are neither one class nor all; pair tests plus |W|^2 section products;
-    # no element scan, no fixing-pair or coboundary listing and no second solve
+    # over GF(4), want = (|Stab_full| |H^1| classes, B^1 step rows, |W|, pair tests): a witness map per class
+    # and a sigma per step row; each section is the class map of its phi and the identity gauge, so none is
+    # built again; a linear test per class, and one per pair of maps compared when the inner maps are neither
+    # one class nor all; pair tests plus |W|^2 section products; no element scan, no fixing-pair or coboundary
+    # listing and no second solve
     R = trivial_ring(S, gf(4))
     rows = len(cohom._coboundary_gens(S, R.D, cohom._codes(S, R.c)[0])[0].rows)
     maps, sigmas, tests = counting(monkeypatch, "_witness_aut"), counting(monkeypatch, "sigma"), counting(monkeypatch, "_conjugator")
     products, scans = counting(monkeypatch, "mat_mul"), [counting(monkeypatch, "_scan", twring), counting(monkeypatch, "_scan")]
     listings = [counting(monkeypatch, name, cohom) for name in ("_solutions", "one_coboundaries", "cohomologous")]
+    sections = counting(monkeypatch, "section_automorphism")
     rep = verify_ses(R)
     classes, _, W, pairs = want
     assert (rep.stab_full_order * rep.h1_order, rows, rep.stab_order) == want[:3]
-    assert (maps[0], sigmas[0]) == (classes + rows + W, rows)
+    assert (maps[0], sigmas[0], sections[0]) == (classes + rows, rows, 0)
     assert (tests[0], products[0]) == (classes + pairs, pairs + W**2)
     assert scans == [[0], [0]] and listings == [[0], [0], [0]]
 

@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from sqfree import twring
 from sqfree.autos import (
     InnerWitness,
     RingAut,
@@ -37,7 +38,9 @@ from sqfree.twring import (
     mul,
     to_vector,
 )
-from test_autos import aut_r_linear_filter, reference_aut_r
+from test_autos import aut_r_linear_filter, counting, reference_aut_r
+from test_cohom import DIFFERENTIAL_FIELDS, DIFFERENTIAL_FIXTURES, differential_cocycles
+from test_sgrp import random_semigroup
 from test_twring import random_ring_element
 
 FIXTURES = {
@@ -203,3 +206,53 @@ def test_is_inner_returns_the_first_unit_witness(make):
     assert {f.matrix for f in inner_group(R)} <= {f.matrix for f in candidates}
     for f in candidates:
         assert is_inner(R, f) == first_unit_witness(R, f, units)
+
+
+def dense_constants(R):
+    """RingCore's constants by the dim^2 reference products: every pair of basis vectors, read off to_vector."""
+    basis = linear_basis(R)
+    out = {}
+    for a, x in enumerate(basis):
+        for b, y in enumerate(basis):
+            entries = tuple((c, t) for c, t in enumerate(to_vector(R, mul(R, x, y))) if t)
+            if entries:
+                out[(a, b)] = entries
+    return out
+
+
+def assert_dense_core(R):
+    core, want = R.core, dense_constants(R)
+    assert list(core.constants.items()) == list(want.items())
+    rows = [[] for _ in range(core.dim)]
+    for (a, b), entries in want.items():
+        rows[a].extend((b, c, t) for c, t in entries)
+    assert core.rows == tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FIXTURES))
+def test_core_constants_match_the_dense_products(name):
+    rng = random.Random(name)
+    for q in DIFFERENTIAL_FIELDS:
+        S, F = DIFFERENTIAL_FIXTURES[name](), gf(q)
+        for c in differential_cocycles(S, F, rng):
+            for check in (True, False):
+                assert_dense_core(TwistedRing(S, F, c, check=check))
+
+
+def test_core_constants_match_the_dense_products_on_corrupted_and_random_rings():
+    S, F = a3(), gf(4)
+    zero_xi = TwoCocycle.trivial(S, F).replace_xi((1, 2, 3), F.zero)
+    assert_dense_core(TwistedRing(S, F, zero_xi, check=False))
+    assert_dense_core(corrupted_ring())
+    for seed in range(30):
+        rng = random.Random(seed)
+        S, F = random_semigroup(rng, rng.randint(1, 4)), gf(DIFFERENTIAL_FIELDS[seed % len(DIFFERENTIAL_FIELDS)])
+        for c in differential_cocycles(S, F, rng):
+            assert_dense_core(TwistedRing(S, F, c, check=False))
+
+
+def test_core_multiplies_only_composable_pairs(monkeypatch):
+    # t2 over GF(4): 4 composable triples times 2^2 power-basis pairs, where the 6 x 6 basis pairs are 36
+    R = TwistedRing(t2(), gf(4), TwoCocycle.trivial(t2(), gf(4)))
+    calls = counting(monkeypatch, "mul", twring)
+    assert R.core.dim**2 == 36 and calls == [16]

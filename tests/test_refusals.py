@@ -170,6 +170,16 @@ call("aut_r_bruteforce", lambda: aut_r_bruteforce(TwistedRing(a3(), F3, corrupte
 # one unit more than the scan yields: the 36 units of t2 over GF(4) stated as 37
 call("inner_group", lambda: inner_group(TwistedRing(S, F, base)),
      (autos, "_closed_counts", lambda R: (10, 37)))
+# a class pass that drops the identity-gauge map of t2's one phi: the trivial cocycle's section has no checked map
+class_maps = autos._class_maps
+
+
+def without_sections(R, bounds):
+    h1, maps, *rest = class_maps(R, bounds)
+    return (h1, [m for m in maps if not m[1].is_identity()], *rest)
+
+
+call("verify_ses section", lambda: autos.verify_ses(TwistedRing(S, F, base)), (autos, "_class_maps", without_sections))
 """
 
 
@@ -193,6 +203,7 @@ def test_corrupted_replays_rejected_under_python_O():
         "is_d_algebra rejected: WitnessRejected",
         "aut_r_bruteforce rejected: InvalidCocycle",
         "inner_group rejected: WitnessRejected",
+        "verify_ses section rejected: WitnessRejected",
     ]
 
 
