@@ -4,7 +4,9 @@ An element of a finite field is a code in [0, q) whose base-p digits are the
 coordinates in the power basis 1, g, ..., g^(k-1) of a caller supplied monic
 irreducible modulus, so g*g over GF(4) with modulus x^2+x+1 comes out as g+1.
 A product is one sum of discrete logs and a sum one Zech logarithm lookup, in
-O(kq) lists. Automorphisms are the k Frobenius powers x -> x^(p^m).
+O(kq) lists. The walk that fills them is the irreducibility test: only a field
+has an element whose q-1 powers are distinct and return to 1. Automorphisms
+are the k Frobenius powers x -> x^(p^m).
 
 Quaternions carry four Fractions. Every automorphism is conjugation by a
 nonzero quaternion (Skolem-Noether); the conjugator is stored canonically as
@@ -68,30 +70,6 @@ def _poly_pow(a, e, mod, p):
             out = _poly_divmod(_poly_mul(out, a, p), mod, p)[1]
         a, e = _poly_divmod(_poly_mul(a, a, p), mod, p)[1], e >> 1
     return out
-
-
-def _monic_polys(p, deg):
-    # all monic polynomials of the given degree, as coefficient lists
-    coeffs = [0] * deg
-    while True:
-        yield coeffs[:] + [1]
-        i = 0
-        while i < deg:
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-            i += 1
-        else:
-            return
-
-
-def _check_irreducible(modulus, p, k):
-    for d in range(1, k // 2 + 1):
-        for cand in _monic_polys(p, d):
-            _, rem = _poly_divmod(list(modulus), cand, p)
-            if not rem:
-                raise ValueError(f"modulus {list(modulus)} divisible by {cand} over GF({p})")
 
 
 # _divide and _power serve both element classes; each class binds them in its
@@ -245,10 +223,9 @@ class FiniteField:
             raise ValueError(f"modulus must be monic of degree {k}")
         self.p, self.k, self.modulus = p, k, modulus
         self.q = p**k
-        # before the irreducibility test, which tries all monic polynomials up to degree k/2
+        # before the table walk, q - 1 polynomial products that are also the irreducibility test
         if self.q > _FIELD_TABLE_LIMIT:
             raise ValueError(f"field order {self.q} above table limit {_FIELD_TABLE_LIMIT}")
-        _check_irreducible(modulus, p, k)
         self._build_tables()
 
     # fields compare by defining data so separately built copies interoperate
@@ -291,10 +268,15 @@ class FiniteField:
             gpoly = _poly_trim(self._decode(cand))
             if all(self._encode(_poly_pow(gpoly, n // r, mod, p)) != 1 for r in primes):
                 break
-        x, exp = [1], [1]
-        for _ in range(n - 1):
-            x = _poly_divmod(_poly_mul(x, gpoly, p), mod, p)[1]
+        x, exp = [1], []
+        for _ in range(n):
             exp.append(self._encode(x))
+            x = _poly_divmod(_poly_mul(x, gpoly, p), mod, p)[1]
+        # g^n = 1 with n distinct powers makes g a unit of order n, so every
+        # nonzero code is a unit: F_p[x]/(mod) is a field. A reducible mod has
+        # a nonzero zero divisor, fewer than n units, and no walk that closes.
+        if x != [1] or len(set(exp)) < n:
+            raise ValueError(f"modulus {mod} is not irreducible over GF({p})")
         log = [None] * q  # a zero has no log
         for e, code in enumerate(exp):
             log[code] = e

@@ -645,20 +645,18 @@ def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     return [_gauge(S, F, key) for key in _solutions(S, F, v, v, bounds, {})]
 
 
-def _fixed_codes(S, base):
-    """The fixed-point searches' backend refusal, then validity; then (field, base's _codes pair)."""
+def _fixed_codes(S, base, word="fixed-point"):
+    """The searches' backend refusal, naming the enumeration by word, then validity; then (field, base's _codes pair)."""
     F = _backend(S, base)
     if not F.is_finite:
-        raise InfiniteBackend("fixed-point enumeration needs a finite field")
+        raise InfiniteBackend(f"{word} enumeration needs a finite field")
     return F, _codes(S, _valid(S, base))
 
 
 def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
     """Orbit of the identity pair under the diagonal-unit action: the elements of _coboundary_gens' B^1, of the size estimated."""
-    F = _backend(S, base)
-    if not F.is_finite:
-        raise InfiniteBackend("orbit enumeration needs a finite field")
-    b1 = _coboundary_gens(S, F, _codes(S, _valid(S, base))[0])[0]
+    F, (a, _) = _fixed_codes(S, base, "orbit")
+    b1 = _coboundary_gens(S, F, a)[0]
     size = _within(b1.order, "orbit", bounds)
     image = set(b1.elements())
     if len(image) != size:

@@ -31,7 +31,6 @@ def mu(n):
         n,
         list(product(range(1, n + 1), repeat=2)),
         list(product(range(1, n + 1), repeat=3)),
-        close_units=False,
     )
 
 

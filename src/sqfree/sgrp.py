@@ -24,12 +24,11 @@ class SquareFreeSemigroup:
     comp: frozenset
 
     @classmethod
-    def make(cls, n, support, comp, close_units=True):
-        """Build from iterables; optionally add the unit-law triples."""
+    def make(cls, n, support, comp):
+        """Build from iterables, adding the unit-law triples."""
         support = frozenset((int(i), int(j)) for i, j in support)
         comp = {(int(i), int(j), int(k)) for i, j, k in comp}
-        if close_units:
-            comp.update(map(itemgetter(0, 0, 1), support), map(itemgetter(0, 1, 1), support))
+        comp.update(map(itemgetter(0, 0, 1), support), map(itemgetter(0, 1, 1), support))
         return cls(n, support, frozenset(comp))
 
     @cached_property

@@ -149,7 +149,7 @@ def test_invalid_semigroup_is_refused():
     with pytest.raises(InvalidInput, match="semigroup"):
         check_associativity(R)
     # a missing unit-law triple is refused the same way
-    S = SquareFreeSemigroup.make(2, [(1, 1), (2, 2), (1, 2)], [], close_units=False)
+    S = SquareFreeSemigroup(2, frozenset([(1, 1), (2, 2), (1, 2)]), frozenset())
     with pytest.raises(InvalidInput, match="unit_law"):
         check_associativity(TwistedRing(S, F, TwoCocycle.trivial(S, F), check=False))
 

@@ -85,8 +85,8 @@ def test_wire_format_violation_names_path(tmp_path, capsys):
 
 
 def test_oversized_field_is_refused_before_the_irreducibility_search(tmp_path, capsys):
-    # GF(2^41): the irreducibility test would try every monic polynomial up
-    # to degree 20 before the order bound spoke
+    # GF(2^41): the table walk, which is also the irreducibility test, would
+    # take 2^41 - 1 steps, so the order bound must speak before it
     bundle = t2_bundle()
     bundle["coefficients"] = {"backend": "finite_field", "p": 2, "k": 41, "modulus": [1, 0, 0, 1] + [0] * 37 + [1]}
     started = time.perf_counter()

@@ -83,10 +83,12 @@ def test_mixed_field_arithmetic_rejected():
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         FiniteField(2, 2, (1, 0, 1))  # x^2+1 = (x+1)^2 over GF(2)
-    with pytest.raises(ValueError):
+    assert str(info.value) == "modulus [1, 0, 1] is not irreducible over GF(2)"
+    with pytest.raises(ValueError) as info:
         FiniteField(3, 2, (2, 0, 1))  # x^2+2 = (x+1)(x+2) over GF(3)
+    assert str(info.value) == "modulus [2, 0, 1] is not irreducible over GF(3)"
 
 
 def test_element_refuses_coordinates_beyond_the_degree():

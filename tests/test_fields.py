@@ -67,6 +67,21 @@ def _mul_mod(a, b, mod, p):
     return prod[:k]
 
 
+def _has_monic_factor(modulus, p):
+    """Trial division by every monic polynomial of degree 1 to k/2, the field test the table walk replaced."""
+    k = len(modulus) - 1
+    for d in range(1, k // 2 + 1):
+        for code in range(p**d):
+            factor, rem = _decode(code, p, d) + [1], list(modulus)
+            for top in range(k, d - 1, -1):
+                c = rem[top]
+                for i, fi in enumerate(factor):
+                    rem[top - d + i] = (rem[top - d + i] - c * fi) % p
+            if not any(rem[:d]):
+                return True
+    return False
+
+
 def reference_tables(p, k, modulus):
     """Every table entry built per pair, as the field did before Zech logs."""
     q = p**k
@@ -202,6 +217,22 @@ def test_separately_built_copies_compare_equal_and_interoperate():
         assert (a * G.gen + b).code == (b * F.gen + a).code
         assert F.frobenius(1)(b) == G.frobenius(1)(a)
     assert F != FiniteField(2, 3, (1, 0, 1, 1))
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p in (2, 3, 5, 7) for k in range(1, 9) if p**k <= 343])
+def test_a_modulus_is_accepted_exactly_when_trial_division_finds_no_factor(p, k):
+    # every monic modulus of degree k: a field whose walk closes builds the
+    # tables of the full cycle walk, any other is refused after one walk
+    for code in range(p**k):
+        modulus = tuple(_decode(code, p, k)) + (1,)
+        if _has_monic_factor(modulus, p):
+            with pytest.raises(ValueError) as info:
+                FiniteField(p, k, modulus)
+            assert str(info.value) == f"modulus {list(modulus)} is not irreducible over GF({p})"
+        else:
+            F = FiniteField(p, k, modulus)
+            for table, want in cycle_walk_tables(p, k, modulus).items():
+                assert getattr(F, table) == want, (modulus, table)
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,7 @@ def test_malformed_bundles_refused_under_python_O(tmp_path):
         "semigroup.comp[0]": malformed_bundle(semigroup={"comp": [[1, 2]]}),
         "cocycle.xi.01,1,2": malformed_bundle(xi={"1,1,2": [2], "01,1,2": [1]}),
         "cocycle.xi.1,2,2": malformed_bundle(xi={"1,2,2": [0]}),
+        "coefficients": dict(malformed_bundle(), coefficients={"backend": "finite_field", "p": 2, "k": 2, "modulus": [1, 0, 1]}),
     }
     for where, bundle in cases.items():
         path = tmp_path / "bundle.json"

@@ -100,7 +100,7 @@ def test_comp_without_support_flagged():
 
 
 def test_unit_law_flagged_without_closure():
-    S = SquareFreeSemigroup.make(2, [(1, 1), (2, 2), (1, 2)], [], close_units=False)
+    S = SquareFreeSemigroup(2, frozenset([(1, 1), (2, 2), (1, 2)]), frozenset())
     rep = S.validate()
     assert any(v.kind == "unit_law" for v in rep.violations)
 
@@ -118,7 +118,7 @@ def test_associativity_flagged():
 
 
 def test_index_out_of_range_flagged():
-    S = SquareFreeSemigroup.make(2, [(1, 1), (2, 2), (1, 5)], [], close_units=False)
+    S = SquareFreeSemigroup(2, frozenset([(1, 1), (2, 2), (1, 5)]), frozenset())
     assert any(v.kind == "index_out_of_range" for v in S.validate().violations)
 
 
