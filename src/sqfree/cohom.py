@@ -500,6 +500,19 @@ def _mu_candidates(S, a1, a2, k):
         yield tuple((base[i] + shifts[index[i]]) % k for i in range(1, S.n + 1))
 
 
+def _kept(S, F, a, name, build):
+    """build(S, F, a), for build _log_form or _coboundary_gens, built once per semigroup and kept in S._store.
+
+    Both read only q - 1 and the powers p^(a_p) mod q - 1, so the key is (name, q - 1, those powers in support order),
+    whatever the field's modulus or the rest of the cocycle.
+    """
+    key = (name, F.q - 1, tuple(map(F._powers.__getitem__, map(a.__getitem__, S.elements()))))
+    store = S._store
+    if key not in store:
+        store[key] = build(S, F, a)
+    return store[key]
+
+
 def _log_form(S, F, a):
     """The Lattice of the rows (column of a support pair | its unit vector) of the eta equations' log matrix, and its kernel K.
 
@@ -517,34 +530,30 @@ def _log_form(S, F, a):
     return form, form.split(cut)[1]
 
 
-def _slices(S, F, v1, v2, forms):
+def _slices(S, F, v1, v2):
     """Yield (mu, l0, the kernel K) for each solvable mu slice of act(g, c1) = c2, for _codes pairs v1 and v2.
 
     mu runs over _mu_candidates in order, and l0 is one solution in logs for the targets frob^(mu_i)(x2) x1^(-1); every
-    solution is l0 plus K. c1's log form comes from forms, a dict that one public call shares across its solves, keyed
-    by the alpha exponents in support order.
+    solution is l0 plus K. c1's log form is S's (_kept), built at the first mu candidate if S has none for its alpha.
     """
     (a1, x1), (a2, x2) = v1, v2
     power, triples, form = F._powers, sorted(S.comp), None
     for mu in _mu_candidates(S, a1, a2, F.k):
         if form is None:
-            key = tuple(map(a1.__getitem__, S.elements()))
-            if key not in forms:
-                forms[key] = _log_form(S, F, a1)
-            form, kernel = forms[key]
+            form, kernel = _kept(S, F, a1, "log form", _log_form)
         l0 = form.solve([power[mu[t[0] - 1]] * x2[t] - x1[t] for t in triples])
         if l0 is not None:
             yield mu, l0, kernel
 
 
-def _solutions(S, F, v1, v2, bounds, forms):
+def _solutions(S, F, v1, v2, bounds):
     """The code pairs (mu, eta) of the gauges g with act(g, c1) = c2, for _codes pairs v1 and v2, in canonical_key order.
 
     Each slice is l0 plus K, listed once as |K| distinct pairs, refused above max_search; with l0 and K's step rows
     _checked, by the group law every one solves.
     """
     exp, out, kernel = F._exp, [], None
-    for mu, l0, K in _slices(S, F, v1, v2, forms):
+    for mu, l0, K in _slices(S, F, v1, v2):
         if kernel is None:
             size = _within(K.order, "fixing-pair slice", bounds)
             for h in K.rows:
@@ -581,7 +590,7 @@ def _gauge(S, F, key):
 def cohomologous(S, c1, c2):
     """A gauge witness g with act(g, c1) = c2, or None when there is none; the solve takes no bound, as it lists nothing."""
     F = _refuse_backends(S, c1, c2)
-    key = _witness(S, F, _codes(S, _valid(S, c1)), _codes(S, _valid(S, c2)), {})
+    key = _witness(S, F, _codes(S, _valid(S, c1)), _codes(S, _valid(S, c2)))
     return None if key is None else _gauge(S, F, key)
 
 
@@ -595,9 +604,9 @@ def _refuse_backends(S, c1, c2):
     return F
 
 
-def _witness(S, F, v1, v2, forms):
+def _witness(S, F, v1, v2):
     """The code pair with the least eta code tuple of the first solvable mu slice carrying v1 to v2, _checked, or None."""
-    for mu, l0, kernel in _slices(S, F, v1, v2, forms):
+    for mu, l0, kernel in _slices(S, F, v1, v2):
         return _checked(S, F, v1, v2, mu, kernel.least(l0, F._exp.__getitem__))
     return None
 
@@ -605,9 +614,9 @@ def _witness(S, F, v1, v2, forms):
 def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
     """Search Aut S x gauge for act(g, relabel(phi, c1)) = c2: backend refusals, validity, Aut S, then a solve per phi."""
     F = _refuse_backends(S, c1, c2)
-    v1, v2, forms = _codes(S, _valid(S, c1)), _codes(S, _valid(S, c2)), {}
+    v1, v2 = _codes(S, _valid(S, c1)), _codes(S, _valid(S, c2))
     for phi in semigroup_automorphisms(S, bounds):
-        key = _witness(S, F, _relabeled(S, phi, v1), v2, forms)
+        key = _witness(S, F, _relabeled(S, phi, v1), v2)
         if key is not None:
             return phi, _gauge(S, F, key)
     return None
@@ -616,10 +625,10 @@ def cohomologous_with_relabel(S, c1, c2, bounds=DEFAULT_BOUNDS):
 def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
     """Semigroup automorphisms whose relabeling stays in the gauge orbit: per phi, whether a first slice solves, _checked."""
     F = _refuse_backends(S, c, c)
-    v, forms, out = _codes(S, _valid(S, c)), {}, []
+    v, out = _codes(S, _valid(S, c)), []
     for phi in semigroup_automorphisms(S, bounds):
         w = _relabeled(S, phi, v)
-        first = next(_slices(S, F, v, w, forms), None)
+        first = next(_slices(S, F, v, w), None)
         if first is not None:
             _checked(S, F, v, w, *first[:2])
             out.append(phi)
@@ -628,9 +637,9 @@ def stabilizer(S, c, bounds=DEFAULT_BOUNDS):
 
 def _relabel_witnesses(S, c, bounds):
     """(phi, g) for each phi of Aut S and each gauge g with act(g, relabel(phi, c)) = c, c valid over a field."""
-    F, v, forms = c.backend, _codes(S, c), {}
+    F, v = c.backend, _codes(S, c)
     for phi in semigroup_automorphisms(S, bounds):
-        for key in _solutions(S, F, _relabeled(S, phi, v), v, bounds, forms):
+        for key in _solutions(S, F, _relabeled(S, phi, v), v, bounds):
             yield phi, _gauge(S, F, key)
 
 
@@ -642,7 +651,7 @@ def verify_one_cocycle(S, base, g):
 def one_cocycles(S, base, bounds=DEFAULT_BOUNDS):
     """All gauge elements fixing base, in canonical order; over a field, read off one echelon form (_solutions)."""
     F, v = _fixed_codes(S, base)
-    return [_gauge(S, F, key) for key in _solutions(S, F, v, v, bounds, {})]
+    return [_gauge(S, F, key) for key in _solutions(S, F, v, v, bounds)]
 
 
 def _fixed_codes(S, base, word="fixed-point"):
@@ -656,7 +665,7 @@ def _fixed_codes(S, base, word="fixed-point"):
 def one_coboundaries(S, base, bounds=DEFAULT_BOUNDS):
     """Orbit of the identity pair under the diagonal-unit action: the elements of _coboundary_gens' B^1, of the size estimated."""
     F, (a, _) = _fixed_codes(S, base, "orbit")
-    b1 = _coboundary_gens(S, F, a)[0]
+    b1 = _kept(S, F, a, "coboundaries", _coboundary_gens)[0]
     size = _within(b1.order, "orbit", bounds)
     image = set(b1.elements())
     if len(image) != size:
@@ -673,7 +682,7 @@ def _coboundary_gens(S, F, a):
     power, support, n = F._powers, S.elements(), S.n
     images = [[(k == i) - (k == j) * power[a[i, j]] for i, j in support] + [int(k == i) for i in range(1, n + 1)] for k in range(1, n + 1)]
     full = Lattice.span(images, F.q - 1, len(support) + n)
-    return full.split(len(support))[0], [h[len(support):] for h in full.rows if any(h[: len(support)])]
+    return full.split(len(support))[0], tuple(h[len(support):] for h in full.rows if any(h[: len(support)]))
 
 
 @dataclass
@@ -694,17 +703,17 @@ def first_cohomology(S, base, bounds=DEFAULT_BOUNDS):
     slices |K| / |B^1| is refused above max_search; the least member of each class of a slice comes from one walk over
     K's slots (Lattice.reps), |K| / |B^1| of them. Only the representatives become GaugeElements.
     """
-    return _first_cohomology(S, *_fixed_codes(S, base), bounds, {})[0]
+    return _first_cohomology(S, *_fixed_codes(S, base), bounds)[0]
 
 
-def _first_cohomology(S, F, v, bounds, forms):
-    """(first_cohomology's H1Result, _coboundary_gens) for base's _codes pair v, its solves sharing the caller's forms."""
-    slices, reps, n, power, support = list(_slices(S, F, v, v, forms)), [], F.q - 1, F._powers, S.elements()
+def _first_cohomology(S, F, v, bounds):
+    """(first_cohomology's H1Result, _coboundary_gens) for base's _codes pair v."""
+    slices, reps, n, power, support = list(_slices(S, F, v, v)), [], F.q - 1, F._powers, S.elements()
     # the identity fixes base, so the slice mu = 0 is always there; K's step rows, with mu = 0, must fix it too
     size = slices[0][2].order
     for mu, l0 in [((0,) * S.n, h) for h in slices[0][2].rows] + [s[:2] for s in slices]:
         _checked(S, F, v, v, mu, l0)
-    b1, _ = gens = _coboundary_gens(S, F, v[0])
+    b1, _ = gens = _kept(S, F, v[0], "coboundaries", _coboundary_gens)
     if any(_act_codes(S, F, v, (0,) * S.n, dict(zip(support, h))) != v for h in b1.rows):
         raise NotAOneCocycle("a coboundary does not fix the base cocycle")
     _within(len(slices) * size // b1.order, "H^1", bounds)
@@ -721,14 +730,14 @@ def _first_cohomology(S, F, v, bounds, forms):
 def _class_witnesses(S, c, bounds):
     """(H^1 of c, B^1 as (gauge, diagonal units) per step row, (phi, g) per phi of Stab_full and H^1 class), over a field.
 
-    One forms dict serves every solve. Each phi of Aut S with a least witness w (_witness) gets g = w r, the gauge
-    product, for each H^1 representative r in order, which carries relabel(phi, c) to c; phi = id has w = 1.
+    Each phi of Aut S with a least witness w (_witness) gets g = w r, the gauge product, for each H^1 representative r
+    in order, which carries relabel(phi, c) to c; phi = id has w = 1.
     """
     F, v = _fixed_codes(S, c)
-    forms, exp, pairs = {}, F._exp, []
-    h1, (b1, logs) = _first_cohomology(S, F, v, bounds, forms)
+    exp, pairs = F._exp, []
+    h1, (b1, logs) = _first_cohomology(S, F, v, bounds)
     for phi in semigroup_automorphisms(S, bounds):
-        w = _witness(S, F, _relabeled(S, phi, v), v, forms)
+        w = _witness(S, F, _relabeled(S, phi, v), v)
         pairs += [(phi, gauge_mul(S, _gauge(S, F, w), r)) for r in (h1.reps if w else ())]
     units = [(_gauge(S, F, ((0,) * S.n, tuple(exp[x] for x in h))), [FFElement(F, exp[x]) for x in u]) for h, u in zip(b1.rows, logs)]
     return h1, units, pairs

@@ -106,7 +106,7 @@ class Lattice:
 
     def __init__(self, n, width, steps):
         self.n, self.width, self._steps = n, width, tuple(steps)
-        self.rows, self.order = [h for _, h, _ in self._steps], prod(n // d for _, _, d in self._steps)
+        self.rows, self.order = tuple(h for _, h, _ in self._steps), prod(n // d for _, _, d in self._steps)
 
     @classmethod
     def span(cls, rows, n, width):

@@ -40,6 +40,11 @@ class SquareFreeSemigroup:
         return out
 
     @cached_property
+    def _store(self):
+        """Derived data kept with S, each entry immutable and keyed by what it reads: Aut S, and cohom's gauge Lattices (_kept)."""
+        return {}
+
+    @cached_property
     def _ranks(self):
         """Index i -> its position in its sorted splitting class (sim_classes)."""
         return {i: pos for cls in sim_classes(self) for pos, i in enumerate(cls)}
@@ -181,14 +186,22 @@ class SemigroupAutomorphism:
 
 
 def automorphisms(S, bounds=DEFAULT_BOUNDS):
-    """All automorphisms in perm order, by backtracking on images in increasing order.
+    """All automorphisms in perm order, as a fresh list; the bound is checked first on every call, the search once per S."""
+    if S.n > bounds.aut_s_max_n:
+        raise SearchBoundExceeded(f"n={S.n} above automorphism bound {bounds.aut_s_max_n}")
+    store = S._store
+    if "automorphisms" not in store:
+        store["automorphisms"] = _backtrack(S)
+    return list(store["automorphisms"])
+
+
+def _backtrack(S):
+    """automorphisms' search, as a tuple, by backtracking on images in increasing order.
 
     Each placed index has its pairs and its triples on at most two indices
     checked both ways, which prunes; a leaf is kept when is_automorphism
     holds.
     """
-    if S.n > bounds.aut_s_max_n:
-        raise SearchBoundExceeded(f"n={S.n} above automorphism bound {bounds.aut_s_max_n}")
     n = S.n
     found = []
     image = [0] * (n + 1)
@@ -218,7 +231,7 @@ def automorphisms(S, bounds=DEFAULT_BOUNDS):
         image[i] = 0
 
     place(1, frozenset())
-    return found
+    return tuple(found)
 
 
 def is_automorphism(S, phi):

@@ -938,10 +938,12 @@ def test_verify_ses_work_is_one_witness_map_per_class(monkeypatch, S, want):
 
 
 def test_verify_ses_builds_one_log_form(monkeypatch):
-    # first_cohomology and each phi's witness share the forms of one call, and trivial two_cycle over GF(8) has one alpha
-    forms = counting(monkeypatch, "_log_form", cohom)
-    verify_ses(trivial_ring(two_cycle(), gf(8)))
+    # first_cohomology and each phi's witness share S's log form, and trivial two_cycle over GF(8) has one alpha;
+    # a second ring on S, over a separately built GF(8), builds none
+    S, forms = two_cycle(), counting(monkeypatch, "_log_form", cohom)
+    rep = verify_ses(trivial_ring(S, gf(8)))
     assert forms == [1]
+    assert verify_ses(trivial_ring(S, gf(8))) == rep and forms == [1]
 
 
 def test_verify_ses_answers_rings_above_the_unit_bound():

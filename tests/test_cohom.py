@@ -908,7 +908,7 @@ def reference_coset_pass(S, base, bounds=Bounds()):
     representative r.
     """
     F, v = base.backend, cohom._codes(S, base)
-    z1 = cohom._solutions(S, F, v, v, bounds, {})
+    z1 = cohom._solutions(S, F, v, v, bounds)
     b1 = [code_pair(g) for g in one_coboundaries(S, base, bounds)]
     src, exp, log, power, n = [i - 1 for i, _ in S.elements()], F._exp, F._log, F._powers, F.q - 1
 
@@ -986,7 +986,7 @@ def assert_searches_match_references(S, c, rng):
     moved = act(S, random_gauge(S, D, rng), relabel(S, rng.choice(auts), c), check=False)
     v = cohom._codes(S, c)
     for c2 in (c, other):
-        got = cohom._solutions(S, D, v, cohom._codes(S, c2), Bounds(), {})
+        got = cohom._solutions(S, D, v, cohom._codes(S, c2), Bounds())
         assert [cohom._gauge(S, D, key).canonical_key() for key in got] == keys(reference_solutions(S, c, c2))
     assert [relabel_keys(found) for found in cohom._relabel_witnesses(S, c, Bounds())] == [
         (phi.perm, g.canonical_key()) for phi in auts for g in reference_solutions(S, relabel(S, phi, c), c)
@@ -1283,10 +1283,11 @@ def test_h1_builds_a_gauge_per_class_only(monkeypatch, S, q):
 
 @pytest.mark.parametrize("S, q", [(mu(3), 8), (two_cycle(), 9), (a3(), 4)], ids=["mu3/GF8", "two_cycle/GF9", "a3/GF4"])
 def test_field_z1_is_one_elimination_and_no_eta_search(monkeypatch, S, q):
-    # every solution of the eta equations of one call, and the kernel, is
-    # read off one echelon form of the log matrix, shared by all mu; B^1's
-    # Lattice is one more. Lattice.least (the first witness) reads the
-    # kernel's form and eliminates nothing itself
+    # every solution of the eta equations, and the kernel, is read off one
+    # echelon form of the log matrix, shared by all mu and kept by S for
+    # every later call on the same alpha; B^1's Lattice is one more, kept
+    # too. Lattice.least (the first witness) reads the kernel's form and
+    # eliminates nothing itself
     F = gf(q)
     c = act(S, random_gauge(S, F, random.Random(q)), difference_twist(S, F, random.Random(S.n)), check=False)
     assert not hasattr(cohom, "_eta_search") and not hasattr(cohom, "_least")
@@ -1305,20 +1306,24 @@ def test_field_z1_is_one_elimination_and_no_eta_search(monkeypatch, S, q):
 
     monkeypatch.setattr(Lattice, "least", least)
     assert first_cohomology(S, c).order >= 1
-    assert (forms[0], echelons[0]) == (2, 3)
-    assert cohomologous(S, c, c) is not None
-    assert (forms[0], echelons[0]) == (3, 4)
+    assert (forms[0], echelons[0]) == (1, 2)
+    assert cohomologous(S, c, c) is not None and len(one_cocycles(S, c)) > 1
+    assert (forms[0], echelons[0]) == (1, 2)
     assert inside[0] == 0 < calls[0]
 
 
 def test_stab_forms_one_log_form_per_alpha(monkeypatch):
-    # the 6 relabelings of trivial mu3 share one alpha, and so one log form
-    # within the call; a second call forms its own
+    # the 6 relabelings of trivial mu3 share one alpha, and so one log form,
+    # which S keeps: a second call on S builds none, and a call on an equal
+    # but fresh semigroup builds its own
     S, F = mu(3), gf(9)
     forms = counting(monkeypatch, "_log_form")
     assert len(stabilizer(S, TwoCocycle.trivial(S, F))) == len(automorphisms(S)) == 6
     assert forms[0] == 1
     stabilizer(S, TwoCocycle.trivial(S, F))
+    assert forms[0] == 1
+    fresh = SquareFreeSemigroup(S.n, S.support, S.comp)
+    assert stabilizer(fresh, TwoCocycle.trivial(fresh, F)) == stabilizer(S, TwoCocycle.trivial(S, F))
     assert forms[0] == 2
 
 

@@ -229,7 +229,7 @@ def test_echelon_mod_reads_its_steps():
     # rest, -3 (2, 4) + 2 (3, 0), is zero; (6, 12) is zero already, so only
     # (0, 3) is left for slot 1
     L = Lattice.span([(2, 4), (3, 0), (6, 12), (0, 3)], 6, 2)
-    assert L._steps == ((0, (1, 2), 1), (1, (0, 3), 3)) and L.rows == [(1, 2), (0, 3)] and L.order == 12
+    assert L._steps == ((0, (1, 2), 1), (1, (0, 3), 3)) and L.rows == ((1, 2), (0, 3)) and L.order == 12
     assert Lattice.span([], 6, 2)._steps == Lattice.span([(0, 0)], 6, 2)._steps == Lattice.span([(1, 2)], 1, 2)._steps == ()
     assert Lattice.span([], 6, 2).elements() == [(0, 0)]
 

@@ -113,6 +113,9 @@ g = GaugeElement(one.mu, {**one.eta, (1, 1): F.gen})
 
 
 def call(name, fn, patch=None):
+    # a semigroup keeps the lattices it has built, so each replay runs on a fresh t2 that has built none
+    global S
+    S = t2()
     if patch is not None:
         module, attr, value = patch
         saved = getattr(module, attr)

@@ -13,8 +13,9 @@ from itertools import permutations, product
 
 import pytest
 
+from sqfree import sgrp
 from sqfree.cohom import TwoCocycle
-from sqfree.common import ValidationReport
+from sqfree.common import Bounds, ValidationReport
 
 from sqfree.errors import SearchBoundExceeded
 from sqfree.fixtures import a3, double_t2, gf, mu, single, t2, two_cycle
@@ -369,6 +370,33 @@ def test_automorphisms_match_a_filter_of_every_permutation():
         # the closure rule alone, on every permutation, keeps the same maps
         perms = map(SemigroupAutomorphism, permutations(range(1, S.n + 1)))
         assert [phi for phi in perms if is_automorphism(S, phi)] == want, S
+        # S's kept list, and a fresh equal semigroup's own search
+        assert automorphisms(S) == automorphisms(SquareFreeSemigroup(S.n, S.support, S.comp)) == want, S
+
+
+def test_the_kept_automorphisms_keep_the_bound_first_and_come_out_fresh(monkeypatch):
+    # Aut S is searched once per semigroup; the bound is checked first on every
+    # call, with the same text warm or cold, and each call gets its own list
+    S, searches = mu(3), [0]
+    backtrack = sgrp._backtrack
+
+    def counted(T):
+        searches[0] += 1
+        return backtrack(T)
+
+    monkeypatch.setattr(sgrp, "_backtrack", counted)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SearchBoundExceeded) as refused:
+            automorphisms(S, Bounds(aut_s_max_n=1))
+        texts.append(str(refused.value))
+        auts = automorphisms(S)
+        assert auts == ref_automorphisms(S) and len(auts) == 6
+        auts.reverse()
+        auts[0] = SemigroupAutomorphism((9, 9, 9))
+        del auts[1:]
+    assert texts == ["n=3 above automorphism bound 1"] * 2 and searches == [1]
+    assert automorphisms(S) == ref_automorphisms(S) and automorphisms(S) is not automorphisms(S)
 
 
 def path_semigroup(n):
